@@ -81,7 +81,8 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 
 
 class EtaContext:
-    """Evaluation settings and the multiplier cache.
+    """Evaluation settings, the multiplier cache, and the most recent
+    avatar trajectory (kept by treepath.avatar_trajectory).
 
     Not safe to share across threads; concurrent callers should each own
     a context."""
@@ -92,6 +93,7 @@ class EtaContext:
         self.pole_tol = pole_tol
         self.ambiguity_factor = ambiguity_factor
         self._multipliers: dict[tuple[int, int, int, int], complex] = {}
+        self.trajectory = None
 
     def multiplier(self, m: GroupElem) -> complex:
         """Multiplier eps(m) with eta(m z) = eps(m) (cz+d)^(1/2) eta(z),

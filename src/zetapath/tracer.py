@@ -13,10 +13,14 @@ import time
 from dataclasses import dataclass
 
 from .errors import Blocked, DerivativeSmall, StepCollapse
-from .etaengine import AvatarState, EtaContext, avatar_eval, z_eval, z_eval_from_seed
+# z_eval_from_seed is no longer called here but stays importable from this
+# module: perfbench's probes wrap it under this module's name.
+from .etaengine import (  # noqa: F401
+    AvatarState, EtaContext, avatar_eval, z_eval, z_eval_from_seed,
+)
 from .sl2z import SHIFT_ELEMENT, SHIFT_WORD, CosetTable, in_k, load_table, mobius
-from .treepath import TreePath, build_path, find_c
-from .zetafn import ZeroList, find_zeros, zeta_with_prime
+from .treepath import TreePath, avatar_trajectory, build_path, find_c
+from .zetafn import ZeroList, find_zeros, reference_zeros, zeta_with_prime
 
 
 @dataclass(frozen=True)
@@ -45,6 +49,13 @@ class TraceRecord:
     max_residual: float
     max_abs_avatar: float
     wall_time: float
+    halvings: int = 0
+
+
+def _default_zeros(count: int) -> ZeroList:
+    """At least `count` zeros when count <= 310: scanned by find_zeros up
+    to its 200-zero limit, the packaged reference table beyond it."""
+    return find_zeros(count) if count <= 200 else reference_zeros()
 
 
 def _match(s: complex, zeros: ZeroList, opts: TraceOptions) -> int | None:
@@ -69,13 +80,16 @@ def trace(m: int, path: TreePath | None = None,
           table: CosetTable | None = None) -> TraceRecord:
     """Continue zeta(s) = Z_n(z) along the path, starting at the m-th zero.
 
-    Marches the path parameter on the path's own grid.  Each step predicts
-    s from the avatar increment divided by zeta', then Newton-corrects to
-    |zeta(s) - w| < residual_tol; the step is halved when Newton needs more
-    than newton_max updates or moves s by more than ds_max.  A step below
-    dt_min raises StepCollapse; DerivativeSmall and Blocked guard multiple
-    points of the continuation and avatar poles.  The endpoint is matched
-    against the zero list.
+    Steps through the path's grid k/samples, reading the avatar values
+    from avatar_trajectory (shared through ctx with every other trace on
+    the same path).  Each step predicts s from the avatar increment
+    divided by zeta', then Newton-corrects to |zeta(s) - w| < residual_tol;
+    the step is halved, off the grid, when Newton needs more than
+    newton_max updates or moves s by more than ds_max, and the next step
+    aims at the grid point again.  A step below dt_min raises
+    StepCollapse; DerivativeSmall and Blocked guard multiple points of the
+    continuation and avatar poles.  The endpoint is matched against the
+    zero list.
     """
     t_start = time.perf_counter()
     opts = opts or TraceOptions()
@@ -83,30 +97,25 @@ def trace(m: int, path: TreePath | None = None,
     table = table or load_table()
     ctx = ctx or EtaContext()
     if zeros is None:
-        zeros = find_zeros(min(m + 2, 200))
+        zeros = _default_zeros(m + 2)
     gamma = zeros.gamma(m)
     s = complex(0.5, gamma)
-    z0 = path.point(0.0)
-    w = z_eval_from_seed(mobius(table.rep(n), z0), ctx=ctx)
+    traj = avatar_trajectory(path, n, ctx=ctx, table=table)
+    w = traj[0]
     if abs(w) > 1e-6:
         raise ValueError(f"avatar {n} is {abs(w):.2e} at the path start, so "
                          "the start pair does not satisfy the relation")
-    state = AvatarState(index=n, point=z0, value=w)
     _, der_s = zeta_with_prime(s)
     if abs(der_s) < opts.derivative_min:
         raise DerivativeSmall(f"|zeta'| = {abs(der_s):.2e} at s = {s:.6f}")
     max_residual = 0.0
     max_avatar = abs(w)
-    steps = 0
-    base_dt = 1.0 / path.samples
+    steps = halvings = 0
     t = 0.0
-    while t < 1.0:
-        dt = base_dt
+    for k in range(1, traj.count + 1):
+        t_grid = k / traj.count
+        t_next, w_next = t_grid, traj[k]
         while True:
-            t_next = min(t + dt, 1.0)
-            trial = AvatarState(index=n, point=state.point, value=state.value)
-            w_next = avatar_eval(n, path.point(t_next), trial, ctx=ctx,
-                                 table=table)
             if abs(w_next) > opts.pole_cap:
                 raise Blocked(f"avatar {n} modulus {abs(w_next):.3e} exceeds "
                               f"the pole cap {opts.pole_cap:.1e} at "
@@ -128,23 +137,30 @@ def trace(m: int, path: TreePath | None = None,
                 if abs(der) < opts.derivative_min:
                     raise DerivativeSmall(f"|zeta'| = {abs(der):.2e} at "
                                           f"s = {s_try:.6f}, t={t_next:.6f}")
-                s, der_s, w = s_try, der, w_next
-                state.point, state.value = trial.point, trial.value
-                t = t_next
+                s, der_s, w, t = s_try, der, w_next, t_next
                 steps += 1
                 if resid > max_residual:
                     max_residual = resid
-                if abs(w_next) > max_avatar:
-                    max_avatar = abs(w_next)
-                break
-            dt *= 0.5
+                if abs(w) > max_avatar:
+                    max_avatar = abs(w)
+                if t == t_grid:
+                    break
+                t_next, w_next = t_grid, traj[k]
+                continue
+            halvings += 1
+            dt = 0.5 * (t_next - t)
             if dt < opts.dt_min:
                 raise StepCollapse(f"path step {dt:.3e} fell below "
                                    f"{opts.dt_min:.1e} at t={t:.6f}")
+            t_next = t + dt
+            hint = AvatarState(index=n, point=path.point(t), value=w)
+            w_next = avatar_eval(n, path.point(t_next), hint, ctx=ctx,
+                                 table=table)
     return TraceRecord(m=m, gamma_start=gamma, end_s=s,
                        matched_index=_match(s, zeros, opts), steps=steps,
                        max_residual=max_residual, max_abs_avatar=max_avatar,
-                       wall_time=time.perf_counter() - t_start)
+                       wall_time=time.perf_counter() - t_start,
+                       halvings=halvings)
 
 
 @dataclass(frozen=True)
@@ -175,7 +191,7 @@ def run_experiment(max_m: int, path: TreePath | None = None,
     table = table or load_table()
     ctx = ctx or EtaContext()
     if zeros is None:
-        zeros = find_zeros(min(max_m + 2, 200)) if max_m > 0 else find_zeros(2)
+        zeros = _default_zeros(max(max_m, 0) + 2)
     if max_m > len(zeros.ordinates) - 1:
         raise ValueError(f"max_m={max_m} needs at least {max_m + 1} zeros, "
                          f"only {len(zeros.ordinates)} available")

@@ -21,10 +21,9 @@ from .etaengine import (
 )
 from .exactquad import exact_j_target
 from .sl2z import (
-    IDENTITY, R, S, GroupElem, load_table, mobius, validate_word, word_eval,
+    _LETTERS, IDENTITY, R, S, GroupElem, is_reduced_alternating, load_table,
+    mobius, validate_word, word_eval,
 )
-
-_LETTER = {"R": R, "r": R.inv(), "S": S}
 
 THETA_I = math.pi / 2.0
 THETA_OMEGA = 2.0 * math.pi / 3.0
@@ -106,12 +105,6 @@ def find_c() -> complex:
     return cmath.exp(1j * 0.5 * (lo + hi))
 
 
-def is_alternating(word: str) -> bool:
-    """True iff S-letters and rotation letters strictly alternate."""
-    kinds = ["S" if ch == "S" else "R" for ch in word]
-    return all(a != b for a, b in zip(kinds, kinds[1:]))
-
-
 def _vertex_theta(letter: str) -> float:
     # consecutive edges p_j(arc), p_j*letter(arc) meet at p_j(i) for an
     # S-letter (S fixes i) and at p_j(omega) for a rotation letter.
@@ -128,7 +121,7 @@ def build_path(word: str, theta_c: float | None = None,
     reduced alternating (otherwise consecutive edges would meet at the
     same vertex twice and the path would backtrack)."""
     validate_word(word)
-    if not is_alternating(word):
+    if not is_reduced_alternating(word):
         raise NotReduced(f"word must alternate rotation and S letters: {word!r}")
     if theta_c is None:
         theta_c = cmath.phase(find_c())
@@ -136,7 +129,7 @@ def build_path(word: str, theta_c: float | None = None,
     k = len(letters)
     prefixes = [IDENTITY]
     for ch in letters:
-        prefixes.append(prefixes[-1] * _LETTER[ch])
+        prefixes.append(prefixes[-1] * _LETTERS[ch])
     edges = []
     for j, g in enumerate(prefixes):
         t_from = theta_c if j == 0 else _vertex_theta(letters[j - 1])
@@ -154,28 +147,69 @@ def build_path(word: str, theta_c: float | None = None,
                     max_vertex_mismatch=mismatch, samples=samples)
 
 
+class AvatarTrajectory:
+    """Avatar n at the grid points k/count of a path, walked lazily.
+
+    trajectory[k] evaluates every grid point up to k not yet reached, each
+    hinted by the value before it, and keeps them; the value at k = 0 is
+    seeded by continuation from i.  A caller that stops at a pole has
+    therefore evaluated nothing past the point it rejected."""
+
+    def __init__(self, path: TreePath, n: int, count: int, ctx: EtaContext,
+                 table) -> None:
+        rep = table.rep(n)
+        self.key = (path, count, n, rep)
+        self.count = count
+        self._n, self._path, self._ctx, self._table = n, path, ctx, table
+        z0 = path.point(0.0)
+        val = z_eval_from_seed(mobius(rep, z0), ctx=ctx)
+        self._state = AvatarState(index=n, point=z0, value=val)
+        self._values = [val]
+
+    def __getitem__(self, k: int) -> complex:
+        values = self._values
+        while len(values) <= k:
+            t = len(values) / self.count
+            values.append(avatar_eval(self._n, self._path.point(t),
+                                      self._state, ctx=self._ctx,
+                                      table=self._table))
+        return values[k]
+
+
+def avatar_trajectory(path: TreePath, n: int, samples: int | None = None,
+                      ctx: EtaContext | None = None,
+                      table=None) -> AvatarTrajectory:
+    """Avatar n along the path grid k/samples, k = 0..samples (samples
+    defaults to the path's own).
+
+    The values do not depend on who reads them, so the context keeps the
+    most recent trajectory and hands it to every later caller asking for
+    the same path, grid, index and coset representative."""
+    ctx = ctx or EtaContext()
+    table = table or load_table()
+    count = samples if samples is not None else path.samples
+    traj = ctx.trajectory
+    if traj is None or traj.key != (path, count, n, table.rep(n)):
+        traj = ctx.trajectory = AvatarTrajectory(path, n, count, ctx, table)
+    return traj
+
+
 def pole_scan(path: TreePath, n: int, samples: int | None = None,
               pole_cap: float = 1e6, ctx: EtaContext | None = None,
               table=None) -> float:
     """Maximum |Z_n| along the path grid, walked with branch continuity.
 
-    The first point is branch-seeded by continuation from i; each later
-    sample uses the previous value as hint.  Raises Blocked (with the
-    offending parameter) as soon as the modulus exceeds pole_cap."""
-    table = table or load_table()
-    count = samples if samples is not None else path.samples
-    z0 = path.point(0.0)
-    rep = table.rep(n)
-    val = z_eval_from_seed(mobius(rep, z0), ctx=ctx)
-    state = AvatarState(index=n, point=z0, value=val)
-    peak = abs(val)
-    for k in range(1, count + 1):
-        t = k / count
-        v = avatar_eval(n, path.point(t), state, ctx=ctx, table=table)
-        mag = abs(v)
+    Reads avatar_trajectory(path, n, samples); raises Blocked (with the
+    offending parameter) at the first grid point after the start whose
+    modulus exceeds pole_cap."""
+    traj = avatar_trajectory(path, n, samples, ctx=ctx, table=table)
+    peak = abs(traj[0])
+    for k in range(1, traj.count + 1):
+        mag = abs(traj[k])
         if mag > peak:
             peak = mag
         if mag > pole_cap:
+            t = k / traj.count
             raise Blocked(f"avatar {n} modulus {mag:.3e} exceeds the pole "
                           f"cap {pole_cap:.1e} at t={t:.6f}", t=t)
     return peak

@@ -298,6 +298,6 @@ def load_zeros(path) -> ZeroList:
 
 
 def reference_zeros() -> ZeroList:
-    """The packaged 110-entry reference table."""
+    """The packaged 310-entry reference table."""
     from importlib.resources import files
     return load_zeros(files("zetapath").joinpath("data/zeta_zeros.txt"))

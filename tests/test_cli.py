@@ -123,6 +123,7 @@ def test_trace(capsys):
     assert main(["trace", "--m", "1"]) == 0
     out = _json_out(capsys)
     assert out["matched_index"] == 2
+    assert out["halvings"] == 0
     assert out["max_residual"] < 1e-8
     assert abs(out["end_s"]["re"] - 0.5) < 1e-6
 

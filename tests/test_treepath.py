@@ -6,14 +6,16 @@ import math
 
 import pytest
 
+from zetapath import treepath
 from zetapath.errors import Blocked, NotReduced
-from zetapath.etaengine import j_fricke, z_eval_from_seed
+from zetapath.etaengine import EtaContext, j_fricke, z_eval_from_seed
 from zetapath.exactquad import exact_j_target
 from zetapath.sl2z import (
-    IDENTITY, R, S, SHIFT_ELEMENT, SHIFT_WORD, load_table, mobius, word_eval,
+    IDENTITY, R, S, SHIFT_ELEMENT, SHIFT_WORD, is_reduced_alternating,
+    load_table, mobius, word_eval,
 )
 from zetapath.treepath import (
-    OMEGA, THETA_I, THETA_OMEGA, build_path, find_c, is_alternating,
+    OMEGA, THETA_I, THETA_OMEGA, avatar_trajectory, build_path, find_c,
     pole_scan, verify_local_intersections,
 )
 
@@ -57,11 +59,12 @@ def test_find_c_deterministic():
 
 
 def test_alternation_predicate():
-    assert is_alternating("RSrSR")
-    assert is_alternating("S")
-    assert not is_alternating("RR")
-    assert not is_alternating("Rr")
-    assert not is_alternating("SS")
+    # build_path accepts exactly the words this predicate accepts
+    assert is_reduced_alternating("RSrSR")
+    assert is_reduced_alternating("S")
+    assert not is_reduced_alternating("RR")
+    assert not is_reduced_alternating("Rr")
+    assert not is_reduced_alternating("SS")
 
 
 @pytest.mark.parametrize("word", ["RR", "SS", "Rr", "SRRS", "RSrr"])
@@ -178,6 +181,66 @@ def test_pole_scan_cap_adjustable():
     path = build_path(BAD_WORD)
     peak = pole_scan(path, 41, pole_cap=1e16)
     assert peak > 1e6
+
+
+def test_pole_scan_same_peak_cold_and_warm():
+    path = build_path(SHIFT_WORD)
+    ctx = EtaContext()
+    cold = pole_scan(path, 41, ctx=ctx)
+    traj = ctx.trajectory
+    warm = pole_scan(path, 41, ctx=ctx)
+    assert ctx.trajectory is traj
+    assert warm == cold
+
+
+def test_pole_scan_blocked_at_the_same_t_on_a_filled_trajectory():
+    path = build_path(BAD_WORD)
+    with pytest.raises(Blocked) as cold:
+        pole_scan(path, 41, pole_cap=100.0)
+    ctx = EtaContext()
+    pole_scan(path, 41, pole_cap=1e16, ctx=ctx)  # walks the whole grid
+    with pytest.raises(Blocked) as warm:
+        pole_scan(path, 41, pole_cap=100.0, ctx=ctx)
+    assert warm.value.t == cold.value.t
+
+
+# ------------------------------------------------------------------ trajectory
+
+
+def test_trajectory_doubled_grid_contains_the_coarse_one():
+    path = build_path(SHIFT_WORD)
+    coarse = avatar_trajectory(path, 41, ctx=EtaContext())
+    fine = avatar_trajectory(path, 41, samples=4000, ctx=EtaContext())
+    assert coarse.count == 2000 and fine.count == 4000
+    assert all(fine[2 * k] == coarse[k] for k in range(2001))
+
+
+def test_trajectory_keeps_one_entry_per_context():
+    path = build_path(SHIFT_WORD)
+    ctx = EtaContext()
+    first = avatar_trajectory(path, 41, ctx=ctx)
+    assert avatar_trajectory(path, 41, ctx=ctx) is first
+    # an equal path built again shares the entry
+    assert avatar_trajectory(build_path(SHIFT_WORD), 41, ctx=ctx) is first
+    other = avatar_trajectory(path, 41, samples=1000, ctx=ctx)
+    assert other is not first and ctx.trajectory is other
+    assert avatar_trajectory(path, 41, ctx=ctx) is not first
+
+
+def test_trajectory_walks_lazily(monkeypatch):
+    calls = []
+    evaluate = treepath.avatar_eval
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return evaluate(*args, **kwargs)
+    monkeypatch.setattr(treepath, "avatar_eval", counted)
+    path = build_path(SHIFT_WORD)
+    traj = avatar_trajectory(path, 41, ctx=EtaContext())
+    assert abs(traj[0]) < 1e-10 and calls == []
+    traj[10]
+    traj[3]
+    assert calls == [path.point(k / 2000) for k in range(1, 11)]
 
 
 # ---------------------------------------------------------- local intersections
