@@ -68,21 +68,18 @@ _PLAIN_FNS = {"eta": dedekind_eta, "tau": tau, "lambda": lambda_fn,
 def _cmd_eval(args: argparse.Namespace) -> int:
     z = args.z
     out: dict = {"fn": args.fn, "z": _cpx(z)}
-    try:
-        if args.fn in _PLAIN_FNS:
-            out["value"] = _cpx(_PLAIN_FNS[args.fn](z))
-            out["residuals"] = identity_residuals(z)
-        else:
-            if args.fn == "avatar":
-                if args.n is None:
-                    raise ValueError("--n is required for fn=avatar")
-                z = mobius(load_table().rep(args.n), z)
-                out["n"] = args.n
-            value = z_eval_from_seed(z)
-            out["value"] = _cpx(value)
-            out["residuals"] = identity_residuals(z, branch_value=value)
-    except (ZetaPathError, ValueError) as exc:
-        return _fail(exc)
+    if args.fn in _PLAIN_FNS:
+        out["value"] = _cpx(_PLAIN_FNS[args.fn](z))
+        out["residuals"] = identity_residuals(z)
+    else:
+        if args.fn == "avatar":
+            if args.n is None:
+                raise ValueError("--n is required for fn=avatar")
+            z = mobius(load_table().rep(args.n), z)
+            out["n"] = args.n
+        value = z_eval_from_seed(z)
+        out["value"] = _cpx(value)
+        out["residuals"] = identity_residuals(z, branch_value=value)
     _emit_json(out, args.emit)
     return 0
 
@@ -97,10 +94,7 @@ def _cmd_find_c(args: argparse.Namespace) -> int:
 
 
 def _cmd_path(args: argparse.Namespace) -> int:
-    try:
-        path = build_path(args.word, samples=args.samples)
-    except (ZetaPathError, ValueError) as exc:
-        return _fail(exc)
+    path = build_path(args.word, samples=args.samples)
     if args.emit:
         with open(args.emit, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -118,18 +112,12 @@ def _cmd_path(args: argparse.Namespace) -> int:
 
 
 def _cmd_zeros(args: argparse.Namespace) -> int:
-    try:
-        zl = find_zeros(args.count)
-    except (ZetaPathError, ValueError) as exc:
-        return _fail(exc)
+    zl = find_zeros(args.count)
     out: dict = {"count": len(zl), "source": zl.source,
                  "ordinates": list(zl.ordinates)}
     code = 0
     if args.check:
-        try:
-            ref = load_zeros(args.check)
-        except (ZetaPathError, ValueError, OSError) as exc:
-            return _fail(exc)
+        ref = load_zeros(args.check)
         compared = min(len(zl), len(ref))
         worst = max(abs(a - b) for a, b in
                     zip(zl.ordinates[:compared], ref.ordinates[:compared]))
@@ -158,22 +146,15 @@ def _trace_setup(args: argparse.Namespace):
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    try:
-        opts, path, zeros = _trace_setup(args)
-        rec = trace(args.m, path=path, opts=opts, zeros=zeros)
-    except (ZetaPathError, ValueError, OSError) as exc:
-        return _fail(exc)
+    opts, path, zeros = _trace_setup(args)
+    rec = trace(args.m, path=path, opts=opts, zeros=zeros)
     _emit_json(_record_dict(rec), args.emit)
     return 0 if rec.matched_index is not None else 1
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    try:
-        opts, path, zeros = _trace_setup(args)
-        summary = run_experiment(args.max_m, path=path, opts=opts,
-                                 zeros=zeros)
-    except (ZetaPathError, ValueError, OSError) as exc:
-        return _fail(exc)
+    opts, path, zeros = _trace_setup(args)
+    summary = run_experiment(args.max_m, path=path, opts=opts, zeros=zeros)
     lines = [json.dumps(_record_dict(rec)) for rec in summary.records]
     if args.emit:
         Path(args.emit).write_text("".join(line + "\n" for line in lines))
@@ -256,7 +237,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "experiment" and not 0 <= args.max_m <= 300:
         print("--max-m must be between 0 and 300", file=sys.stderr)
         return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ZetaPathError, ValueError, LookupError, OSError) as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

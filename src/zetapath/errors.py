@@ -46,17 +46,24 @@ class NotReduced(ZetaPathError):
     """A word was not in reduced alternating form."""
 
 
-class Blocked(ZetaPathError):
-    """A path walk encountered an avatar-function pole (modulus above the cap)."""
+class PathWalkError(ZetaPathError):
+    """A failure at a known place on a path walk: the path parameter t and,
+    where the walk carries one, the point s of the continuation."""
 
-    def __init__(self, message: str, t: float | None = None):
+    def __init__(self, message: str, t: float | None = None,
+                 s: complex | None = None):
         super().__init__(message)
         self.t = t
+        self.s = s
 
 
-class StepCollapse(ZetaPathError):
+class Blocked(PathWalkError):
+    """A path walk encountered an avatar-function pole (modulus above the cap)."""
+
+
+class StepCollapse(PathWalkError):
     """Adaptive step halving in the tracer collapsed below the minimum step."""
 
 
-class DerivativeSmall(ZetaPathError):
+class DerivativeSmall(PathWalkError):
     """The corrector encountered |zeta'(s)| too small to proceed."""

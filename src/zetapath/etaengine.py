@@ -27,7 +27,7 @@ from .exactquad import (
     B0_POLY, B1_POLY, BETA, C_POLY, D_POLY, GAMMA, DELTA,
     PSI_DENOM_CONST, PSI_DENOM_POLY,
 )
-from .sl2z import IDENTITY, S, GroupElem, load_table, mobius
+from .sl2z import IDENTITY, GroupElem, load_table, mobius
 
 _B0_C = B0_POLY.float_coeffs()
 _B1_C = B1_POLY.float_coeffs()
@@ -41,6 +41,9 @@ _CUBE27_F = 27.0 / (5.0 * math.sqrt(5.0))          # 3^3 * 5^(-3/2)
 _RHS_SCALE_F = math.sqrt((5.0 + 2.0 * math.sqrt(5.0)) / 3.0)
 _PSI_CONST_F = complex(PSI_DENOM_CONST)            # 3 sqrt5 * golden ratio
 _PSI_POLY_C = PSI_DENOM_POLY.float_coeffs()
+
+_SERIES_EPS = 1e-17        # pentagonal-series truncation, below binary64 ulp
+_AMBIGUITY_FACTOR = 2.0    # residual ratio below which no-hint selection fails
 
 
 def _horner(coeffs: tuple, z: complex) -> complex:
@@ -81,17 +84,14 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 
 
 class EtaContext:
-    """Evaluation settings, the multiplier cache, and the most recent
+    """The pole tolerance, the multiplier cache, and the most recent
     avatar trajectory (kept by treepath.avatar_trajectory).
 
     Not safe to share across threads; concurrent callers should each own
     a context."""
 
-    def __init__(self, series_eps: float = 1e-17, pole_tol: float = 1e-10,
-                 ambiguity_factor: float = 2.0):
-        self.series_eps = series_eps
+    def __init__(self, pole_tol: float = 1e-10):
         self.pole_tol = pole_tol
-        self.ambiguity_factor = ambiguity_factor
         self._multipliers: dict[tuple[int, int, int, int], complex] = {}
         self.trajectory = None
 
@@ -120,21 +120,21 @@ def reduce_to_fundamental(z: complex) -> tuple[complex, GroupElem]:
     """Return (w, m) with w = m z, |Re w| <= 1/2 and |w| >= 1 (within a
     strict-boundary tolerance)."""
     w = _require_upper(z)
-    m = IDENTITY
+    a, b, c, d = 1, 0, 0, 1
     for _ in range(10000):
         n = round(w.real)
         if n:
             w = complex(w.real - n, w.imag)
-            m = GroupElem(1, -n, 0, 1) * m
+            a, b = a - n * c, b - n * d       # (1, -n; 0, 1) * m
         if abs(w) < 1.0 - 1e-15:
             w = -1.0 / w
-            m = S * m
+            a, b, c, d = -c, -d, a, b         # S * m
         else:
-            return w, m
+            return w, GroupElem(a, b, c, d)
     raise ValueError(f"fundamental-domain reduction did not converge for {z}")
 
 
-def _eta_series(w: complex, eps: float) -> complex:
+def _eta_series(w: complex) -> complex:
     """Pentagonal-number series; w should be fundamental-domain reduced."""
     q = cmath.exp(2j * math.pi * w)
     total = 1 + 0j
@@ -144,7 +144,7 @@ def _eta_series(w: complex, eps: float) -> complex:
         q1 = q ** (k * (3 * k - 1) // 2)
         q2 = q ** (k * (3 * k + 1) // 2)
         total += sign * (q1 + q2)
-        if abs(q1) < eps:
+        if abs(q1) < _SERIES_EPS:
             break
     return cmath.exp(1j * math.pi * w / 12.0) * total
 
@@ -154,7 +154,7 @@ def dedekind_eta(z: complex, ctx: EtaContext | None = None) -> complex:
     ctx = ctx or _DEFAULT_CTX
     z = _require_upper(z)
     w, m = reduce_to_fundamental(z)
-    val = _eta_series(w, ctx.series_eps)
+    val = _eta_series(w)
     if m == IDENTITY:
         return val
     if m.c < 0 or (m.c == 0 and m.d < 0):
@@ -169,41 +169,38 @@ def _etas(z: complex, ctx: EtaContext) -> tuple[complex, complex, complex, compl
             dedekind_eta(z / 5, ctx), dedekind_eta(z / 15, ctx))
 
 
+def _tau_lambda(z: complex,
+                ctx: EtaContext) -> tuple[complex, complex, complex]:
+    """tau, lambda and tau5 from one eta quartet."""
+    e1, e3, e5, e15 = _etas(z, ctx)
+    return (((e3 * e5) / (e1 * e15)) ** 3, e3 ** 6 / (e1 ** 3 * e5 ** 3),
+            (e5 / e1) ** 6)
+
+
 def tau(z: complex, ctx: EtaContext | None = None) -> complex:
     """Degree-4 hauptmodul (eta_3 eta_5 / eta_1 eta_15)^3, with
     eta_m(z) = eta(z/m)."""
-    ctx = ctx or _DEFAULT_CTX
-    e1, e3, e5, e15 = _etas(z, ctx)
-    return ((e3 * e5) / (e1 * e15)) ** 3
+    return _tau_lambda(z, ctx or _DEFAULT_CTX)[0]
 
 
 def lambda_fn(z: complex, ctx: EtaContext | None = None) -> complex:
     """Weight-0 quotient eta_1^-3 eta_3^6 eta_5^-3."""
-    ctx = ctx or _DEFAULT_CTX
-    e1, e3, e5, _ = _etas(z, ctx)
-    return e3 ** 6 / (e1 ** 3 * e5 ** 3)
+    return _tau_lambda(z, ctx or _DEFAULT_CTX)[1]
 
 
 def tau5(z: complex, ctx: EtaContext | None = None) -> complex:
-    """Level-5 quotient (eta_5 / eta_1)^6."""
+    """Level-5 quotient (eta_5 / eta_1)^6; needs only two of the quartet."""
     ctx = ctx or _DEFAULT_CTX
     e1 = dedekind_eta(z, ctx)
     e5 = dedekind_eta(z / 5, ctx)
     return (e5 / e1) ** 6
 
 
-def _tau_lambda(z: complex, ctx: EtaContext) -> tuple[complex, complex]:
-    e1, e3, e5, e15 = _etas(z, ctx)
-    t = ((e3 * e5) / (e1 * e15)) ** 3
-    lam = e3 ** 6 / (e1 ** 3 * e5 ** 3)
-    return t, lam
-
-
 def sigma(z: complex, ctx: EtaContext | None = None) -> complex:
     """Square function recovered rationally:
     (250 tau^4 lambda^2 - D(tau)) / C(tau)."""
     ctx = ctx or _DEFAULT_CTX
-    t, lam = _tau_lambda(z, ctx)
+    t, lam, _ = _tau_lambda(z, ctx)
     return _sigma_from(t, lam, ctx)
 
 
@@ -249,8 +246,11 @@ def z_root_pair(z: complex, ctx: EtaContext | None = None) -> RootPair:
     Rh = sqrt((5 + 2 sqrt5)/3) (tau - BETA)(tau^2 + GAMMA tau + DELTA).
 
     The coefficient symmetry a = c makes the roots a reciprocal pair."""
-    ctx = ctx or _DEFAULT_CTX
-    t, lam = _tau_lambda(z, ctx)
+    t, lam, _ = _tau_lambda(z, ctx or _DEFAULT_CTX)
+    return _root_pair(t, lam)
+
+
+def _root_pair(t: complex, lam: complex) -> RootPair:
     big_l = t * t * lam + _CUBE27_F * t ** 3 / lam
     rh = _RHS_SCALE_F * (t - _BETA_F) * (t * t + _GAMMA_F * t + _DELTA_F)
     a = big_l - rh
@@ -276,7 +276,7 @@ def z_eval(z: complex, hint: complex | None = None,
 
     Selection: with a hint, the root chordally nearest the hint (branch
     continuity wins).  With no hint, the smaller side-constraint residual;
-    if the residuals are within ambiguity_factor of each other the point
+    if the residuals are within a factor 2 of each other the point
     is too close to |Z| = 1 to decide and BranchAmbiguous is raised.  At
     the seed z = i the branch with positive imaginary part is chosen."""
     ctx = ctx or _DEFAULT_CTX
@@ -288,10 +288,10 @@ def z_eval(z: complex, hint: complex | None = None,
     if abs(z - 1j) < 1e-9:
         return pair.first if pair.first.imag > 0 else pair.second
     lo, hi = sorted((pair.residual_first, pair.residual_second))
-    if hi <= ctx.ambiguity_factor * lo:
+    if hi <= _AMBIGUITY_FACTOR * lo:
         raise BranchAmbiguous(
             f"side-constraint residuals {lo:.3e} and {hi:.3e} within a "
-            f"factor {ctx.ambiguity_factor}; approach {z} along a path")
+            f"factor {_AMBIGUITY_FACTOR}; approach {z} along a path")
     if pair.residual_first <= pair.residual_second:
         return pair.first
     return pair.second
@@ -319,8 +319,11 @@ def psi_phi(z: complex, branch_value: complex | None = None,
     PHI = (PSI - Z) / (2 (Z - 1))."""
     ctx = ctx or _DEFAULT_CTX
     zv = branch_value if branch_value is not None else z_eval(z, ctx=ctx)
-    t, lam = _tau_lambda(z, ctx)
-    s = _sigma_from(t, lam, ctx)
+    return _psi_phi(sigma(z, ctx), zv, ctx)
+
+
+def _psi_phi(s: complex, zv: complex,
+             ctx: EtaContext) -> tuple[complex, complex]:
     b1 = _horner(_B1_C, zv)
     den = _PSI_CONST_F * _horner(_PSI_POLY_C, zv)
     if abs(den) < ctx.pole_tol:
@@ -345,7 +348,7 @@ def identity_residuals(z: complex, ctx: EtaContext | None = None,
     tau and sigma), odd_cubic_square and cubic_model (the PSI and PHI
     equations)."""
     ctx = ctx or _DEFAULT_CTX
-    t, lam = _tau_lambda(z, ctx)
+    t, lam, t5 = _tau_lambda(z, ctx)
     s = _sigma_from(t, lam, ctx)
     out: dict[str, float] = {}
 
@@ -357,7 +360,7 @@ def identity_residuals(z: complex, ctx: EtaContext | None = None,
     rhs = _horner(_C_C, t) * s + _horner(_D_C, t)
     out["weight_relation"] = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
-    pair = z_root_pair(z, ctx)
+    pair = _root_pair(t, lam)
     if branch_value is not None:
         zv = (pair.first if chordal(pair.first, branch_value)
               <= chordal(pair.second, branch_value) else pair.second)
@@ -372,14 +375,13 @@ def identity_residuals(z: complex, ctx: EtaContext | None = None,
     out["side_constraint"] = (abs(b1 * t + b0)
                               / (1.0 + abs(b1) * abs(t) + abs(b0)))
 
-    t5 = tau5(z, ctx)
     link_num = (t ** 4 - 9.0 * t ** 3 - 9.0 * t - 1.0
                 + (t * t - 4.0 * t - 1.0) * s)
     link = t5 * 2.0 * t - link_num
     link_scale = abs(t5) * 2.0 * abs(t) + abs(t) ** 4 + abs(t * t * s) + 1.0
     out["level5_link"] = abs(link) / (1.0 + link_scale)
 
-    psi, phi = psi_phi(z, zv, ctx)
+    psi, phi = _psi_phi(s, zv, ctx)
     cubic = ((zv * 4.0 - 7.0) * zv + 4.0) * zv
     out["odd_cubic_square"] = (abs(psi * psi - cubic)
                                / (1.0 + abs(psi) ** 2 + abs(cubic)))
@@ -389,30 +391,12 @@ def identity_residuals(z: complex, ctx: EtaContext | None = None,
     return out
 
 
-@dataclass
-class AvatarState:
-    """Continuity carrier for one avatar along a path: the last accepted
-    point and branch value."""
-
-    index: int
-    point: complex
-    value: complex
-
-
-def avatar_eval(n: int, z: complex, state: AvatarState | None = None,
+def avatar_eval(n: int, z: complex, hint: complex | None = None,
                 ctx: EtaContext | None = None, table=None) -> complex:
     """Avatar value Z_n(z) = Z(P_n z), P_n the row-n coset representative.
 
-    A state from a previous nearby point supplies the branch hint and is
-    updated in place; without a state the cold-start selection of z_eval
-    applies."""
+    The hint, a branch value of the same avatar at a nearby point, selects
+    the root as in z_eval; without one the cold-start selection applies."""
     ctx = ctx or _DEFAULT_CTX
     table = table or load_table()
-    w = mobius(table.rep(n), z)
-    hint = state.value if state is not None and state.index == n else None
-    val = z_eval(w, hint=hint, ctx=ctx)
-    if state is not None:
-        state.index = n
-        state.point = z
-        state.value = val
-    return val
+    return z_eval(mobius(table.rep(n), z), hint=hint, ctx=ctx)

@@ -115,10 +115,6 @@ class QuadNum:
         """Field norm a^2 - 5 b^2."""
         return self.a * self.a - 5 * self.b * self.b
 
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def __bool__(self) -> bool:
         return self.a != 0 or self.b != 0
 
@@ -234,13 +230,6 @@ class QuadPoly:
         acc = QuadPoly([])
         for c in reversed(self.coeffs):
             acc = acc * other + QuadPoly.constant(c)
-        return acc
-
-    def eval_complex(self, z: complex) -> complex:
-        """Horner evaluation at a complex point (QuadNum coefficients only)."""
-        acc = 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + complex(c)
         return acc
 
     def float_coeffs(self) -> tuple:

@@ -16,7 +16,7 @@ from .errors import Blocked, DerivativeSmall, StepCollapse
 # z_eval_from_seed is no longer called here but stays importable from this
 # module: perfbench's probes wrap it under this module's name.
 from .etaengine import (  # noqa: F401
-    AvatarState, EtaContext, avatar_eval, z_eval, z_eval_from_seed,
+    EtaContext, avatar_eval, z_eval, z_eval_from_seed,
 )
 from .sl2z import SHIFT_ELEMENT, SHIFT_WORD, CosetTable, in_k, load_table, mobius
 from .treepath import TreePath, avatar_trajectory, build_path, find_c
@@ -107,7 +107,8 @@ def trace(m: int, path: TreePath | None = None,
                          "the start pair does not satisfy the relation")
     _, der_s = zeta_with_prime(s)
     if abs(der_s) < opts.derivative_min:
-        raise DerivativeSmall(f"|zeta'| = {abs(der_s):.2e} at s = {s:.6f}")
+        raise DerivativeSmall(f"|zeta'| = {abs(der_s):.2e} at s = {s:.6f}",
+                              t=0.0, s=s)
     max_residual = 0.0
     max_avatar = abs(w)
     steps = halvings = 0
@@ -131,12 +132,14 @@ def trace(m: int, path: TreePath | None = None,
                     break
                 if abs(der) < opts.derivative_min:
                     raise DerivativeSmall(f"|zeta'| = {abs(der):.2e} at "
-                                          f"s = {s_try:.6f}, t={t_next:.6f}")
+                                          f"s = {s_try:.6f}, t={t_next:.6f}",
+                                          t=t_next, s=s_try)
                 s_try = s_try - (val - w_next) / der
             if accepted and abs(s_try - s) <= opts.ds_max:
                 if abs(der) < opts.derivative_min:
                     raise DerivativeSmall(f"|zeta'| = {abs(der):.2e} at "
-                                          f"s = {s_try:.6f}, t={t_next:.6f}")
+                                          f"s = {s_try:.6f}, t={t_next:.6f}",
+                                          t=t_next, s=s_try)
                 s, der_s, w, t = s_try, der, w_next, t_next
                 steps += 1
                 if resid > max_residual:
@@ -151,10 +154,10 @@ def trace(m: int, path: TreePath | None = None,
             dt = 0.5 * (t_next - t)
             if dt < opts.dt_min:
                 raise StepCollapse(f"path step {dt:.3e} fell below "
-                                   f"{opts.dt_min:.1e} at t={t:.6f}")
+                                   f"{opts.dt_min:.1e} at t={t:.6f}",
+                                   t=t, s=s)
             t_next = t + dt
-            hint = AvatarState(index=n, point=path.point(t), value=w)
-            w_next = avatar_eval(n, path.point(t_next), hint, ctx=ctx,
+            w_next = avatar_eval(n, path.point(t_next), w, ctx=ctx,
                                  table=table)
     return TraceRecord(m=m, gamma_start=gamma, end_s=s,
                        matched_index=_match(s, zeros, opts), steps=steps,

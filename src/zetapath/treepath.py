@@ -16,9 +16,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import Blocked, NotReduced
-from .etaengine import (
-    AvatarState, EtaContext, avatar_eval, j_fricke, z_eval_from_seed,
-)
+from .etaengine import EtaContext, avatar_eval, j_fricke, z_eval_from_seed
 from .exactquad import exact_j_target
 from .sl2z import (
     _LETTERS, IDENTITY, R, S, GroupElem, is_reduced_alternating, load_table,
@@ -119,7 +117,10 @@ def build_path(word: str, theta_c: float | None = None,
     the base arc, crosses one shared vertex per letter, and ends at
     theta_c on the final edge.  Raises NotReduced unless the word is
     reduced alternating (otherwise consecutive edges would meet at the
-    same vertex twice and the path would backtrack)."""
+    same vertex twice and the path would backtrack), and ValueError
+    unless samples >= 1."""
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     validate_word(word)
     if not is_reduced_alternating(word):
         raise NotReduced(f"word must alternate rotation and S letters: {word!r}")
@@ -161,17 +162,15 @@ class AvatarTrajectory:
         self.key = (path, count, n, rep)
         self.count = count
         self._n, self._path, self._ctx, self._table = n, path, ctx, table
-        z0 = path.point(0.0)
-        val = z_eval_from_seed(mobius(rep, z0), ctx=ctx)
-        self._state = AvatarState(index=n, point=z0, value=val)
-        self._values = [val]
+        self._values = [z_eval_from_seed(mobius(rep, path.point(0.0)),
+                                         ctx=ctx)]
 
     def __getitem__(self, k: int) -> complex:
         values = self._values
         while len(values) <= k:
             t = len(values) / self.count
             values.append(avatar_eval(self._n, self._path.point(t),
-                                      self._state, ctx=self._ctx,
+                                      values[-1], ctx=self._ctx,
                                       table=self._table))
         return values[k]
 

@@ -97,6 +97,28 @@ def test_path_rejects_bad_word(capsys):
     assert _json_out(capsys)["error"] == "NotReduced"
 
 
+@pytest.mark.parametrize("argv", [
+    ["path", "--samples", "0", "--emit", "unused.csv"],
+    ["path", "--samples", "-3"],
+    ["trace", "--samples", "0"],
+])
+def test_samples_below_one_rejected(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    assert _json_out(capsys)["error"] == "ValueError"
+    assert not (tmp_path / "unused.csv").exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["trace", "--m", "0"], "IndexError"),
+    (["trace", "--m", "400"], "IndexError"),
+    (["eval", "--fn", "avatar", "--z", "0.1,1.2", "--n", "200"], "KeyError"),
+])
+def test_out_of_range_index_is_a_json_error(capsys, argv, error):
+    assert main(argv) == 1
+    assert _json_out(capsys)["error"] == error
+
+
 def test_zeros_with_check(capsys):
     assert main(["zeros", "--count", "5", "--check", ZEROS_FILE]) == 0
     out = _json_out(capsys)

@@ -8,9 +8,10 @@ from fractions import Fraction
 
 import pytest
 
+from zetapath import etaengine
 from zetapath.errors import BranchAmbiguous, NearPole
 from zetapath.etaengine import (
-    AvatarState, EtaContext, avatar_eval, chordal, dedekind_eta,
+    EtaContext, avatar_eval, chordal, dedekind_eta,
     dedekind_sum, identity_residuals, j_fricke, lambda_fn, psi_phi,
     reduce_to_fundamental, sigma, tau, tau5, z_eval, z_eval_from_seed,
     z_root_pair,
@@ -217,6 +218,18 @@ def test_identity_residual_panel():
             assert res[key] < 1e-8, (key, z, res[key])
 
 
+def test_identity_residuals_evaluate_one_eta_quartet(monkeypatch):
+    calls = []
+    evaluate = etaengine.dedekind_eta
+
+    def counted(z, ctx=None):
+        calls.append(z)
+        return evaluate(z, ctx)
+    monkeypatch.setattr(etaengine, "dedekind_eta", counted)
+    identity_residuals(0.13 + 1.07j)
+    assert len(calls) == 4
+
+
 def test_j_special_values():
     assert abs(j_fricke(1j) - 1728.0) < 1e-8 * 1728.0
     omega = cmath.exp(2j * math.pi / 3.0)
@@ -340,12 +353,11 @@ def test_avatar_row_one_matches_plain_eval():
     assert avatar_eval(1, 1j) == z_eval(1j)
 
 
-def test_avatar_state_updates_and_quadratic_invariant():
+def test_avatar_hint_and_quadratic_invariant():
     table = load_table()
-    state = AvatarState(index=41, point=1j, value=z_eval(mobius(table.rep(41), 1j)))
+    hint = z_eval(mobius(table.rep(41), 1j))
     z = 0.02 + 1.01j
-    val = avatar_eval(41, z, state)
-    assert state.point == z and state.value == val and state.index == 41
+    val = avatar_eval(41, z, hint)
     pair = z_root_pair(mobius(table.rep(41), z))
     quad = pair.quad_a * val * val + pair.quad_b * val + pair.quad_a
     scale = abs(pair.quad_a) * (1.0 + abs(val) ** 2) + abs(pair.quad_b) * abs(val)
@@ -375,10 +387,8 @@ def test_avatar_transport_matches_table_action():
             assert _setwise_close(pa, pb, 1e-8)
             u = min(pa, key=abs)
             if chordal(u, 1.0 / u if u != 0 else complex(math.inf, 0)) > 1e-6:
-                sa = AvatarState(index=n, point=z, value=u)
-                sb = AvatarState(index=row.n_r, point=z, value=u)
-                va = avatar_eval(n, mobius(R, z), sa)
-                vb = avatar_eval(row.n_r, z, sb)
+                va = avatar_eval(n, mobius(R, z), u)
+                vb = avatar_eval(row.n_r, z, u)
                 assert chordal(va, vb) < 1e-8
 
 
@@ -392,10 +402,8 @@ def test_avatar_row41_fixed_by_shift_element():
         assert _setwise_close(pa, pb, 1e-8)
         u = min(pb, key=abs)
         if chordal(u, 1.0 / u if u != 0 else complex(math.inf, 0)) > 1e-6:
-            s_moved = AvatarState(index=41, point=z, value=u)
-            s_ref = AvatarState(index=41, point=z, value=u)
-            assert chordal(avatar_eval(41, az, s_moved),
-                           avatar_eval(41, z, s_ref)) < 1e-8
+            assert chordal(avatar_eval(41, az, u),
+                           avatar_eval(41, z, u)) < 1e-8
 
 
 def test_rejects_lower_half_plane():

@@ -120,16 +120,24 @@ def test_trace_pole_path_collapses_at_default_cap(zeros):
 
 
 def test_trace_step_collapse(zeros):
-    # an unattainable residual target forces halving to the floor
-    opts = TraceOptions(residual_tol=1e-18)
-    with pytest.raises(StepCollapse):
-        trace(1, opts=opts, zeros=zeros)
+    for opts in (
+            # an unattainable residual target forces halving to the floor
+            TraceOptions(residual_tol=1e-18),
+            # a step floor above half a grid step collapses at the first
+            # halving
+            TraceOptions(ds_max=1e-6, dt_min=1e-3)):
+        with pytest.raises(StepCollapse) as exc:
+            trace(1, opts=opts, zeros=zeros)
+        assert exc.value.t == 0.0
+        assert exc.value.s == complex(0.5, zeros.gamma(1))
 
 
 def test_trace_derivative_guard(zeros):
     opts = TraceOptions(derivative_min=1e6)
-    with pytest.raises(DerivativeSmall):
+    with pytest.raises(DerivativeSmall) as exc:
         trace(1, opts=opts, zeros=zeros)
+    assert exc.value.t == 0.0
+    assert exc.value.s == complex(0.5, zeros.gamma(1))
 
 
 def test_match_rules():
