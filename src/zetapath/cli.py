@@ -133,6 +133,7 @@ def _record_dict(rec: TraceRecord) -> dict:
     return {"m": rec.m, "gamma_start": rec.gamma_start,
             "end_s": _cpx(rec.end_s), "matched_index": rec.matched_index,
             "steps": rec.steps, "halvings": rec.halvings,
+            "zeta_evals": rec.zeta_evals,
             "max_residual": rec.max_residual,
             "max_abs_avatar": rec.max_abs_avatar, "wall_time": rec.wall_time}
 

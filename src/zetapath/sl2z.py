@@ -155,10 +155,11 @@ def word_normalize(word: str) -> str:
 def in_k(g: GroupElem) -> bool:
     """Membership in K = <-I, Gamma^1(15)>: g or -g has b = 0 and
     a = d = 1 mod 15."""
-    for m in (g, -g):
-        if m.b % LEVEL == 0 and m.a % LEVEL == 1 and m.d % LEVEL == 1:
-            return True
-    return False
+    # -g is tested on residues: its entries are those of g negated
+    if g.b % LEVEL:
+        return False
+    a, d = g.a % LEVEL, g.d % LEVEL
+    return a == d and a in (1, LEVEL - 1)
 
 
 def coset_enumerate(max_cosets: int = 512) -> list[GroupElem]:

@@ -50,6 +50,7 @@ class TraceRecord:
     max_abs_avatar: float
     wall_time: float
     halvings: int = 0
+    zeta_evals: int = 0
 
 
 def _default_zeros(count: int) -> ZeroList:
@@ -83,13 +84,19 @@ def trace(m: int, path: TreePath | None = None,
     Steps through the path's grid k/samples, reading the avatar values
     from avatar_trajectory (shared through ctx with every other trace on
     the same path).  Each step predicts s from the avatar increment
-    divided by zeta', then Newton-corrects to |zeta(s) - w| < residual_tol;
-    the step is halved, off the grid, when Newton needs more than
-    newton_max updates or moves s by more than ds_max, and the next step
-    aims at the grid point again.  A step below dt_min raises
-    StepCollapse; DerivativeSmall and Blocked guard multiple points of the
-    continuation and avatar poles.  The endpoint is matched against the
-    zero list.
+    divided by zeta', corrected on a full grid step by extrapolating the
+    first-order prediction's error over the last three consecutive full
+    grid steps, then Newton-corrects to |zeta(s) - w| < residual_tol.
+    The prediction starts from the Newton-refined point
+    s - (zeta(s) - w)/zeta'(s) of the last accepted step; the reported s
+    and every check stay on the verified point.  The step is halved, off the grid, when Newton
+    needs more than newton_max updates or moves s by more than ds_max,
+    and the next step aims at the grid point again; a halving empties the
+    error history.  A step below dt_min raises StepCollapse;
+    DerivativeSmall and Blocked guard multiple points of the continuation
+    and avatar poles.  The endpoint is matched against the zero list, and
+    the record counts its zeta_with_prime calls, the start derivative
+    included, in zeta_evals.
     """
     t_start = time.perf_counter()
     opts = opts or TraceOptions()
@@ -105,10 +112,18 @@ def trace(m: int, path: TreePath | None = None,
     if abs(w) > 1e-6:
         raise ValueError(f"avatar {n} is {abs(w):.2e} at the path start, so "
                          "the start pair does not satisfy the relation")
-    _, der_s = zeta_with_prime(s)
+    val, der_s = zeta_with_prime(s)
+    zeta_evals = 1
     if abs(der_s) < opts.derivative_min:
         raise DerivativeSmall(f"|zeta'| = {abs(der_s):.2e} at s = {s:.6f}",
                               t=0.0, s=s)
+    # the predictor works from the Newton-refined point, which is free
+    # given val and der_s; the verified s keeps up to residual_tol of
+    # noise, and the extrapolation below would amplify it
+    s_ref = s - (val - w) / der_s
+    # errors of the first-order prediction on the last consecutive full
+    # grid steps, most recent last
+    errs: list[complex] = []
     max_residual = 0.0
     max_avatar = abs(w)
     steps = halvings = 0
@@ -116,16 +131,23 @@ def trace(m: int, path: TreePath | None = None,
     for k in range(1, traj.count + 1):
         t_grid = k / traj.count
         t_next, w_next = t_grid, traj[k]
+        full_step = True
         while True:
             if abs(w_next) > opts.pole_cap:
                 raise Blocked(f"avatar {n} modulus {abs(w_next):.3e} exceeds "
                               f"the pole cap {opts.pole_cap:.1e} at "
                               f"t={t_next:.6f}", t=t_next)
-            s_try = s + (w_next - w) / der_s
+            s_lin = s_ref + (w_next - w) / der_s
+            s_try = s_lin
+            if full_step and len(errs) == 3:
+                # the error is smooth in k: extrapolate the quadratic
+                # through the last three
+                s_try += 3.0 * errs[2] - 3.0 * errs[1] + errs[0]
             accepted = False
-            resid = der = 0.0
+            resid = 0.0
             for _ in range(opts.newton_max + 1):
                 val, der = zeta_with_prime(s_try)
+                zeta_evals += 1
                 resid = abs(val - w_next)
                 if resid < opts.residual_tol:
                     accepted = True
@@ -140,6 +162,9 @@ def trace(m: int, path: TreePath | None = None,
                     raise DerivativeSmall(f"|zeta'| = {abs(der):.2e} at "
                                           f"s = {s_try:.6f}, t={t_next:.6f}",
                                           t=t_next, s=s_try)
+                s_ref = s_try - (val - w_next) / der
+                if full_step:
+                    errs = errs[-2:] + [s_ref - s_lin]
                 s, der_s, w, t = s_try, der, w_next, t_next
                 steps += 1
                 if resid > max_residual:
@@ -151,6 +176,8 @@ def trace(m: int, path: TreePath | None = None,
                 t_next, w_next = t_grid, traj[k]
                 continue
             halvings += 1
+            full_step = False
+            errs = []
             dt = 0.5 * (t_next - t)
             if dt < opts.dt_min:
                 raise StepCollapse(f"path step {dt:.3e} fell below "
@@ -163,7 +190,7 @@ def trace(m: int, path: TreePath | None = None,
                        matched_index=_match(s, zeros, opts), steps=steps,
                        max_residual=max_residual, max_abs_avatar=max_avatar,
                        wall_time=time.perf_counter() - t_start,
-                       halvings=halvings)
+                       halvings=halvings, zeta_evals=zeta_evals)
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,7 @@ def test_trace(capsys):
     out = _json_out(capsys)
     assert out["matched_index"] == 2
     assert out["halvings"] == 0
+    assert out["steps"] < out["zeta_evals"] < 1.5 * out["steps"]
     assert out["max_residual"] < 1e-8
     assert abs(out["end_s"]["re"] - 0.5) < 1e-6
 

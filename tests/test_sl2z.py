@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetapath import sl2z
 from zetapath.errors import NonClosure
 from zetapath.sl2z import (
     IDENTITY, R, S, SHIFT_ELEMENT, SHIFT_WORD, T, CosetTable, GroupElem,
@@ -96,6 +97,54 @@ def test_coset_enumerate_closes_at_96():
 @pytest.fixture(scope="module")
 def table() -> CosetTable:
     return load_table()
+
+
+def _in_k_by_negation(g):
+    # the definition the residue test replaces: build -g and test both
+    return any(m.b % 15 == 0 and m.a % 15 == 1 and m.d % 15 == 1
+               for m in (g, -g))
+
+
+def test_in_k_matches_the_negation_definition():
+    rng = random.Random(11)
+    k_gens = [GroupElem(1, 15, 0, 1), GroupElem(1, 0, 1, 1)]
+    gens = [R, S, T, R.inv(), T.inv()]
+    for _ in range(300):
+        g = IDENTITY
+        for _ in range(rng.randint(0, 8)):
+            g = g * rng.choice(gens)
+        k = IDENTITY
+        for _ in range(rng.randint(1, 5)):
+            k = k * rng.choice(k_gens)
+        minus_k = -k
+        # -k lies in K only through its negation
+        assert minus_k.a % 15 == minus_k.d % 15 == 14
+        for h in (g, -g, k, minus_k, minus_k * g):
+            assert in_k(h) == _in_k_by_negation(h)
+
+
+def test_in_k_builds_no_group_element(monkeypatch):
+    built = []
+    post_init = GroupElem.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    # b = 0 mod 15 with a = d = -1, and with a = d = 4
+    elems = [IDENTITY, -IDENTITY, GroupElem(14, 15, -1, -1),
+             GroupElem(4, 15, 1, 4), T, SHIFT_ELEMENT]
+    monkeypatch.setattr(GroupElem, "__post_init__", counting)
+    assert [in_k(g) for g in elems] == [True, True, True, False, False,
+                                        False]
+    assert built == []
+
+
+def test_verify_report_same_under_the_negation_definition(
+        table, monkeypatch):
+    report = table.verify()
+    monkeypatch.setattr(sl2z, "in_k", _in_k_by_negation)
+    assert table.verify() == report
 
 
 def test_table_shape(table):

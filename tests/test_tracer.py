@@ -13,7 +13,9 @@ from zetapath.tracer import (
     verify_fixing,
 )
 from zetapath.treepath import build_path
-from zetapath.zetafn import ZeroList, find_zeros, reference_zeros
+from zetapath.zetafn import (
+    _REFLECT_RE, ZeroList, find_zeros, reference_zeros, zeta_with_prime,
+)
 
 BAD_WORD = "RSRSrSRSR"  # endpoint sits in the index-41 pole fiber
 
@@ -32,6 +34,9 @@ def test_trace_first_zero_lands_on_second(zeros):
     # no halving: exactly one step per grid point of the 2000-sample path
     assert rec.halvings == 0
     assert rec.steps == 2000
+    # the extrapolating predictor meets the residual target on its first
+    # evaluation at most steps; a first-order one makes about 2.4 per step
+    assert rec.zeta_evals / rec.steps < 1.5
     # the avatar modulus genuinely spikes mid-path
     assert 40.0 < rec.max_abs_avatar < 60.0
 
@@ -58,6 +63,53 @@ def test_trace_doubling_samples_stable(zeros):
     assert abs(a.end_s - b.end_s) < 1e-7
 
 
+def test_deep_trace_doubling_samples_stable():
+    ref = reference_zeros()
+    a = trace(250, path=build_path(SHIFT_WORD, samples=2000), zeros=ref)
+    b = trace(250, path=build_path(SHIFT_WORD, samples=4000), zeros=ref)
+    assert a.matched_index == b.matched_index == 251
+    assert abs(a.end_s - b.end_s) < 1e-7
+
+
+def test_deep_trace_makes_about_one_zeta_evaluation_per_step():
+    rec = trace(250, path=build_path(SHIFT_WORD, samples=3000),
+                zeros=reference_zeros())
+    assert rec.matched_index == 251
+    assert rec.halvings == 0
+    assert rec.steps == 3000
+    # the start derivative is counted too
+    assert rec.steps < rec.zeta_evals < 1.5 * rec.steps
+    assert rec.max_residual < TraceOptions().residual_tol
+
+
+def test_zeta_matches_mpmath_where_the_tracer_evaluates(monkeypatch):
+    mpmath = pytest.importorskip("mpmath")
+    picks = []
+    for m in (1, 250):
+        points = []
+
+        def recording(s, points=points):
+            points.append(s)
+            return zeta_with_prime(s)
+
+        monkeypatch.setattr(tracer, "zeta_with_prime", recording)
+        trace(m, zeros=reference_zeros())
+        reflected = [s for s in points if s.real < _REFLECT_RE]
+        direct = [s for s in points if s.real >= _REFLECT_RE]
+        assert reflected and direct
+        picks += reflected[::len(reflected) // 10][:10]
+        picks += direct[::len(direct) // 5][:5]
+    with mpmath.workdps(30):
+        for s in picks:
+            val, der = zeta_with_prime(s)
+            ref_val = complex(mpmath.zeta(s))
+            ref_der = complex(mpmath.zeta(s, derivative=1))
+            # relative where |zeta| >= 1; absolute nearer the zeros the
+            # trace starts and ends on
+            assert abs(val - ref_val) < 1e-12 * max(1.0, abs(ref_val)), s
+            assert abs(der - ref_der) < 1e-12 * abs(ref_der), s
+
+
 def test_warm_trace_matches_cold_trace(zeros):
     shared = EtaContext()
     trace(2, zeros=zeros, ctx=shared)
@@ -78,6 +130,7 @@ def test_trace_halves_off_the_grid_and_still_lands(zeros):
     rec = trace(1, path=path, opts=TraceOptions(ds_max=2e-3), zeros=zeros)
     assert rec.halvings > 0
     assert rec.steps > path.samples
+    assert rec.zeta_evals > rec.steps
     assert rec.matched_index == 2
 
 
