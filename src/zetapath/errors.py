@@ -13,15 +13,6 @@ class NearPole(ZetaPathError):
     """An evaluation was requested too close to a pole of the function."""
 
 
-class BranchAmbiguous(ZetaPathError):
-    """Branch selection between the two quadratic roots could not be decided.
-
-    Raised when no hint is available and the two side-constraint residuals
-    are within a factor of 2 of each other.  The caller should approach the
-    point along a path, supplying hints for branch continuity.
-    """
-
-
 class PoleAtOne(ZetaPathError):
     """zeta(s) was requested at (or within 1e-12 of) the pole s = 1."""
 

@@ -8,11 +8,12 @@ needs only a handful of terms), then unwinding the transformation with the
 exact multiplier system computed from Dedekind sums.
 
 The branch function Z satisfies a quadratic over the degree-4/degree-6
-quotient field, so each evaluation yields a root pair {W, 1/W}.  Selection
-is by hint (chordal proximity, for branch continuity along paths) or, with
-no hint, by the exact side-constraint residual |B1(Z) tau + B0(Z)|; the
-residual comparison degenerates near |Z| = 1, where BranchAmbiguous asks
-the caller to approach along a path instead.
+quotient field, so each evaluation yields a reciprocal root pair {W, 1/W}.
+Nothing local tells the two apart: B0 and B1 are palindromic, so both
+roots satisfy the side constraint B1(Z) tau + B0(Z) = 0 alike.  The branch
+is fixed by continuity alone: a hint (a value of the same branch at a
+nearby point) selects the chordally nearest root, and a cold start
+continues from the seed at i, the root there with positive imaginary part.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import BranchAmbiguous, NearPole
+from .errors import NearPole
 from .exactquad import (
     B0_POLY, B1_POLY, BETA, C_POLY, D_POLY, GAMMA, DELTA,
     PSI_DENOM_CONST, PSI_DENOM_POLY,
@@ -43,7 +44,7 @@ _PSI_CONST_F = complex(PSI_DENOM_CONST)            # 3 sqrt5 * golden ratio
 _PSI_POLY_C = PSI_DENOM_POLY.float_coeffs()
 
 _SERIES_EPS = 1e-17        # pentagonal-series truncation, below binary64 ulp
-_AMBIGUITY_FACTOR = 2.0    # residual ratio below which no-hint selection fails
+_SEED_STEPS = 48           # hinted steps on the segment from the seed at i
 
 
 def _horner(coeffs: tuple, z: complex) -> complex:
@@ -221,20 +222,13 @@ def j_fricke(z: complex, ctx: EtaContext | None = None) -> complex:
     return (t5 * t5 + 10.0 * t5 + 5.0) ** 3 / t5
 
 
-def _eq3_residual(t: complex, v: complex) -> float:
-    if cmath.isinf(v):
-        return math.inf
-    return abs(_horner(_B1_C, v) * t + _horner(_B0_C, v))
-
-
 @dataclass
 class RootPair:
-    """Both roots of the branch quadratic at one point, with diagnostics."""
+    """Both roots of the branch quadratic quad_a Z^2 + quad_b Z + quad_a
+    at one point, with its coefficients."""
 
     first: complex
     second: complex
-    residual_first: float
-    residual_second: float
     quad_a: complex
     quad_b: complex
 
@@ -267,46 +261,36 @@ def _root_pair(t: complex, lam: complex) -> RootPair:
             r1, r2 = 1.0 + 0j, -1.0 + 0j
         else:
             r1, r2 = q / a, a / q
-    return RootPair(r1, r2, _eq3_residual(t, r1), _eq3_residual(t, r2), a, b)
+    return RootPair(r1, r2, a, b)
 
 
-def z_eval(z: complex, hint: complex | None = None,
-           ctx: EtaContext | None = None) -> complex:
-    """One branch value Z(z).
-
-    Selection: with a hint, the root chordally nearest the hint (branch
-    continuity wins).  With no hint, the smaller side-constraint residual;
-    if the residuals are within a factor 2 of each other the point
-    is too close to |Z| = 1 to decide and BranchAmbiguous is raised.  At
-    the seed z = i the branch with positive imaginary part is chosen."""
-    ctx = ctx or _DEFAULT_CTX
-    pair = z_root_pair(z, ctx)
-    if hint is not None:
-        if chordal(pair.first, hint) <= chordal(pair.second, hint):
-            return pair.first
-        return pair.second
-    if abs(z - 1j) < 1e-9:
-        return pair.first if pair.first.imag > 0 else pair.second
-    lo, hi = sorted((pair.residual_first, pair.residual_second))
-    if hi <= _AMBIGUITY_FACTOR * lo:
-        raise BranchAmbiguous(
-            f"side-constraint residuals {lo:.3e} and {hi:.3e} within a "
-            f"factor {_AMBIGUITY_FACTOR}; approach {z} along a path")
-    if pair.residual_first <= pair.residual_second:
+def _nearest(pair: RootPair, v: complex) -> complex:
+    """The root chordally nearest v, the first on a tie."""
+    if chordal(pair.first, v) <= chordal(pair.second, v):
         return pair.first
     return pair.second
 
 
-def z_eval_from_seed(z: complex, ctx: EtaContext | None = None,
-                     steps: int = 48) -> complex:
-    """Branch value at z continued from the seed at i along the straight
-    segment.  Deterministic cold-start for points where the root pair is
-    too close to the |Z| = 1 wall for the residual rule to decide."""
+def z_eval(z: complex, hint: complex | None = None,
+           ctx: EtaContext | None = None) -> complex:
+    """One branch value Z(z): the root chordally nearest the hint (branch
+    continuity), or with no hint z_eval_from_seed(z)."""
+    if hint is None:
+        return z_eval_from_seed(z, ctx)
+    return _nearest(z_root_pair(z, ctx), hint)
+
+
+def z_eval_from_seed(z: complex, ctx: EtaContext | None = None) -> complex:
+    """Branch value at z continued from the seed at i, the root there with
+    positive imaginary part, along the straight segment in _SEED_STEPS
+    hinted steps.  The one cold start: every value without a hint is
+    this one."""
     ctx = ctx or _DEFAULT_CTX
     z = _require_upper(z)
-    val = z_eval(1j, ctx=ctx)
-    for k in range(1, steps + 1):
-        w = 1j + (z - 1j) * (k / steps)
+    seed = z_root_pair(1j, ctx)
+    val = seed.first if seed.first.imag > 0 else seed.second
+    for k in range(1, _SEED_STEPS + 1):
+        w = 1j + (z - 1j) * (k / _SEED_STEPS)
         val = z_eval(w, hint=val, ctx=ctx)
     return val
 
@@ -346,7 +330,12 @@ def identity_residuals(z: complex, ctx: EtaContext | None = None,
     weight_relation (lambda^2 recovery), branch_quadratic (the selected
     root), side_constraint (B1 Z + B0 vanishing), level5_link (tau5 from
     tau and sigma), odd_cubic_square and cubic_model (the PSI and PHI
-    equations)."""
+    equations).
+
+    The root is the one chordally nearest branch_value, or without one
+    the smaller in modulus (the first on a tie).  Either root serves:
+    Z -> 1/Z fixes tau, lambda and sigma, and B0, B1 are palindromic, so
+    every identity holds on both roots alike."""
     ctx = ctx or _DEFAULT_CTX
     t, lam, t5 = _tau_lambda(z, ctx)
     s = _sigma_from(t, lam, ctx)
@@ -362,8 +351,7 @@ def identity_residuals(z: complex, ctx: EtaContext | None = None,
 
     pair = _root_pair(t, lam)
     if branch_value is not None:
-        zv = (pair.first if chordal(pair.first, branch_value)
-              <= chordal(pair.second, branch_value) else pair.second)
+        zv = _nearest(pair, branch_value)
     else:
         zv = pair.first if abs(pair.first) <= abs(pair.second) else pair.second
     quad = pair.quad_a * zv * zv + pair.quad_b * zv + pair.quad_a
@@ -396,7 +384,8 @@ def avatar_eval(n: int, z: complex, hint: complex | None = None,
     """Avatar value Z_n(z) = Z(P_n z), P_n the row-n coset representative.
 
     The hint, a branch value of the same avatar at a nearby point, selects
-    the root as in z_eval; without one the cold-start selection applies."""
+    the root as in z_eval; without one the value is continued from the
+    seed at i."""
     ctx = ctx or _DEFAULT_CTX
     table = table or load_table()
     return z_eval(mobius(table.rep(n), z), hint=hint, ctx=ctx)

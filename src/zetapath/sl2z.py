@@ -14,6 +14,7 @@ and S.  Letters: 'R', 'r' (inverse of R), 'S'.
 from __future__ import annotations
 
 import csv
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -152,14 +153,22 @@ def word_normalize(word: str) -> str:
     return "".join(letters)
 
 
+def coset_key(g: GroupElem) -> tuple[int, int]:
+    """Name of the right coset K g: the first row (a, b) mod 15 up to sign,
+    the smaller of the two residue pairs.
+
+    Mod 15, K is the lower unitriangular matrices up to sign, and left
+    multiplication by those keeps the first row; two elements with the
+    same first row up to sign differ by such a matrix on the left (the
+    determinant fixes the rest).  There are 96 keys."""
+    a, b = g.a % LEVEL, g.b % LEVEL
+    return min((a, b), (-a % LEVEL, -b % LEVEL))
+
+
 def in_k(g: GroupElem) -> bool:
     """Membership in K = <-I, Gamma^1(15)>: g or -g has b = 0 and
     a = d = 1 mod 15."""
-    # -g is tested on residues: its entries are those of g negated
-    if g.b % LEVEL:
-        return False
-    a, d = g.a % LEVEL, g.d % LEVEL
-    return a == d and a in (1, LEVEL - 1)
+    return coset_key(g) == (1, 0)
 
 
 def coset_enumerate(max_cosets: int = 512) -> list[GroupElem]:
@@ -169,13 +178,16 @@ def coset_enumerate(max_cosets: int = 512) -> list[GroupElem]:
     Returns one representative per coset.  Raises NonClosure if the walk
     fails to close before max_cosets."""
     reps: list[GroupElem] = [IDENTITY]
+    seen = {coset_key(IDENTITY)}
     frontier = [IDENTITY]
     while frontier:
         nxt: list[GroupElem] = []
         for p in frontier:
             for g in (R, S):
                 cand = p * g
-                if not any(in_k(cand * q.inv()) for q in reps):
+                key = coset_key(cand)
+                if key not in seen:
+                    seen.add(key)
                     reps.append(cand)
                     nxt.append(cand)
                     if len(reps) > max_cosets:
@@ -203,6 +215,9 @@ class CosetTable:
         self._perm_r = {row.n: row.n_r for row in rows}
         self._perm_s = {row.n: row.n_s for row in rows}
         self._perm_r_inv = {v: k for k, v in self._perm_r.items()}
+        self._by_key: dict[tuple[int, int], int] = {}
+        for row in rows:
+            self._by_key.setdefault(coset_key(row.rep), row.n)
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -212,10 +227,10 @@ class CosetTable:
 
     def coset_index(self, g: GroupElem) -> int:
         """Index n with K g = K P_n; raises NonClosure if g matches no row."""
-        for row in self.rows:
-            if in_k(g * row.rep.inv()):
-                return row.n
-        raise NonClosure(f"no coset row matches {g}")
+        n = self._by_key.get(coset_key(g))
+        if n is None:
+            raise NonClosure(f"no coset row matches {g}")
+        return n
 
     def avatar_apply(self, n: int, word: str) -> int:
         """Index of K P_n word_eval(word), computed purely by the stored
@@ -231,10 +246,10 @@ class CosetTable:
         return n
 
     def verify_stabilizer(self, n: int, g: GroupElem) -> bool:
-        """True iff P_n g P_n^{-1} lies in K, i.e. the avatar with index n
-        is invariant under the action of g."""
+        """True iff P_n g P_n^{-1} lies in K, i.e. K P_n g = K P_n: the
+        avatar with index n is invariant under the action of g."""
         p = self.rep(n)
-        return in_k(p * g * p.inv())
+        return coset_key(p * g) == coset_key(p)
 
     def verify(self) -> dict:
         """Cross-check every redundancy in the table; see the report keys."""
@@ -259,19 +274,15 @@ class CosetTable:
             self._perm_r[self._perm_r[self._perm_r[n]]] == n for n in n_all)
         s_involution_ok = all(self._perm_s[self._perm_s[n]] == n for n in n_all)
 
-        distinct_ok = True
-        for i, row_i in enumerate(self.rows):
-            for row_j in self.rows[i + 1:]:
-                if in_k(row_i.rep * row_j.rep.inv()):
-                    distinct_ok = False
+        keys = Counter(coset_key(row.rep) for row in self.rows)
+        distinct_ok = len(keys) == len(self.rows)
 
         word_chase_ok = all(
             self.avatar_apply(1, row.word) == row.n for row in self.rows)
 
         reps = coset_enumerate()
-        enum_match = (len(reps) == len(self.rows) and all(
-            sum(1 for row in self.rows if in_k(g * row.rep.inv())) == 1
-            for g in reps))
+        enum_match = (len(reps) == len(self.rows)
+                      and all(keys[coset_key(g)] == 1 for g in reps))
 
         report = {
             "rows": len(self.rows),

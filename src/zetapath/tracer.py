@@ -13,12 +13,8 @@ import time
 from dataclasses import dataclass
 
 from .errors import Blocked, DerivativeSmall, StepCollapse
-# z_eval_from_seed is no longer called here but stays importable from this
-# module: perfbench's probes wrap it under this module's name.
-from .etaengine import (  # noqa: F401
-    EtaContext, avatar_eval, z_eval, z_eval_from_seed,
-)
-from .sl2z import SHIFT_ELEMENT, SHIFT_WORD, CosetTable, in_k, load_table, mobius
+from .etaengine import EtaContext, avatar_eval, z_eval, z_eval_from_seed
+from .sl2z import SHIFT_ELEMENT, SHIFT_WORD, CosetTable, load_table, mobius
 from .treepath import TreePath, avatar_trajectory, build_path, find_c
 from .zetafn import ZeroList, find_zeros, reference_zeros, zeta_with_prime
 
@@ -244,25 +240,24 @@ def verify_fixing(n: int = 41, table: CosetTable | None = None,
                   ctx: EtaContext | None = None, points: int = 10) -> dict:
     """Check that the shift element leaves avatar n unchanged.
 
-    Exact part: conjugating the shift element by the n-th representative
-    lands in the coset kernel, while conjugating by the identity
-    representative (the control) does not.  Numeric part: avatar values
-    agree to 1e-8 at sample points on the base arc around the marked
-    point, where branch selection is decisive.
+    Exact part: the shift element stabilizes the n-th coset, and not the
+    identity coset (the control).  Numeric part: avatar values agree to
+    1e-8 at sample points on the base arc around the marked point, the
+    value at z continued from the seed and the value at the shifted point
+    hinted by it.
     """
     table = table or load_table()
     ctx = ctx or EtaContext()
     rep = table.rep(n)
-    exact = in_k(rep * SHIFT_ELEMENT * rep.inv())
-    rep1 = table.rep(1)
-    control = in_k(rep1 * SHIFT_ELEMENT * rep1.inv())
+    exact = table.verify_stabilizer(n, SHIFT_ELEMENT)
+    control = table.verify_stabilizer(1, SHIFT_ELEMENT)
     theta_c = cmath.phase(find_c())
     max_delta = 0.0
     for k in range(points):
         theta = theta_c - 0.02 + 0.04 * k / (points - 1)
         z = cmath.exp(1j * theta)
-        u = z_eval(mobius(rep, z), ctx=ctx)
-        v = z_eval(mobius(rep, mobius(SHIFT_ELEMENT, z)), ctx=ctx)
+        u = z_eval_from_seed(mobius(rep, z), ctx=ctx)
+        v = z_eval(mobius(rep, mobius(SHIFT_ELEMENT, z)), hint=u, ctx=ctx)
         delta = abs(u - v)
         if delta > max_delta:
             max_delta = delta

@@ -149,18 +149,19 @@ def build_path(word: str, theta_c: float | None = None,
 
 
 class AvatarTrajectory:
-    """Avatar n at the grid points k/count of a path, walked lazily.
+    """Avatar n at the grid points k/count of a path, count = path.samples,
+    walked lazily.
 
     trajectory[k] evaluates every grid point up to k not yet reached, each
     hinted by the value before it, and keeps them; the value at k = 0 is
     seeded by continuation from i.  A caller that stops at a pole has
     therefore evaluated nothing past the point it rejected."""
 
-    def __init__(self, path: TreePath, n: int, count: int, ctx: EtaContext,
+    def __init__(self, path: TreePath, n: int, ctx: EtaContext,
                  table) -> None:
         rep = table.rep(n)
-        self.key = (path, count, n, rep)
-        self.count = count
+        self.key = (path, n, rep)
+        self.count = path.samples
         self._n, self._path, self._ctx, self._table = n, path, ctx, table
         self._values = [z_eval_from_seed(mobius(rep, path.point(0.0)),
                                          ctx=ctx)]
@@ -175,33 +176,29 @@ class AvatarTrajectory:
         return values[k]
 
 
-def avatar_trajectory(path: TreePath, n: int, samples: int | None = None,
-                      ctx: EtaContext | None = None,
+def avatar_trajectory(path: TreePath, n: int, ctx: EtaContext | None = None,
                       table=None) -> AvatarTrajectory:
-    """Avatar n along the path grid k/samples, k = 0..samples (samples
-    defaults to the path's own).
+    """Avatar n along the path grid k/path.samples, k = 0..path.samples.
 
     The values do not depend on who reads them, so the context keeps the
     most recent trajectory and hands it to every later caller asking for
-    the same path, grid, index and coset representative."""
+    the same path (its grid included), index and coset representative."""
     ctx = ctx or EtaContext()
     table = table or load_table()
-    count = samples if samples is not None else path.samples
     traj = ctx.trajectory
-    if traj is None or traj.key != (path, count, n, table.rep(n)):
-        traj = ctx.trajectory = AvatarTrajectory(path, n, count, ctx, table)
+    if traj is None or traj.key != (path, n, table.rep(n)):
+        traj = ctx.trajectory = AvatarTrajectory(path, n, ctx, table)
     return traj
 
 
-def pole_scan(path: TreePath, n: int, samples: int | None = None,
-              pole_cap: float = 1e6, ctx: EtaContext | None = None,
-              table=None) -> float:
+def pole_scan(path: TreePath, n: int, pole_cap: float = 1e6,
+              ctx: EtaContext | None = None, table=None) -> float:
     """Maximum |Z_n| along the path grid, walked with branch continuity.
 
-    Reads avatar_trajectory(path, n, samples); raises Blocked (with the
-    offending parameter) at the first grid point after the start whose
-    modulus exceeds pole_cap."""
-    traj = avatar_trajectory(path, n, samples, ctx=ctx, table=table)
+    Reads avatar_trajectory(path, n); raises Blocked (with the offending
+    parameter) at the first grid point after the start whose modulus
+    exceeds pole_cap."""
+    traj = avatar_trajectory(path, n, ctx=ctx, table=table)
     peak = abs(traj[0])
     for k in range(1, traj.count + 1):
         mag = abs(traj[k])

@@ -149,8 +149,10 @@ def zeta(s: complex, terms: int | None = None) -> complex:
 
     Measured absolute error stays under 1e-12 on the critical line through
     |Im s| = 700 and throughout 0 <= Re s <= 30 for |Im s| <= 500; left of
-    Re s = 0.4 the reflected evaluation holds relative error near 1e-13,
-    which is also absolute 1e-12 wherever the value is of order one.
+    Re s = 0.4 the reflected evaluation holds the error under 1e-12,
+    relative where |zeta| >= 1: at the points a trace of zero 250 visits
+    (t near 471, Re s down to -0.31) mpmath measured up to 9.6e-13 in the
+    value and 8.4e-13 in the derivative.
     `terms` overrides the automatic truncation point, for convergence
     checks only."""
     return _zeta_eval(complex(s), False, terms)[0]

@@ -181,6 +181,9 @@ def test_gamma_delta_values():
 
 
 def test_coefficient_tables_are_palindromic():
+    # z^4 B(1/z) = B(z): both roots Z, 1/Z of the branch quadratic satisfy
+    # the side constraint B1(Z) tau + B0(Z) = 0 alike, so only continuity
+    # can select the branch
     assert B0_POLY.coeffs == B0_POLY.coeffs[::-1]
     assert B1_POLY.coeffs == B1_POLY.coeffs[::-1]
     assert B0_POLY.degree == B1_POLY.degree == 4

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zetapath import sl2z
 from zetapath.errors import NonClosure
 from zetapath.sl2z import (
     IDENTITY, R, S, SHIFT_ELEMENT, SHIFT_WORD, T, CosetTable, GroupElem,
-    coset_enumerate, in_k, is_reduced_alternating, load_table, mobius,
-    word_eval, word_inverse, word_normalize,
+    coset_enumerate, coset_key, in_k, is_reduced_alternating, load_table,
+    mobius, word_eval, word_inverse, word_normalize,
 )
 
 
@@ -140,11 +139,39 @@ def test_in_k_builds_no_group_element(monkeypatch):
     assert built == []
 
 
-def test_verify_report_same_under_the_negation_definition(
-        table, monkeypatch):
-    report = table.verify()
-    monkeypatch.setattr(sl2z, "in_k", _in_k_by_negation)
-    assert table.verify() == report
+def _random_word_elem(rng, max_len):
+    g = IDENTITY
+    for _ in range(rng.randint(0, max_len)):
+        g = g * rng.choice([R, S, T, R.inv(), T.inv()])
+    return g
+
+
+def test_coset_key_equality_matches_the_negation_definition(table):
+    # K g = K h iff g h^-1 lies in K, the definition the keys replace
+    reps = [row.rep for row in table.rows]
+    keys = [coset_key(g) for g in reps]
+    assert len(set(keys)) == 96
+    for g, key_g in zip(reps, keys):
+        for h, key_h in zip(reps, keys):
+            assert (key_g == key_h) == _in_k_by_negation(g * h.inv())
+    rng = random.Random(15)
+    for _ in range(500):
+        g = _random_word_elem(rng, 12)
+        h = rng.choice([_random_word_elem(rng, 12), rng.choice(reps)])
+        assert (coset_key(g) == coset_key(h)) == _in_k_by_negation(g * h.inv())
+
+
+def test_verify_builds_few_group_elements(table, monkeypatch):
+    built = []
+    post_init = GroupElem.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+    monkeypatch.setattr(GroupElem, "__post_init__", counting)
+    assert table.verify()["ok"]
+    # the word evaluations, generator columns and enumeration products
+    assert len(built) < 2000
 
 
 def test_table_shape(table):

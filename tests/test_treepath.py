@@ -162,9 +162,8 @@ def test_pole_scan_shift_path_clean():
 
 
 def test_pole_scan_density_stable():
-    path = build_path(SHIFT_WORD)
-    a = pole_scan(path, 41, samples=2000)
-    b = pole_scan(path, 41, samples=4000)
+    a = pole_scan(build_path(SHIFT_WORD, samples=2000), 41)
+    b = pole_scan(build_path(SHIFT_WORD, samples=4000), 41)
     assert abs(a - b) / a < 0.01
 
 
@@ -208,9 +207,9 @@ def test_pole_scan_blocked_at_the_same_t_on_a_filled_trajectory():
 
 
 def test_trajectory_doubled_grid_contains_the_coarse_one():
-    path = build_path(SHIFT_WORD)
-    coarse = avatar_trajectory(path, 41, ctx=EtaContext())
-    fine = avatar_trajectory(path, 41, samples=4000, ctx=EtaContext())
+    coarse = avatar_trajectory(build_path(SHIFT_WORD), 41, ctx=EtaContext())
+    fine = avatar_trajectory(build_path(SHIFT_WORD, samples=4000), 41,
+                             ctx=EtaContext())
     assert coarse.count == 2000 and fine.count == 4000
     assert all(fine[2 * k] == coarse[k] for k in range(2001))
 
@@ -222,7 +221,8 @@ def test_trajectory_keeps_one_entry_per_context():
     assert avatar_trajectory(path, 41, ctx=ctx) is first
     # an equal path built again shares the entry
     assert avatar_trajectory(build_path(SHIFT_WORD), 41, ctx=ctx) is first
-    other = avatar_trajectory(path, 41, samples=1000, ctx=ctx)
+    other = avatar_trajectory(build_path(SHIFT_WORD, samples=1000), 41,
+                              ctx=ctx)
     assert other is not first and ctx.trajectory is other
     assert avatar_trajectory(path, 41, ctx=ctx) is not first
 
