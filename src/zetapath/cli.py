@@ -134,6 +134,7 @@ def _record_dict(rec: TraceRecord) -> dict:
             "end_s": _cpx(rec.end_s), "matched_index": rec.matched_index,
             "steps": rec.steps, "halvings": rec.halvings,
             "zeta_evals": rec.zeta_evals,
+            "zeta_reflected": rec.zeta_reflected,
             "max_residual": rec.max_residual,
             "max_abs_avatar": rec.max_abs_avatar, "wall_time": rec.wall_time}
 
@@ -165,7 +166,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     print(json.dumps({"summary": {
         "max_m": args.max_m, "success_count": summary.success_count,
         "errors": [[m, msg] for m, msg in summary.errors],
-        "max_residual": summary.max_residual,
+        "max_residual": summary.max_residual, "steps": summary.steps,
+        "halvings": summary.halvings, "zeta_evals": summary.zeta_evals,
+        "zeta_reflected": summary.zeta_reflected,
         "wall_time": summary.wall_time, "emitted": args.emit}}))
     ok = summary.success_count == args.max_m and not summary.errors
     return 0 if ok else 1

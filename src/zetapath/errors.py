@@ -10,7 +10,13 @@ class NonClosure(ZetaPathError):
 
 
 class NearPole(ZetaPathError):
-    """An evaluation was requested too close to a pole of the function."""
+    """An evaluation was requested too close to a pole of the function, or
+    so near a cusp that a value leaves double range; carries the point z
+    where the evaluation knows it."""
+
+    def __init__(self, message: str, z: complex | None = None):
+        super().__init__(message)
+        self.z = z
 
 
 class PoleAtOne(ZetaPathError):

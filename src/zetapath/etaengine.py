@@ -45,6 +45,8 @@ _PSI_POLY_C = PSI_DENOM_POLY.float_coeffs()
 
 _SERIES_EPS = 1e-17        # pentagonal-series truncation, below binary64 ulp
 _SEED_STEPS = 48           # hinted steps on the segment from the seed at i
+# Past this |tau| the branch quadratic is divided through by tau^3.
+_TAU_DIVIDE = 2.0 ** 64
 
 
 def _horner(coeffs: tuple, z: complex) -> complex:
@@ -170,12 +172,29 @@ def _etas(z: complex, ctx: EtaContext) -> tuple[complex, complex, complex, compl
             dedekind_eta(z / 5, ctx), dedekind_eta(z / 15, ctx))
 
 
+def _out_of_range(z: complex, what: str) -> NearPole:
+    return NearPole(f"{what} leaves double range at z = {z} (near a cusp)",
+                    z=z)
+
+
+def _in_range(z: complex, what: str, compute) -> complex:
+    """compute(), or NearPole at z if the value leaves double range."""
+    try:
+        value = compute()
+    except (OverflowError, ZeroDivisionError):
+        raise _out_of_range(z, what) from None
+    if not cmath.isfinite(value):
+        raise _out_of_range(z, what)
+    return value
+
+
 def _tau_lambda(z: complex,
                 ctx: EtaContext) -> tuple[complex, complex, complex]:
     """tau, lambda and tau5 from one eta quartet."""
     e1, e3, e5, e15 = _etas(z, ctx)
-    return (((e3 * e5) / (e1 * e15)) ** 3, e3 ** 6 / (e1 ** 3 * e5 ** 3),
-            (e5 / e1) ** 6)
+    return (_in_range(z, "tau", lambda: ((e3 * e5) / (e1 * e15)) ** 3),
+            _in_range(z, "lambda", lambda: e3 ** 6 / (e1 ** 3 * e5 ** 3)),
+            _in_range(z, "tau5", lambda: (e5 / e1) ** 6))
 
 
 def tau(z: complex, ctx: EtaContext | None = None) -> complex:
@@ -194,7 +213,7 @@ def tau5(z: complex, ctx: EtaContext | None = None) -> complex:
     ctx = ctx or _DEFAULT_CTX
     e1 = dedekind_eta(z, ctx)
     e5 = dedekind_eta(z / 5, ctx)
-    return (e5 / e1) ** 6
+    return _in_range(z, "tau5", lambda: (e5 / e1) ** 6)
 
 
 def sigma(z: complex, ctx: EtaContext | None = None) -> complex:
@@ -202,14 +221,17 @@ def sigma(z: complex, ctx: EtaContext | None = None) -> complex:
     (250 tau^4 lambda^2 - D(tau)) / C(tau)."""
     ctx = ctx or _DEFAULT_CTX
     t, lam, _ = _tau_lambda(z, ctx)
-    return _sigma_from(t, lam, ctx)
+    return _sigma_from(z, t, lam, ctx)
 
 
-def _sigma_from(t: complex, lam: complex, ctx: EtaContext) -> complex:
+def _sigma_from(z: complex, t: complex, lam: complex,
+                ctx: EtaContext) -> complex:
     den = _horner(_C_C, t)
     if abs(den) < ctx.pole_tol:
-        raise NearPole(f"degree-4 denominator {abs(den):.3e} below tolerance")
-    return (250.0 * t ** 4 * lam ** 2 - _horner(_D_C, t)) / den
+        raise NearPole(f"degree-4 denominator {abs(den):.3e} below tolerance",
+                       z=z)
+    return _in_range(
+        z, "sigma", lambda: (250.0 * t ** 4 * lam ** 2 - _horner(_D_C, t)) / den)
 
 
 def j_fricke(z: complex, ctx: EtaContext | None = None) -> complex:
@@ -218,8 +240,9 @@ def j_fricke(z: complex, ctx: EtaContext | None = None) -> complex:
     ctx = ctx or _DEFAULT_CTX
     t5 = tau5(z, ctx)
     if abs(t5) < ctx.pole_tol * 1e-2:
-        raise NearPole(f"level-5 quotient {abs(t5):.3e} too close to zero")
-    return (t5 * t5 + 10.0 * t5 + 5.0) ** 3 / t5
+        raise NearPole(f"level-5 quotient {abs(t5):.3e} too close to zero",
+                       z=z)
+    return _in_range(z, "j", lambda: (t5 * t5 + 10.0 * t5 + 5.0) ** 3 / t5)
 
 
 @dataclass
@@ -241,18 +264,31 @@ def z_root_pair(z: complex, ctx: EtaContext | None = None) -> RootPair:
 
     The coefficient symmetry a = c makes the roots a reciprocal pair."""
     t, lam, _ = _tau_lambda(z, ctx or _DEFAULT_CTX)
-    return _root_pair(t, lam)
+    return _root_pair(z, t, lam)
 
 
-def _root_pair(t: complex, lam: complex) -> RootPair:
-    big_l = t * t * lam + _CUBE27_F * t ** 3 / lam
-    rh = _RHS_SCALE_F * (t - _BETA_F) * (t * t + _GAMMA_F * t + _DELTA_F)
+def _root_pair(z: complex, t: complex, lam: complex) -> RootPair:
+    # The roots depend only on p = b/a, through W + 1/W = -p.  Near a cusp
+    # tau grows without bound and a, b with tau^3, so there the quadratic
+    # is divided through by tau^3 before b*b can overflow; in the working
+    # band it is not, and no bit changes.
+    if abs(t) <= _TAU_DIVIDE:
+        big_l = t * t * lam + _CUBE27_F * t ** 3 / lam
+        rh = _RHS_SCALE_F * (t - _BETA_F) * (t * t + _GAMMA_F * t + _DELTA_F)
+    else:
+        u = 1.0 / t
+        big_l = lam * u + _CUBE27_F / lam
+        rh = (_RHS_SCALE_F * (1.0 - _BETA_F * u)
+              * (1.0 + (_GAMMA_F + _DELTA_F * u) * u))
     a = big_l - rh
     b = rh - 3.0 * big_l
+    disc = b * b - 4.0 * a * a
+    if not cmath.isfinite(disc):
+        raise _out_of_range(z, "the branch quadratic")
     if a == 0:
         r1, r2 = 0j, complex(math.inf, 0.0)
     else:
-        sq = cmath.sqrt(b * b - 4.0 * a * a)
+        sq = cmath.sqrt(disc)
         if abs(b + sq) >= abs(b - sq):
             q = -(b + sq) / 2.0
         else:
@@ -335,10 +371,21 @@ def identity_residuals(z: complex, ctx: EtaContext | None = None,
     The root is the one chordally nearest branch_value, or without one
     the smaller in modulus (the first on a tie).  Either root serves:
     Z -> 1/Z fixes tau, lambda and sigma, and B0, B1 are palindromic, so
-    every identity holds on both roots alike."""
-    ctx = ctx or _DEFAULT_CTX
+    every identity holds on both roots alike.  Near a cusp, where a term
+    leaves double range, NearPole is raised instead."""
+    try:
+        out = _residuals(z, ctx or _DEFAULT_CTX, branch_value)
+    except OverflowError:
+        raise _out_of_range(z, "an identity residual") from None
+    if not all(map(math.isfinite, out.values())):
+        raise _out_of_range(z, "an identity residual")
+    return out
+
+
+def _residuals(z: complex, ctx: EtaContext,
+               branch_value: complex | None) -> dict[str, float]:
     t, lam, t5 = _tau_lambda(z, ctx)
-    s = _sigma_from(t, lam, ctx)
+    s = _sigma_from(z, t, lam, ctx)
     out: dict[str, float] = {}
 
     quart = ((t - 10.0) * t - 13.0) * t * t + 10.0 * t + 1.0
@@ -349,7 +396,7 @@ def identity_residuals(z: complex, ctx: EtaContext | None = None,
     rhs = _horner(_C_C, t) * s + _horner(_D_C, t)
     out["weight_relation"] = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
-    pair = _root_pair(t, lam)
+    pair = _root_pair(z, t, lam)
     if branch_value is not None:
         zv = _nearest(pair, branch_value)
     else:

@@ -60,12 +60,6 @@ class QuadNum:
             return NotImplemented
         return QuadNum(self.a - o.a, self.b - o.b)
 
-    def __rsub__(self, other):
-        o = QuadNum._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QuadNum(o.a - self.a, o.b - self.b)
-
     def __mul__(self, other):
         o = QuadNum._coerce(other)
         if o is NotImplemented:
@@ -175,9 +169,6 @@ class QuadPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, QuadPoly) and self.coeffs == other.coeffs
 
-    def __hash__(self):
-        return hash(self.coeffs)
-
     def __add__(self, other: "QuadPoly") -> "QuadPoly":
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
@@ -234,9 +225,6 @@ class QuadPoly:
 
     def float_coeffs(self) -> tuple:
         return tuple(complex(c) for c in self.coeffs)
-
-    def __repr__(self):
-        return f"QuadPoly({list(self.coeffs)!r})"
 
 
 def _qp(*nums) -> QuadPoly:

@@ -165,12 +165,6 @@ def coset_key(g: GroupElem) -> tuple[int, int]:
     return min((a, b), (-a % LEVEL, -b % LEVEL))
 
 
-def in_k(g: GroupElem) -> bool:
-    """Membership in K = <-I, Gamma^1(15)>: g or -g has b = 0 and
-    a = d = 1 mod 15."""
-    return coset_key(g) == (1, 0)
-
-
 def coset_enumerate(max_cosets: int = 512) -> list[GroupElem]:
     """Breadth-first enumeration of the right cosets K g under right
     multiplication by R and S, starting from K itself.

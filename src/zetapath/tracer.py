@@ -16,7 +16,9 @@ from .errors import Blocked, DerivativeSmall, StepCollapse
 from .etaengine import EtaContext, avatar_eval, z_eval, z_eval_from_seed
 from .sl2z import SHIFT_ELEMENT, SHIFT_WORD, CosetTable, load_table, mobius
 from .treepath import TreePath, avatar_trajectory, build_path, find_c
-from .zetafn import ZeroList, find_zeros, reference_zeros, zeta_with_prime
+from .zetafn import (
+    ZeroList, find_zeros, reference_zeros, reflects, zeta_with_prime,
+)
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,7 @@ class TraceRecord:
     wall_time: float
     halvings: int = 0
     zeta_evals: int = 0
+    zeta_reflected: int = 0
 
 
 def _default_zeros(count: int) -> ZeroList:
@@ -92,7 +95,8 @@ def trace(m: int, path: TreePath | None = None,
     DerivativeSmall and Blocked guard multiple points of the continuation
     and avatar poles.  The endpoint is matched against the zero list, and
     the record counts its zeta_with_prime calls, the start derivative
-    included, in zeta_evals.
+    included, in zeta_evals, and those zeta evaluates through the
+    functional equation in zeta_reflected.
     """
     t_start = time.perf_counter()
     opts = opts or TraceOptions()
@@ -110,6 +114,7 @@ def trace(m: int, path: TreePath | None = None,
                          "the start pair does not satisfy the relation")
     val, der_s = zeta_with_prime(s)
     zeta_evals = 1
+    zeta_reflected = int(reflects(s))
     if abs(der_s) < opts.derivative_min:
         raise DerivativeSmall(f"|zeta'| = {abs(der_s):.2e} at s = {s:.6f}",
                               t=0.0, s=s)
@@ -144,6 +149,8 @@ def trace(m: int, path: TreePath | None = None,
             for _ in range(opts.newton_max + 1):
                 val, der = zeta_with_prime(s_try)
                 zeta_evals += 1
+                if reflects(s_try):
+                    zeta_reflected += 1
                 resid = abs(val - w_next)
                 if resid < opts.residual_tol:
                     accepted = True
@@ -186,18 +193,24 @@ def trace(m: int, path: TreePath | None = None,
                        matched_index=_match(s, zeros, opts), steps=steps,
                        max_residual=max_residual, max_abs_avatar=max_avatar,
                        wall_time=time.perf_counter() - t_start,
-                       halvings=halvings, zeta_evals=zeta_evals)
+                       halvings=halvings, zeta_evals=zeta_evals,
+                       zeta_reflected=zeta_reflected)
 
 
 @dataclass(frozen=True)
 class ExperimentSummary:
-    """Aggregated m-sweep results; per-m failures recorded, not fatal."""
+    """Aggregated m-sweep results; per-m failures recorded, not fatal.
+    The counts sum those of the records."""
 
     records: tuple[TraceRecord, ...]
     errors: tuple[tuple[int, str], ...]
     success_count: int
     max_residual: float
     wall_time: float
+    steps: int
+    halvings: int
+    zeta_evals: int
+    zeta_reflected: int
 
 
 def run_experiment(max_m: int, path: TreePath | None = None,
@@ -233,7 +246,11 @@ def run_experiment(max_m: int, path: TreePath | None = None,
     return ExperimentSummary(
         records=tuple(records), errors=tuple(errors), success_count=success,
         max_residual=max((r.max_residual for r in records), default=0.0),
-        wall_time=time.perf_counter() - t0)
+        wall_time=time.perf_counter() - t0,
+        steps=sum(r.steps for r in records),
+        halvings=sum(r.halvings for r in records),
+        zeta_evals=sum(r.zeta_evals for r in records),
+        zeta_reflected=sum(r.zeta_reflected for r in records))
 
 
 def verify_fixing(n: int = 41, table: CosetTable | None = None,

@@ -3,11 +3,13 @@ Bernoulli coefficients, the Hardy rotation for critical-line work, zero
 location by sign changes, and ingestion of precomputed zero tables.
 
 Right of Re s = 0.4 a single Euler-Maclaurin pass covers the working
-range (|Im s| up to ~700): the truncation point N grows linearly with
-|Im s| and fifteen Bernoulli correction terms hold the absolute error
-well under 1e-12.  Left of that line the alternating summands outgrow
-the value, so the evaluator reflects through the functional equation
-instead and keeps full relative accuracy there.
+range (|Im s| up to ~700): the truncation point N = 1.8 |Im s| / 2 pi + 10
+grows linearly with |Im s|, and up to 25 Bernoulli correction terms,
+generated exactly from the tangent numbers, hold the error near 1e-12;
+the series stops early once its terms fall below 1e-18.  Left of that
+line the alternating summands outgrow the value, so the evaluator
+reflects through the functional equation instead and keeps full relative
+accuracy there.
 """
 
 from __future__ import annotations
@@ -20,15 +22,24 @@ from pathlib import Path
 
 from .errors import MissedZero, MonotonicityError, ParseError, PoleAtOne
 
-# B_2..B_30, exact.
-_BERNOULLI = (
-    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
-    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6),
-    Fraction(-3617, 510), Fraction(43867, 798), Fraction(-174611, 330),
-    Fraction(854513, 138), Fraction(-236364091, 2730), Fraction(8553103, 6),
-    Fraction(-23749461029, 870), Fraction(8615841276005, 14322),
-)
-# B_2j / (2j)! as floats, j = 1..15.
+
+def _bernoulli_even(count: int) -> tuple[Fraction, ...]:
+    """B_2, B_4, ..., B_2count exactly, from the integer tangent numbers
+    T_1..T_count (Brent-Harvey recurrence) through
+    B_2n = (-1)^(n-1) 2n T_n / (4^n (4^n - 1))."""
+    t = [0, 1] + [0] * (count - 1)
+    for k in range(2, count + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, count + 1):
+        for j in range(k, count + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return tuple(Fraction((-1) ** (n - 1) * 2 * n * t[n],
+                          4 ** n * (4 ** n - 1))
+                 for n in range(1, count + 1))
+
+
+_BERNOULLI = _bernoulli_even(25)   # B_2..B_50
+# B_2j / (2j)! as floats, j = 1..25.
 _EM_COEFFS = tuple(float(b) / math.factorial(2 * (j + 1))
                    for j, b in enumerate(_BERNOULLI))
 # B_2j / (2j (2j-1)) for the Stirling series, j = 1..8.
@@ -36,17 +47,26 @@ _STIRLING = tuple(float(_BERNOULLI[j]) / ((2 * (j + 1)) * (2 * (j + 1) - 1))
                   for j in range(8))
 # B_2j / 2j for the digamma asymptotic series, j = 1..8.
 _DIGAMMA_COEFFS = tuple(float(_BERNOULLI[j]) / (2 * (j + 1)) for j in range(8))
+# Correction terms below this modulus (value and derivative alike) end
+# the Euler-Maclaurin series early.
+_EM_STOP = 1e-18
+# ln n for n < 400, index n: the main sum's logarithms up to the default
+# truncation point at |Im s| ~ 1300.
+_LN = [0.0] + [math.log(n) for n in range(1, 400)]
 
 _POLE_TOL = 1e-12
 _GRID_STEP = 0.05
 _BISECT_TOL = 1e-10
 _REFLECT_RE = 0.4
-_LN2 = math.log(2.0)
 _LNPI = math.log(math.pi)
+_LN2PI = math.log(2.0 * math.pi)
 
 
 def _term_count(s: complex) -> int:
-    return max(30, int(0.5 * abs(s.imag)) + 20)
+    """Euler-Maclaurin truncation point N = 1.8 |Im s| / 2 pi + 10, at
+    least 20: with up to 25 correction terms the series then holds the
+    1e-12 contract through |Im s| = 700."""
+    return max(20, int(1.8 * abs(s.imag) / (2.0 * math.pi)) + 10)
 
 
 def _zeta_em(s: complex, want_prime: bool,
@@ -55,37 +75,53 @@ def _zeta_em(s: complex, want_prime: bool,
     if abs(s - 1.0) < _POLE_TOL:
         raise PoleAtOne(f"zeta pole at s = 1 (given {s})")
     n_cut = terms if terms is not None else _term_count(s)
+    lns = _LN
+    if n_cut > len(_LN):
+        lns = [0.0] + [math.log(n) for n in range(1, n_cut)]
+    exp = cmath.exp
+    neg_s = -s
     total = 0j
     total_p = 0j
-    for n in range(1, n_cut):
-        ln_n = math.log(n)
-        pw = cmath.exp(-s * ln_n)
-        total += pw
-        if want_prime:
+    if want_prime:
+        for ln_n in lns[1:n_cut]:
+            pw = exp(neg_s * ln_n)
+            total += pw
             total_p -= ln_n * pw
+    else:
+        for ln_n in lns[1:n_cut]:
+            total += exp(neg_s * ln_n)
     ln_nc = math.log(n_cut)
     nc_pow = cmath.exp(-s * ln_nc)          # n_cut^(-s)
-    tail = nc_pow * n_cut / (s - 1.0)       # n_cut^(1-s)/(s-1)
+    nc_pow1 = nc_pow * n_cut                # n_cut^(1-s)
+    tail = nc_pow1 / (s - 1.0)
     total += tail + nc_pow / 2.0
     if want_prime:
         total_p += tail * (-ln_nc - 1.0 / (s - 1.0)) - ln_nc * nc_pow / 2.0
-    # Correction terms: coeff_j * n_cut^(-s-2j+1) * prod_{i=0}^{2j-2}(s+i),
-    # with the product and its derivative grown incrementally.
-    prod = s
-    prod_d = 1.0 + 0j
+    # Correction terms: coeff_j * n_cut^(-s-2j+1) * prod_{i=0}^{2j-2}(s+i).
+    # u and v carry n_cut^(-s+1) times the product and its derivative,
+    # the factor n_cut^(-2j) rides on the coefficient, and the series
+    # stops once a term and its derivative are both below _EM_STOP.
+    u = nc_pow1 * s
+    v = nc_pow1
     inv_nc2 = 1.0 / (n_cut * n_cut)
-    scale = nc_pow / n_cut  # n_cut^(-s-1) for the first correction term
-    total += _EM_COEFFS[0] * scale * prod
-    if want_prime:
-        total_p += _EM_COEFFS[0] * scale * (prod_d - ln_nc * prod)
-    for j in range(1, len(_EM_COEFFS)):
-        for i in (2 * j - 1, 2 * j):
-            prod_d = prod_d * (s + i) + prod
-            prod = prod * (s + i)
-        scale *= inv_nc2
-        total += _EM_COEFFS[j] * scale * prod
+    s2 = s * s
+    two_s = s + s
+    cn = inv_nc2
+    for j, coeff in enumerate(_EM_COEFFS):
+        if j:
+            # (s + 2j - 1)(s + 2j) and its derivative
+            f = s2 + (4 * j - 1) * s + (2 * j - 1) * (2 * j)
+            v = v * f + u * (two_s + (4 * j - 1))
+            u = u * f
+            cn *= inv_nc2
+        c = coeff * cn
+        term = c * u
+        term_p = c * (v - ln_nc * u)
+        total += term
         if want_prime:
-            total_p += _EM_COEFFS[j] * scale * (prod_d - ln_nc * prod)
+            total_p += term_p
+        if abs(term_p) < _EM_STOP and abs(term) < _EM_STOP:
+            break
     return total, total_p
 
 
@@ -128,18 +164,23 @@ def _zeta_reflect(s: complex, want_prime: bool,
     """Functional-equation branch: evaluate at 1-s and multiply back."""
     val, der = _zeta_em(1.0 - s, want_prime, terms)
     half = 0.5 * math.pi * s
-    chi = cmath.exp(s * _LN2 + (s - 1.0) * _LNPI + _log_sin(half)
-                    + _log_gamma(1.0 - s))
+    chi = cmath.exp(s * _LN2PI - _LNPI + _log_sin(half) + _log_gamma(1.0 - s))
     if not want_prime:
         return chi * val, 0j
-    log_chi_prime = _LN2 + _LNPI + 0.5 * math.pi * _cot(half) - _digamma(1.0 - s)
+    log_chi_prime = _LN2PI + 0.5 * math.pi * _cot(half) - _digamma(1.0 - s)
     return chi * val, chi * (log_chi_prime * val - der)
+
+
+def reflects(s: complex) -> bool:
+    """Whether zeta evaluates s through the functional equation: left of
+    Re s = 0.4, where the summands outgrow the value, except within 1/2
+    of the origin, which keeps the reflected argument 1-s off the pole."""
+    return s.real < _REFLECT_RE and abs(s) > 0.5
 
 
 def _zeta_eval(s: complex, want_prime: bool,
                terms: int | None = None) -> tuple[complex, complex]:
-    # the |s| guard keeps the reflection argument 1-s away from the pole
-    if s.real < _REFLECT_RE and abs(s) > 0.5:
+    if reflects(s):
         return _zeta_reflect(s, want_prime, terms)
     return _zeta_em(s, want_prime, terms)
 
@@ -180,8 +221,10 @@ def _log_gamma(z: complex) -> complex:
     for coeff in _STIRLING:
         series += coeff / zpow
         zpow *= z2
-    return ((z - 0.5) * cmath.log(z) - z
-            + 0.5 * math.log(2.0 * math.pi) + series + acc)
+    # (z - 1/2)(log z - 1) is (z - 1/2) log z - z + 1/2 with one rounding
+    # fewer at the scale of |z| log |z|
+    return ((z - 0.5) * (cmath.log(z) - 1.0) + (0.5 * _LN2PI - 0.5)
+            + series + acc)
 
 
 def rs_theta(t: float) -> float:

@@ -19,7 +19,7 @@ from zetapath.cli import _build_parser
 from zetapath.etaengine import (EtaContext, dedekind_eta, identity_residuals,
                                 j_fricke, sigma, tau)
 from zetapath.exactquad import exact_j_target, run_symbolic_suite
-from zetapath.sl2z import GroupElem, in_k, load_table, mobius
+from zetapath.sl2z import GroupElem, coset_key, load_table, mobius
 from zetapath.tracer import SHIFT_WORD, TraceOptions, run_experiment, trace
 from zetapath.treepath import build_path, find_c, pole_scan
 from zetapath.zetafn import find_zeros, reference_zeros, zeta
@@ -98,7 +98,7 @@ def test_coset_table_and_conjugation_verify_exactly():
     rep = table.rep(41)
     shift = GroupElem(-8, -21, 21, 55)
     conj = rep * shift * rep.inv()
-    assert in_k(conj)
+    assert coset_key(conj) == (1, 0)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"coset verification took {elapsed:.3f}s"
     print(f"criterion 2 PASS: 96 cosets + conjugation check in {elapsed:.3f}s")

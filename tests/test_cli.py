@@ -66,6 +66,16 @@ def test_eval_rejects_lower_half_plane(capsys):
     assert _json_out(capsys)["error"] == "ValueError"
 
 
+def test_eval_near_a_cusp_is_a_json_error(capsys):
+    # tau is ~1e81 there: the value is finite, the residuals leave range
+    for fn in ("Z", "sigma"):
+        assert main(["eval", "--fn", fn,
+                     "--z=0.006552700655029886,0.0320233352088164"]) == 1
+        out = _json_out(capsys)
+        assert out["error"] == "NearPole"
+        assert "0.006552700655029886" in out["message"]
+
+
 def test_eval_usage_errors():
     assert main(["eval", "--fn", "tau", "--z", "nonsense"]) == 2
     assert main(["eval", "--fn", "nosuch", "--z", "0,1"]) == 2
@@ -147,6 +157,7 @@ def test_trace(capsys):
     assert out["matched_index"] == 2
     assert out["halvings"] == 0
     assert out["steps"] < out["zeta_evals"] < 1.5 * out["steps"]
+    assert 0 < out["zeta_reflected"] < out["zeta_evals"]
     assert out["max_residual"] < 1e-8
     assert abs(out["end_s"]["re"] - 0.5) < 1e-6
 
@@ -160,6 +171,8 @@ def test_experiment(capsys):
     summary = json.loads(lines[-1])["summary"]
     assert summary["success_count"] == 2
     assert summary["errors"] == []
+    for name in ("steps", "halvings", "zeta_evals", "zeta_reflected"):
+        assert summary[name] == sum(r[name] for r in records)
 
 
 def test_experiment_emit(capsys, tmp_path):

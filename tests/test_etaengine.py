@@ -411,3 +411,74 @@ def test_rejects_lower_half_plane():
     for fn in (dedekind_eta, tau, lambda_fn, tau5, sigma, j_fricke):
         with pytest.raises(ValueError):
             fn(0.3 - 1j)
+
+
+# Near the cusp 0 tau reaches ~1e81 here; the branch quadratic's
+# coefficients once reached ~1e245 and its discriminant overflowed.
+CUSP_POINT = complex(0.006552700655029886, 0.0320233352088164)
+
+
+def test_branch_value_near_a_cusp_is_finite():
+    v = z_eval_from_seed(CUSP_POINT)
+    assert cmath.isfinite(v)
+    # tau -> infinity at the cusp: the roots tend to a reciprocal pair on
+    # the unit circle
+    assert abs(abs(v) - 1.0) < 1e-9
+    pair = z_root_pair(CUSP_POINT)
+    assert min(chordal(v, pair.first), chordal(v, pair.second)) < 1e-10
+    assert abs(pair.first * pair.second - 1.0) < 1e-12
+
+
+def test_residuals_near_a_cusp_raise_near_pole_with_the_point():
+    # tau^4 leaves double range there
+    with pytest.raises(NearPole) as err:
+        identity_residuals(CUSP_POINT)
+    assert err.value.z == CUSP_POINT
+    assert str(CUSP_POINT) in str(err.value)
+
+
+def test_cusp_panel_is_finite_or_raises_near_pole():
+    rng = random.Random(2024)
+    ctx = EtaContext()
+    finite = raised = 0
+    for _ in range(3000):
+        z = complex(rng.uniform(-0.5, 0.5), 0.03 * 50.0 ** rng.random())
+        try:
+            v = z_eval_from_seed(z, ctx)
+            assert cmath.isfinite(v), z
+            res = identity_residuals(z, ctx, branch_value=v)
+            assert all(math.isfinite(r) for r in res.values()), z
+            finite += 1
+        except NearPole as exc:
+            assert exc.z is not None
+            raised += 1
+    assert raised > 0 and finite > 2900
+
+
+def test_root_pair_overflow_raises_rather_than_returning_nan(monkeypatch):
+    # without the cusp form the discriminant overflows at CUSP_POINT
+    monkeypatch.setattr(etaengine, "_TAU_DIVIDE", math.inf)
+    with pytest.raises(NearPole) as err:
+        z_root_pair(CUSP_POINT)
+    assert err.value.z == CUSP_POINT
+
+
+def test_root_pair_divided_through_agrees_in_the_band(monkeypatch):
+    # the cusp form of the branch quadratic has the same roots
+    points = band_points(random.Random(91), 40)
+    plain = [z_root_pair(z) for z in points]
+    monkeypatch.setattr(etaengine, "_TAU_DIVIDE", 0.0)
+    for z, ref in zip(points, plain):
+        pair = z_root_pair(z)
+        assert chordal(pair.first, ref.first) < 1e-12, z
+        assert chordal(pair.second, ref.second) < 1e-12, z
+
+
+def test_quotients_out_of_double_range_raise_near_pole():
+    # nearer the cusps 0 and 1/2 the quotients themselves overflow
+    for fn, z in ((tau, 0.008j), (lambda_fn, 0.008j), (sigma, 0.01j),
+                  (z_eval_from_seed, 0.008j), (tau5, 0.5 + 0.0001j),
+                  (j_fricke, 0.5 + 0.001j), (j_fricke, 0.25 + 0.0003j)):
+        with pytest.raises(NearPole) as err:
+            fn(z)
+        assert err.value.z is not None

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from zetapath.errors import NonClosure
 from zetapath.sl2z import (
     IDENTITY, R, S, SHIFT_ELEMENT, SHIFT_WORD, T, CosetTable, GroupElem,
-    coset_enumerate, coset_key, in_k, is_reduced_alternating, load_table,
+    coset_enumerate, coset_key, is_reduced_alternating, load_table,
     mobius, word_eval, word_inverse, word_normalize,
 )
 
@@ -48,15 +48,17 @@ def test_mobius():
 
 
 def test_in_k():
-    assert in_k(IDENTITY)
-    assert in_k(-IDENTITY)
-    assert in_k(GroupElem(1, 0, 1, 1))     # lower unipotent, b = 0
-    assert in_k(GroupElem(1, 15, 0, 1))
-    assert in_k(GroupElem(16, 15, 1, 1))
-    assert not in_k(T)                      # b = 1
-    assert not in_k(GroupElem(4, 1, -1, 0))
-    assert not in_k(SHIFT_ELEMENT)
-    assert not in_k(GroupElem(2, 15, 1, 8))  # b = 0 mod 15 but a, d != 1
+    # K itself is the coset keyed (1, 0), the first row of the identity
+    assert coset_key(IDENTITY) == (1, 0)
+    assert coset_key(-IDENTITY) == (1, 0)
+    assert coset_key(GroupElem(1, 0, 1, 1)) == (1, 0)   # lower unipotent
+    assert coset_key(GroupElem(1, 15, 0, 1)) == (1, 0)
+    assert coset_key(GroupElem(16, 15, 1, 1)) == (1, 0)
+    assert coset_key(T) != (1, 0)                        # b = 1
+    assert coset_key(GroupElem(4, 1, -1, 0)) != (1, 0)
+    assert coset_key(SHIFT_ELEMENT) != (1, 0)
+    # b = 0 mod 15 but a, d != 1
+    assert coset_key(GroupElem(2, 15, 1, 8)) != (1, 0)
 
 
 words = st.text(alphabet="RrS", max_size=12)
@@ -119,7 +121,7 @@ def test_in_k_matches_the_negation_definition():
         # -k lies in K only through its negation
         assert minus_k.a % 15 == minus_k.d % 15 == 14
         for h in (g, -g, k, minus_k, minus_k * g):
-            assert in_k(h) == _in_k_by_negation(h)
+            assert (coset_key(h) == (1, 0)) == _in_k_by_negation(h)
 
 
 def test_in_k_builds_no_group_element(monkeypatch):
@@ -134,8 +136,8 @@ def test_in_k_builds_no_group_element(monkeypatch):
     elems = [IDENTITY, -IDENTITY, GroupElem(14, 15, -1, -1),
              GroupElem(4, 15, 1, 4), T, SHIFT_ELEMENT]
     monkeypatch.setattr(GroupElem, "__post_init__", counting)
-    assert [in_k(g) for g in elems] == [True, True, True, False, False,
-                                        False]
+    assert [coset_key(g) == (1, 0) for g in elems] == [True, True, True,
+                                                       False, False, False]
     assert built == []
 
 
@@ -232,7 +234,7 @@ def test_verify_stabilizer(table):
     assert not table.verify_stabilizer(1, SHIFT_ELEMENT)
     # conjugate explicitly, as an independent check
     p = table.rep(41)
-    assert in_k(p * SHIFT_ELEMENT * p.inv())
+    assert coset_key(p * SHIFT_ELEMENT * p.inv()) == (1, 0)
     assert (p * SHIFT_ELEMENT * p.inv()).entries() == (-29, -105, 21, 76)
 
 

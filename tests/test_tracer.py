@@ -14,7 +14,7 @@ from zetapath.tracer import (
 )
 from zetapath.treepath import build_path
 from zetapath.zetafn import (
-    _REFLECT_RE, ZeroList, find_zeros, reference_zeros, zeta_with_prime,
+    ZeroList, find_zeros, reference_zeros, reflects, zeta_with_prime,
 )
 
 BAD_WORD = "RSRSrSRSR"  # endpoint sits in the index-41 pole fiber
@@ -94,8 +94,8 @@ def test_zeta_matches_mpmath_where_the_tracer_evaluates(monkeypatch):
 
         monkeypatch.setattr(tracer, "zeta_with_prime", recording)
         trace(m, zeros=reference_zeros())
-        reflected = [s for s in points if s.real < _REFLECT_RE]
-        direct = [s for s in points if s.real >= _REFLECT_RE]
+        reflected = [s for s in points if reflects(s)]
+        direct = [s for s in points if not reflects(s)]
         assert reflected and direct
         picks += reflected[::len(reflected) // 10][:10]
         picks += direct[::len(direct) // 5][:5]
@@ -108,6 +108,20 @@ def test_zeta_matches_mpmath_where_the_tracer_evaluates(monkeypatch):
             # trace starts and ends on
             assert abs(val - ref_val) < 1e-12 * max(1.0, abs(ref_val)), s
             assert abs(der - ref_der) < 1e-12 * abs(ref_der), s
+
+
+def test_trace_counts_reflected_evaluations(zeros, monkeypatch):
+    points = []
+
+    def recording(s):
+        points.append(s)
+        return zeta_with_prime(s)
+
+    monkeypatch.setattr(tracer, "zeta_with_prime", recording)
+    rec = trace(1, zeros=zeros)
+    assert rec.zeta_evals == len(points)
+    assert rec.zeta_reflected == sum(map(reflects, points))
+    assert 0 < rec.zeta_reflected < rec.zeta_evals
 
 
 def test_warm_trace_matches_cold_trace(zeros):
@@ -212,6 +226,10 @@ def test_experiment_small_sweep(zeros):
     assert summary.max_residual < 1e-8
     assert all(math.isfinite(r.wall_time) and r.wall_time > 0.0
                for r in summary.records)
+    for name in ("steps", "halvings", "zeta_evals", "zeta_reflected"):
+        assert getattr(summary, name) == sum(getattr(r, name)
+                                             for r in summary.records)
+    assert 0 < summary.zeta_reflected < summary.zeta_evals
 
 
 def test_experiment_empty():
@@ -220,6 +238,7 @@ def test_experiment_empty():
     assert summary.errors == ()
     assert summary.success_count == 0
     assert summary.max_residual == 0.0
+    assert summary.steps == summary.zeta_evals == summary.zeta_reflected == 0
 
 
 def test_experiment_records_failures(zeros):

@@ -3,13 +3,15 @@ checks, zero finding against the packaged reference table, file parsing."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from zetapath import zetafn
 from zetapath.errors import MissedZero, MonotonicityError, ParseError, PoleAtOne
 from zetapath.zetafn import (
-    ZeroList, find_zeros, hardy_z, load_zeros, reference_zeros, rs_theta,
-    zeta, zeta_prime, zeta_with_prime,
+    ZeroList, find_zeros, hardy_z, load_zeros, reference_zeros, reflects,
+    rs_theta, zeta, zeta_prime, zeta_with_prime,
 )
 
 # Spot values frozen from an independent arbitrary-precision run.
@@ -89,8 +91,73 @@ def test_conjugation_symmetry():
 
 def test_truncation_point_convergence():
     for s in (0.5 + 30.0j, 1.7 + 111.0j, -0.4 + 9.0j):
-        n = max(30, int(0.5 * abs(s.imag)) + 20)
+        n = zetafn._term_count(s)
         assert abs(zeta(s, terms=n) - zeta(s, terms=n + 10)) < 1e-12
+
+
+def test_truncation_point_rule():
+    assert zetafn._term_count(0.5 + 14.13j) == 20
+    assert zetafn._term_count(0.5 + 541.8j) == 165
+    assert zetafn._term_count(0.5 - 541.8j) == 165
+    # the ln n table covers the default truncation point to |Im s| ~ 1300
+    assert zetafn._term_count(0.5 + 1300j) <= len(zetafn._LN)
+
+
+def test_terms_override_past_the_log_table():
+    s = 0.5 + 30.0j
+    n = len(zetafn._LN) + 50
+    assert abs(zeta(s, terms=n) - zeta(s)) < 1e-12
+
+
+# B_2..B_30 as they were typed in before the tangent-number generator.
+TYPED_BERNOULLI = (
+    Fraction(1, 6), Fraction(-1, 30), Fraction(1, 42), Fraction(-1, 30),
+    Fraction(5, 66), Fraction(-691, 2730), Fraction(7, 6),
+    Fraction(-3617, 510), Fraction(43867, 798), Fraction(-174611, 330),
+    Fraction(854513, 138), Fraction(-236364091, 2730), Fraction(8553103, 6),
+    Fraction(-23749461029, 870), Fraction(8615841276005, 14322),
+)
+
+
+def test_bernoulli_generator_reproduces_the_typed_values():
+    assert zetafn._bernoulli_even(15) == TYPED_BERNOULLI
+    assert zetafn._BERNOULLI[:15] == TYPED_BERNOULLI
+    assert len(zetafn._EM_COEFFS) == 25
+
+
+def test_bernoulli_generator_satisfies_the_defining_recurrence():
+    # sum_{k=0}^{n} C(n+1, k) B_k = 0 for n >= 1, exactly
+    even = zetafn._bernoulli_even(25)
+    b = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * 49
+    for j, value in enumerate(even, start=1):
+        b[2 * j] = value
+    for n in range(1, 51):
+        assert sum(math.comb(n + 1, k) * b[k] for k in range(n + 1)) == 0, n
+
+
+def test_zeta_matches_mpmath_on_a_seeded_panel():
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(2011)
+    points = [complex(rng.uniform(-0.5, 3.0), rng.uniform(10.0, 700.0))
+              for _ in range(400)]
+    assert any(map(reflects, points)) and not all(map(reflects, points))
+    with mpmath.workdps(30):
+        for s in points:
+            val, der = zeta_with_prime(s)
+            ref_val = complex(mpmath.zeta(s))
+            ref_der = complex(mpmath.zeta(s, derivative=1))
+            assert abs(val - ref_val) < 1e-12 * max(1.0, abs(ref_val)), s
+            assert abs(der - ref_der) < 1e-12 * max(1.0, abs(ref_der)), s
+
+
+def test_reflects_is_the_branch_rule():
+    assert reflects(0.3 + 14.0j) and reflects(-2.5 + 0.0j)
+    assert not reflects(0.4 + 14.0j)
+    # near the origin the reflected argument 1-s would sit by the pole
+    assert not reflects(0.0j) and not reflects(0.2 + 0.2j)
+    for s in (0.3 + 41.7j, 0.7 + 41.7j):
+        branch = zetafn._zeta_reflect if reflects(s) else zetafn._zeta_em
+        assert zeta_with_prime(s) == branch(s, True, None)
 
 
 def test_pole_guard():
