@@ -165,7 +165,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             print(line)
     print(json.dumps({"summary": {
         "max_m": args.max_m, "success_count": summary.success_count,
-        "errors": [[m, msg] for m, msg in summary.errors],
+        "errors": [{"m": e.m, "kind": e.kind, "t": e.t,
+                    "s": None if e.s is None else _cpx(e.s)}
+                   for e in summary.errors],
         "max_residual": summary.max_residual, "steps": summary.steps,
         "halvings": summary.halvings, "zeta_evals": summary.zeta_evals,
         "zeta_reflected": summary.zeta_reflected,

@@ -24,7 +24,9 @@ class PoleAtOne(ZetaPathError):
 
 
 class MissedZero(ZetaPathError):
-    """Zero scanning found fewer sign changes than the counting function predicts."""
+    """A Rosser block kept fewer sign changes of Hardy Z than its Gram
+    intervals, so the zero count could not be certified, or a located zero
+    has too small a derivative to be simple."""
 
 
 class ParseError(ZetaPathError):

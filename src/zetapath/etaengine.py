@@ -320,14 +320,18 @@ def z_eval_from_seed(z: complex, ctx: EtaContext | None = None) -> complex:
     """Branch value at z continued from the seed at i, the root there with
     positive imaginary part, along the straight segment in _SEED_STEPS
     hinted steps.  The one cold start: every value without a hint is
-    this one."""
+    this one.  A NearPole on the way carries z itself."""
     ctx = ctx or _DEFAULT_CTX
     z = _require_upper(z)
     seed = z_root_pair(1j, ctx)
     val = seed.first if seed.first.imag > 0 else seed.second
-    for k in range(1, _SEED_STEPS + 1):
-        w = 1j + (z - 1j) * (k / _SEED_STEPS)
-        val = z_eval(w, hint=val, ctx=ctx)
+    try:
+        for k in range(1, _SEED_STEPS + 1):
+            w = 1j + (z - 1j) * (k / _SEED_STEPS)
+            val = z_eval(w, hint=val, ctx=ctx)
+    except NearPole as exc:
+        raise NearPole(f"{exc}, continuing the seed to z = {z}",
+                       z=z) from exc
     return val
 
 

@@ -11,13 +11,14 @@ from __future__ import annotations
 import cmath
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import Blocked, DerivativeSmall, StepCollapse
 from .etaengine import EtaContext, avatar_eval, z_eval, z_eval_from_seed
 from .sl2z import SHIFT_ELEMENT, SHIFT_WORD, CosetTable, load_table, mobius
 from .treepath import TreePath, avatar_trajectory, build_path, find_c
 from .zetafn import (
-    ZeroList, find_zeros, reference_zeros, reflects, zeta_with_prime,
+    MAX_ZEROS, ZeroList, find_zeros, reflects, zeta_with_prime,
 )
 
 
@@ -53,9 +54,8 @@ class TraceRecord:
 
 
 def _default_zeros(count: int) -> ZeroList:
-    """At least `count` zeros when count <= 310: scanned by find_zeros up
-    to its 200-zero limit, the packaged reference table beyond it."""
-    return find_zeros(count) if count <= 200 else reference_zeros()
+    """The first `count` zeros from find_zeros, at most its 350."""
+    return find_zeros(min(count, MAX_ZEROS))
 
 
 def _match(s: complex, zeros: ZeroList, opts: TraceOptions) -> int | None:
@@ -137,7 +137,7 @@ def trace(m: int, path: TreePath | None = None,
             if abs(w_next) > opts.pole_cap:
                 raise Blocked(f"avatar {n} modulus {abs(w_next):.3e} exceeds "
                               f"the pole cap {opts.pole_cap:.1e} at "
-                              f"t={t_next:.6f}", t=t_next)
+                              f"t={t_next:.6f}", t=t_next, s=s)
             s_lin = s_ref + (w_next - w) / der_s
             s_try = s_lin
             if full_step and len(errs) == 3:
@@ -197,13 +197,23 @@ def trace(m: int, path: TreePath | None = None,
                        zeta_reflected=zeta_reflected)
 
 
+class TraceFailure(NamedTuple):
+    """A trace of the m-sweep that raised: the start index, the error's
+    class name, and where on the walk it happened (t, and s when known)."""
+
+    m: int
+    kind: str
+    t: float | None
+    s: complex | None
+
+
 @dataclass(frozen=True)
 class ExperimentSummary:
     """Aggregated m-sweep results; per-m failures recorded, not fatal.
     The counts sum those of the records."""
 
     records: tuple[TraceRecord, ...]
-    errors: tuple[tuple[int, str], ...]
+    errors: tuple[TraceFailure, ...]
     success_count: int
     max_residual: float
     wall_time: float
@@ -222,7 +232,7 @@ def run_experiment(max_m: int, path: TreePath | None = None,
 
     A trace counts as a success when its endpoint matches the (m+1)-st
     zero.  Blocked, StepCollapse and DerivativeSmall abort only their own
-    m and are recorded as error strings.
+    m and are recorded as TraceFailure entries.
     """
     t0 = time.perf_counter()
     opts = opts or TraceOptions()
@@ -235,13 +245,13 @@ def run_experiment(max_m: int, path: TreePath | None = None,
         raise ValueError(f"max_m={max_m} needs at least {max_m + 1} zeros, "
                          f"only {len(zeros.ordinates)} available")
     records: list[TraceRecord] = []
-    errors: list[tuple[int, str]] = []
+    errors: list[TraceFailure] = []
     for m in range(1, max_m + 1):
         try:
             records.append(trace(m, path=path, opts=opts, zeros=zeros, n=n,
                                  ctx=ctx, table=table))
         except (Blocked, StepCollapse, DerivativeSmall) as exc:
-            errors.append((m, f"{type(exc).__name__}: {exc}"))
+            errors.append(TraceFailure(m, type(exc).__name__, exc.t, exc.s))
     success = sum(1 for r in records if r.matched_index == r.m + 1)
     return ExperimentSummary(
         records=tuple(records), errors=tuple(errors), success_count=success,

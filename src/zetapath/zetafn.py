@@ -1,6 +1,7 @@
 """Riemann zeta at desk scale: Euler-Maclaurin evaluation with exact
-Bernoulli coefficients, the Hardy rotation for critical-line work, zero
-location by sign changes, and ingestion of precomputed zero tables.
+Bernoulli coefficients, the Hardy rotation for critical-line work, zeros
+located on Gram points in Rosser blocks with a count certified by
+Turing's method, and ingestion of precomputed zero tables.
 
 Right of Re s = 0.4 a single Euler-Maclaurin pass covers the working
 range (|Im s| up to ~700): the truncation point N = 1.8 |Im s| / 2 pi + 10
@@ -55,8 +56,12 @@ _EM_STOP = 1e-18
 _LN = [0.0] + [math.log(n) for n in range(1, 400)]
 
 _POLE_TOL = 1e-12
-_GRID_STEP = 0.05
 _BISECT_TOL = 1e-10
+# Rounds of added points before a Rosser block that falls short of sign
+# changes raises MissedZero.
+_ROSSER_ROUNDS = 4
+# Zero 350 sits near t = 612, inside the |Im s| <= 700 zeta contract.
+MAX_ZEROS = 350
 _REFLECT_RE = 0.4
 _LNPI = math.log(math.pi)
 _LN2PI = math.log(2.0 * math.pi)
@@ -263,58 +268,114 @@ class ZeroList:
         return self.ordinates[m - 1]
 
 
-def _bisect_zero(lo: float, hi: float, f_lo: float) -> float:
-    while hi - lo > _BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        f_mid = hardy_z(mid).real
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0.0) == (f_lo > 0.0):
-            lo, f_lo = mid, f_mid
+def _gram_points():
+    """(n, g_n) for n = -1, 0, 1, ...: theta(g_n) = n pi by Newton on
+    rs_theta with theta'(t) ~ ln(t / 2 pi) / 2, each started one spacing
+    pi / theta' past the last."""
+    n, g = -1, 9.667
+    while True:
+        for _ in range(10):
+            step = (rs_theta(g) - n * math.pi) / (0.5 * (math.log(g) - _LN2PI))
+            g -= step
+            if abs(step) < 1e-11:
+                break
+        yield n, g
+        n += 1
+        g += 2.0 * math.pi / (math.log(g) - _LN2PI)
+
+
+def _rosser_blocks():
+    """(ts, vs) per Rosser block [g_a, g_b]: g_a and g_b consecutive good
+    Gram points ((-1)^n Z(g_n) > 0), ts the Gram points from g_a to g_b
+    and vs the Hardy Z values there.  Starts at g_-1, which is good."""
+    ts: list[float] = []
+    vs: list[float] = []
+    for n, g in _gram_points():
+        v = hardy_z(g).real
+        ts.append(g)
+        vs.append(v)
+        if len(ts) > 1 and (v if n % 2 == 0 else -v) > 0.0:
+            yield ts, vs
+            ts, vs = [g], [v]
+
+
+def _separate(ts: list[float], vs: list[float]) -> tuple[list, list]:
+    """Points of one Rosser block showing as many sign changes of Z as the
+    block has Gram intervals (Rosser's rule).  Where changes are missing,
+    each round adds a point to every interval, weighted by sqrt(u/v)
+    towards the smaller end when both ends share a sign; MissedZero after
+    _ROSSER_ROUNDS rounds."""
+    want = len(ts) - 1
+    for rounds in range(_ROSSER_ROUNDS + 1):
+        found = sum(u * v < 0.0 for u, v in zip(vs, vs[1:]))
+        if found == want:
+            return ts, vs
+        if rounds == _ROSSER_ROUNDS:
+            raise MissedZero(f"Rosser block [{ts[0]:.6f}, {ts[-1]:.6f}] "
+                             f"shows {found} sign changes of Z for {want} "
+                             f"Gram intervals")
+        nts, nvs = ts[:1], vs[:1]
+        for a, b, u, v in zip(ts, ts[1:], vs, vs[1:]):
+            if u * v > 0.0:
+                w = math.sqrt(v / u)
+                c = (w * a + b) / (w + 1.0)
+            else:
+                c = 0.5 * (a + b)
+            nts += (c, b)
+            nvs += (hardy_z(c).real, v)
+        ts, vs = nts, nvs
+
+
+def _illinois(a: float, b: float, fa: float, fb: float) -> float:
+    """Zero of Hardy Z bracketed by [a, b] (fa, fb of opposite sign):
+    secant steps, halving the value kept at an end that survives twice
+    (Illinois), until the bracket is below _BISECT_TOL."""
+    side = 0
+    while b - a > _BISECT_TOL:
+        c = (a * fb - b * fa) / (fb - fa)
+        fc = hardy_z(c).real
+        if fc == 0.0:
+            return c
+        if (fc > 0.0) == (fb > 0.0):
+            b, fb = c, fc
+            if side == -1:
+                fa *= 0.5
+            side = -1
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _scan(count: int, step: float) -> list[float]:
-    zeros: list[float] = []
-    t = 2.0
-    f_prev = hardy_z(t).real
-    while len(zeros) < count:
-        t_next = t + step
-        f_next = hardy_z(t_next).real
-        if f_prev == 0.0:
-            zeros.append(t)
-        elif (f_next > 0.0) != (f_prev > 0.0):
-            zeros.append(_bisect_zero(t, t_next, f_prev))
-        t, f_prev = t_next, f_next
-        if t > 1000.0:
-            raise MissedZero(f"scan passed t=1000 with {len(zeros)} zeros")
-    return zeros
+            a, fa = c, fc
+            if side == 1:
+                fb *= 0.5
+            side = 1
+    return 0.5 * (a + b)
 
 
 def find_zeros(count: int) -> ZeroList:
-    """First `count` critical-line zeros (count <= 200, desk scale).
+    """First `count` critical-line zeros, count <= 350 (t up to ~612).
 
-    Sign changes of the Hardy function on a step-0.05 grid, bisected to
-    1e-10; the tally is checked against the smooth counting estimate
-    theta(T)/pi + 1 and the grid auto-refines once on disagreement."""
-    if not 1 <= count <= 200:
-        raise ValueError(f"count must be in 1..200, got {count}")
-    step = _GRID_STEP
-    zeros = _scan(count + 1, step)
-    mid = 0.5 * (zeros[count - 1] + zeros[count])
-    expected = round(rs_theta(mid) / math.pi + 1.0)
-    if expected != count:
-        step /= 2.0
-        zeros = _scan(count + 1, step)
-        mid = 0.5 * (zeros[count - 1] + zeros[count])
-        expected = round(rs_theta(mid) / math.pi + 1.0)
-        if expected != count:
-            raise MissedZero(
-                f"found {count} sign changes below t={mid:.3f} but the "
-                f"counting estimate expects {expected}")
-    kept = zeros[:count]
+    Hardy Z is evaluated once per Gram point; each Rosser block must show
+    as many sign changes as it has Gram intervals, with points added
+    where it does not (MissedZero if that fails).  The count is certified
+    by Turing's method in Brent's form: once the block holding zero
+    `count` ends at g_n, K more blocks, K >= 0.0061 ln^2 g + 0.08 ln g
+    (and at least 2), must satisfy Rosser's rule; then N(g_n) = n + 1
+    exactly and every zero below g_n is one of the sign changes found.
+    Each wanted sign change is refined by the Illinois secant to a
+    1e-10 bracket, and each zero must be simple (|zeta'| > 1e-3)."""
+    if not 1 <= count <= MAX_ZEROS:
+        raise ValueError(f"count must be in 1..{MAX_ZEROS}, got {count}")
+    brackets: list[tuple[float, float, float, float]] = []
+    turing = 0
+    for ts, vs in _rosser_blocks():
+        ts, vs = _separate(ts, vs)
+        if len(brackets) >= count:
+            turing += 1
+            lg = math.log(ts[-1])
+            if turing >= max(2, math.ceil(0.0061 * lg * lg + 0.08 * lg)):
+                break
+        else:
+            brackets += [(a, b, u, v) for a, b, u, v
+                         in zip(ts, ts[1:], vs, vs[1:]) if u * v < 0.0]
+    kept = [_illinois(*bracket) for bracket in brackets[:count]]
     for g in kept:
         # simple-zero sanity: the continuation divides by zeta' here
         if abs(zeta_prime(0.5 + 1j * g)) <= 1e-3:

@@ -236,6 +236,18 @@ def test_experiment_matches_next_zero_for_twenty_starts():
           f"dominance in {wall:.1f}s (deep sweeps accepted up to 300)")
 
 
+@pytest.mark.slow
+def test_deep_sweep_on_computed_zeros_lands_every_start():
+    # opt-in (pytest -m slow): the whole deep sweep, m = 1..309, on the
+    # certified computed zero list rather than the packaged table
+    summary = run_experiment(309)
+    assert not summary.errors, summary.errors
+    assert summary.success_count == 309
+    assert all(r.matched_index == r.m + 1 for r in summary.records)
+    print(f"deep sweep: 309/309 in {summary.wall_time:.1f}s, "
+          f"{summary.zeta_evals} zeta evaluations")
+
+
 def test_results_stable_under_density_doubling_and_reruns():
     base, _, _ = _sweep(2000)
     dense, _, _ = _sweep(4000)

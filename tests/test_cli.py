@@ -175,6 +175,20 @@ def test_experiment(capsys):
         assert summary[name] == sum(r[name] for r in records)
 
 
+def test_experiment_errors_are_json_records(capsys):
+    # a pole cap below the avatar's modulus on the path blocks the walk
+    assert main(["experiment", "--max-m", "2", "--pole-cap", "2"]) == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    summary = json.loads(lines[-1])["summary"]
+    assert summary["success_count"] == 0
+    errors = summary["errors"]
+    assert [e["m"] for e in errors] == [1, 2]
+    for e in errors:
+        assert e["kind"] == "Blocked"
+        assert 0.0 < e["t"] < 1.0
+        assert set(e["s"]) == {"re", "im"}
+
+
 def test_experiment_emit(capsys, tmp_path):
     target = tmp_path / "traces.jsonl"
     assert main(["experiment", "--max-m", "1", "--emit", str(target)]) == 0

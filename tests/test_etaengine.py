@@ -482,3 +482,11 @@ def test_quotients_out_of_double_range_raise_near_pole():
         with pytest.raises(NearPole) as err:
             fn(z)
         assert err.value.z is not None
+
+
+def test_seed_walk_near_pole_carries_the_requested_point():
+    # the walk's last segment point is 0.008000000000000007j; the error
+    # names the point that was asked for
+    with pytest.raises(NearPole) as err:
+        z_eval_from_seed(0.008j)
+    assert err.value.z == 0.008j

@@ -247,8 +247,11 @@ def test_experiment_records_failures(zeros):
                              zeros=zeros)
     assert summary.success_count == 0
     assert summary.records == ()
-    assert len(summary.errors) == 2
-    assert all(msg.startswith("Blocked") for _, msg in summary.errors)
+    assert [e.m for e in summary.errors] == [1, 2]
+    assert all(e.kind == "Blocked" for e in summary.errors)
+    for e in summary.errors:
+        assert 0.0 < e.t <= 1.0
+        assert isinstance(e.s, complex)
 
 
 def test_experiment_needs_enough_zeros(zeros):
@@ -256,11 +259,17 @@ def test_experiment_needs_enough_zeros(zeros):
         run_experiment(10, zeros=zeros)
 
 
-def test_default_zeros_scan_then_fall_back_to_the_table():
+def test_default_zeros_are_computed_up_to_the_cap():
     assert _default_zeros(3).ordinates == find_zeros(3).ordinates
     ref = reference_zeros()
-    assert _default_zeros(201).ordinates == ref.ordinates
-    assert len(_default_zeros(302)) == len(ref) == 310
+    assert len(ref) == 310
+    deep = _default_zeros(302)
+    assert deep.source == "computed"
+    assert len(deep) == 302
+    worst = max(abs(a - b) for a, b in zip(deep.ordinates, ref.ordinates))
+    assert worst < 1e-9
+    assert _default_zeros(201).ordinates == deep.ordinates[:201]
+    assert len(_default_zeros(400)) == 350
 
 
 def test_experiment_beyond_200_zeros_runs(monkeypatch):

@@ -210,7 +210,94 @@ def test_find_zeros_bounds():
     with pytest.raises(ValueError):
         find_zeros(0)
     with pytest.raises(ValueError):
-        find_zeros(201)
+        find_zeros(351)
+
+
+# Gram points below g_320 where Gram's law fails: (-1)^n Z(g_n) < 0.
+BAD_GRAM = (126, 134, 195, 211, 232, 254, 288)
+
+
+@pytest.fixture(scope="module")
+def zeros_311():
+    return find_zeros(311)
+
+
+def _gram_table(last: int) -> list[float]:
+    """g_-1 .. g_last, index n + 1."""
+    out = []
+    for n, g in zetafn._gram_points():
+        out.append(g)
+        if n == last:
+            return out
+
+
+def test_find_zeros_through_zero_311_matches_the_table(zeros_311):
+    ref = reference_zeros()
+    assert len(zeros_311) == 311
+    assert zeros_311.source == "computed"
+    worst = max(abs(a - b) for a, b in zip(zeros_311.ordinates, ref.ordinates))
+    assert worst < 1e-9
+    assert abs(zeta(0.5 + 1j * zeros_311.gamma(311))) < 1e-8
+    assert zeros_311.ordinates[:200] == find_zeros(200).ordinates
+
+
+def test_gram_points_solve_the_theta_equation():
+    # g_-1, g_0 and g_320 frozen from an arbitrary-precision run
+    grams = _gram_table(320)
+    assert abs(grams[0] - 9.6669080561301921) < 1e-9
+    assert abs(grams[1] - 17.845599540410861) < 1e-9
+    assert abs(grams[-1] - 572.65667342538442) < 1e-9
+    for n, g in enumerate(grams, start=-1):
+        assert abs(rs_theta(g) - n * math.pi) < 1e-9
+
+
+def test_bad_gram_points_below_320_are_separated(zeros_311):
+    # each failure of Gram's law sits in a two-interval Rosser block
+    # [g_(n-1), g_(n+1)]; both of its zeros fall in one Gram interval
+    grams = _gram_table(320)
+    bad = [n for n, g in enumerate(grams, start=-1)
+           if (hardy_z(g).real if n % 2 == 0 else -hardy_z(g).real) < 0.0]
+    assert tuple(bad) == BAD_GRAM
+    ords = zeros_311.ordinates
+    for n in BAD_GRAM:
+        lo, mid, hi = grams[n], grams[n + 1], grams[n + 2]
+        # zeros n + 1 and n + 2 (1-based), alone in the block
+        assert ords[n - 1] < lo < ords[n] < ords[n + 1] < hi < ords[n + 2]
+        assert ords[n + 1] < mid or mid < ords[n]
+    # N(g_n) = n + 1 at every good Gram point through g_308
+    for n, g in enumerate(grams[:310], start=-1):
+        if n not in BAD_GRAM:
+            assert sum(o < g for o in ords) == n + 1
+
+
+def test_find_zeros_200_makes_few_hardy_z_calls(monkeypatch):
+    calls = []
+    plain = zetafn.hardy_z
+
+    def counted(t):
+        calls.append(t)
+        return plain(t)
+    monkeypatch.setattr(zetafn, "hardy_z", counted)
+    find_zeros(200)
+    assert len(calls) < 3000
+
+
+@pytest.mark.parametrize("count, hidden",
+                         [(150, 100), (100, 101), (100, 102)])
+def test_hidden_zero_pair_raises_missed_zero(monkeypatch, count, hidden):
+    # -Z between zeros `hidden` and `hidden + 1` touches zero at both
+    # without changing sign: the pair is invisible to sign changes, and
+    # the Rosser block holding it cannot be separated: a wanted block, or
+    # the first or the second Turing block past zero `count`
+    ref = reference_zeros()
+    lo, hi = ref.gamma(hidden), ref.gamma(hidden + 1)
+    plain = zetafn.hardy_z
+
+    def hiding(t):
+        return -plain(t) if lo <= t <= hi else plain(t)
+    monkeypatch.setattr(zetafn, "hardy_z", hiding)
+    with pytest.raises(MissedZero, match="Rosser block"):
+        find_zeros(count)
 
 
 def test_load_zeros_roundtrip(tmp_path):
