@@ -20,7 +20,10 @@ from .exactquad import run_symbolic_suite
 from .sl2z import SHIFT_WORD, load_table, mobius
 from .tracer import TraceOptions, TraceRecord, run_experiment, trace
 from .treepath import build_path, find_c
-from .zetafn import find_zeros, load_zeros
+from .zetafn import MAX_ZEROS, find_zeros, load_zeros
+
+# zero m+2 must exist for matching the endpoint of trace m
+_MAX_M = MAX_ZEROS - 2
 
 
 def _cpx(z: complex) -> dict:
@@ -240,8 +243,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "experiment" and not 0 <= args.max_m <= 300:
-        print("--max-m must be between 0 and 300", file=sys.stderr)
+    if args.command == "experiment" and not 0 <= args.max_m <= _MAX_M:
+        print(f"--max-m must be between 0 and {_MAX_M}", file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -47,6 +47,8 @@ _SERIES_EPS = 1e-17        # pentagonal-series truncation, below binary64 ulp
 _SEED_STEPS = 48           # hinted steps on the segment from the seed at i
 # Past this |tau| the branch quadratic is divided through by tau^3.
 _TAU_DIVIDE = 2.0 ** 64
+# Denominators below this modulus raise NearPole.
+_POLE_TOL = 1e-10
 
 
 def _horner(coeffs: tuple, z: complex) -> complex:
@@ -87,14 +89,13 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 
 
 class EtaContext:
-    """The pole tolerance, the multiplier cache, and the most recent
-    avatar trajectory (kept by treepath.avatar_trajectory).
+    """The multiplier cache and the most recent avatar trajectory (kept
+    by treepath.avatar_trajectory).
 
     Not safe to share across threads; concurrent callers should each own
     a context."""
 
-    def __init__(self, pole_tol: float = 1e-10):
-        self.pole_tol = pole_tol
+    def __init__(self):
         self._multipliers: dict[tuple[int, int, int, int], complex] = {}
         self.trajectory = None
 
@@ -221,13 +222,12 @@ def sigma(z: complex, ctx: EtaContext | None = None) -> complex:
     (250 tau^4 lambda^2 - D(tau)) / C(tau)."""
     ctx = ctx or _DEFAULT_CTX
     t, lam, _ = _tau_lambda(z, ctx)
-    return _sigma_from(z, t, lam, ctx)
+    return _sigma_from(z, t, lam)
 
 
-def _sigma_from(z: complex, t: complex, lam: complex,
-                ctx: EtaContext) -> complex:
+def _sigma_from(z: complex, t: complex, lam: complex) -> complex:
     den = _horner(_C_C, t)
-    if abs(den) < ctx.pole_tol:
+    if abs(den) < _POLE_TOL:
         raise NearPole(f"degree-4 denominator {abs(den):.3e} below tolerance",
                        z=z)
     return _in_range(
@@ -239,7 +239,7 @@ def j_fricke(z: complex, ctx: EtaContext | None = None) -> complex:
     (tau5^2 + 10 tau5 + 5)^3 / tau5."""
     ctx = ctx or _DEFAULT_CTX
     t5 = tau5(z, ctx)
-    if abs(t5) < ctx.pole_tol * 1e-2:
+    if abs(t5) < _POLE_TOL * 1e-2:
         raise NearPole(f"level-5 quotient {abs(t5):.3e} too close to zero",
                        z=z)
     return _in_range(z, "j", lambda: (t5 * t5 + 10.0 * t5 + 5.0) ** 3 / t5)
@@ -343,17 +343,16 @@ def psi_phi(z: complex, branch_value: complex | None = None,
     PHI = (PSI - Z) / (2 (Z - 1))."""
     ctx = ctx or _DEFAULT_CTX
     zv = branch_value if branch_value is not None else z_eval(z, ctx=ctx)
-    return _psi_phi(sigma(z, ctx), zv, ctx)
+    return _psi_phi(sigma(z, ctx), zv)
 
 
-def _psi_phi(s: complex, zv: complex,
-             ctx: EtaContext) -> tuple[complex, complex]:
+def _psi_phi(s: complex, zv: complex) -> tuple[complex, complex]:
     b1 = _horner(_B1_C, zv)
     den = _PSI_CONST_F * _horner(_PSI_POLY_C, zv)
-    if abs(den) < ctx.pole_tol:
+    if abs(den) < _POLE_TOL:
         raise NearPole(f"normalizer {abs(den):.3e} below tolerance at Z={zv}")
     psi = b1 * b1 * s / den
-    if abs(zv - 1.0) < ctx.pole_tol:
+    if abs(zv - 1.0) < _POLE_TOL:
         raise NearPole("PHI undefined this close to Z = 1")
     phi = (psi - zv) / (2.0 * (zv - 1.0))
     return psi, phi
@@ -389,7 +388,7 @@ def identity_residuals(z: complex, ctx: EtaContext | None = None,
 def _residuals(z: complex, ctx: EtaContext,
                branch_value: complex | None) -> dict[str, float]:
     t, lam, t5 = _tau_lambda(z, ctx)
-    s = _sigma_from(z, t, lam, ctx)
+    s = _sigma_from(z, t, lam)
     out: dict[str, float] = {}
 
     quart = ((t - 10.0) * t - 13.0) * t * t + 10.0 * t + 1.0
@@ -420,7 +419,7 @@ def _residuals(z: complex, ctx: EtaContext,
     link_scale = abs(t5) * 2.0 * abs(t) + abs(t) ** 4 + abs(t * t * s) + 1.0
     out["level5_link"] = abs(link) / (1.0 + link_scale)
 
-    psi, phi = _psi_phi(s, zv, ctx)
+    psi, phi = _psi_phi(s, zv)
     cubic = ((zv * 4.0 - 7.0) * zv + 4.0) * zv
     out["odd_cubic_square"] = (abs(psi * psi - cubic)
                                / (1.0 + abs(psi) ** 2 + abs(cubic)))

@@ -22,18 +22,22 @@ from .zetafn import (
 )
 
 
+# Constants read when trace and verify_fixing run.
+_NEWTON_MAX = 5            # Newton updates in one step before it is halved
+_DS_MAX = 0.5              # largest move of s a step may make
+_DT_MIN = 1e-9             # path-step floor, below it StepCollapse
+_MATCH_TOL = 1e-6          # endpoint distance to the matched zero
+_DOMINANCE = 10.0          # runner-up zero at least this many times farther
+_DERIVATIVE_MIN = 1e-6     # |zeta'| floor, below it DerivativeSmall
+_FIXING_POINTS = 10        # arc points verify_fixing compares
+
+
 @dataclass(frozen=True)
 class TraceOptions:
-    """Knobs for one continuation run; defaults match the CLI."""
+    """The tolerances the CLI sets: --tol-residual and --pole-cap."""
 
     residual_tol: float = 1e-10
-    newton_max: int = 5
-    ds_max: float = 0.5
-    dt_min: float = 1e-9
-    match_tol: float = 1e-6
-    dominance: float = 10.0
     pole_cap: float = 1e6
-    derivative_min: float = 1e-6
 
 
 @dataclass(frozen=True)
@@ -48,9 +52,9 @@ class TraceRecord:
     max_residual: float
     max_abs_avatar: float
     wall_time: float
-    halvings: int = 0
-    zeta_evals: int = 0
-    zeta_reflected: int = 0
+    halvings: int
+    zeta_evals: int
+    zeta_reflected: int
 
 
 def _default_zeros(count: int) -> ZeroList:
@@ -58,7 +62,7 @@ def _default_zeros(count: int) -> ZeroList:
     return find_zeros(min(count, MAX_ZEROS))
 
 
-def _match(s: complex, zeros: ZeroList, opts: TraceOptions) -> int | None:
+def _match(s: complex, zeros: ZeroList) -> int | None:
     # nearest ordinate wins only with a clear dominance margin over the
     # runner-up; anything weaker stays unmatched
     best_j = None
@@ -69,7 +73,7 @@ def _match(s: complex, zeros: ZeroList, opts: TraceOptions) -> int | None:
             best_j, best_d, second_d = j, d, best_d
         elif d < second_d:
             second_d = d
-    if best_d < opts.match_tol and second_d >= opts.dominance * best_d:
+    if best_d < _MATCH_TOL and second_d >= _DOMINANCE * best_d:
         return best_j
     return None
 
@@ -88,13 +92,14 @@ def trace(m: int, path: TreePath | None = None,
     grid steps, then Newton-corrects to |zeta(s) - w| < residual_tol.
     The prediction starts from the Newton-refined point
     s - (zeta(s) - w)/zeta'(s) of the last accepted step; the reported s
-    and every check stay on the verified point.  The step is halved, off the grid, when Newton
-    needs more than newton_max updates or moves s by more than ds_max,
-    and the next step aims at the grid point again; a halving empties the
-    error history.  A step below dt_min raises StepCollapse;
-    DerivativeSmall and Blocked guard multiple points of the continuation
-    and avatar poles.  The endpoint is matched against the zero list, and
-    the record counts its zeta_with_prime calls, the start derivative
+    and every check stay on the verified point.  The step is halved, off
+    the grid, when Newton needs more than _NEWTON_MAX updates or moves s
+    by more than _DS_MAX, and the next step aims at the grid point again;
+    a halving empties the error history.  A step below _DT_MIN raises
+    StepCollapse, any evaluation with |zeta'| < _DERIVATIVE_MIN
+    DerivativeSmall, and an avatar modulus above pole_cap Blocked.  The
+    endpoint is matched against the zero list (_MATCH_TOL, _DOMINANCE),
+    and the record counts its zeta_with_prime calls, the start derivative
     included, in zeta_evals, and those zeta evaluates through the
     functional equation in zeta_reflected.
     """
@@ -115,7 +120,7 @@ def trace(m: int, path: TreePath | None = None,
     val, der_s = zeta_with_prime(s)
     zeta_evals = 1
     zeta_reflected = int(reflects(s))
-    if abs(der_s) < opts.derivative_min:
+    if abs(der_s) < _DERIVATIVE_MIN:
         raise DerivativeSmall(f"|zeta'| = {abs(der_s):.2e} at s = {s:.6f}",
                               t=0.0, s=s)
     # the predictor works from the Newton-refined point, which is free
@@ -144,27 +149,20 @@ def trace(m: int, path: TreePath | None = None,
                 # the error is smooth in k: extrapolate the quadratic
                 # through the last three
                 s_try += 3.0 * errs[2] - 3.0 * errs[1] + errs[0]
-            accepted = False
-            resid = 0.0
-            for _ in range(opts.newton_max + 1):
+            for _ in range(_NEWTON_MAX + 1):
                 val, der = zeta_with_prime(s_try)
                 zeta_evals += 1
                 if reflects(s_try):
                     zeta_reflected += 1
+                if abs(der) < _DERIVATIVE_MIN:
+                    raise DerivativeSmall(f"|zeta'| = {abs(der):.2e} at "
+                                          f"s = {s_try:.6f}, t={t_next:.6f}",
+                                          t=t_next, s=s_try)
                 resid = abs(val - w_next)
                 if resid < opts.residual_tol:
-                    accepted = True
                     break
-                if abs(der) < opts.derivative_min:
-                    raise DerivativeSmall(f"|zeta'| = {abs(der):.2e} at "
-                                          f"s = {s_try:.6f}, t={t_next:.6f}",
-                                          t=t_next, s=s_try)
                 s_try = s_try - (val - w_next) / der
-            if accepted and abs(s_try - s) <= opts.ds_max:
-                if abs(der) < opts.derivative_min:
-                    raise DerivativeSmall(f"|zeta'| = {abs(der):.2e} at "
-                                          f"s = {s_try:.6f}, t={t_next:.6f}",
-                                          t=t_next, s=s_try)
+            if resid < opts.residual_tol and abs(s_try - s) <= _DS_MAX:
                 s_ref = s_try - (val - w_next) / der
                 if full_step:
                     errs = errs[-2:] + [s_ref - s_lin]
@@ -182,15 +180,15 @@ def trace(m: int, path: TreePath | None = None,
             full_step = False
             errs = []
             dt = 0.5 * (t_next - t)
-            if dt < opts.dt_min:
+            if dt < _DT_MIN:
                 raise StepCollapse(f"path step {dt:.3e} fell below "
-                                   f"{opts.dt_min:.1e} at t={t:.6f}",
+                                   f"{_DT_MIN:.1e} at t={t:.6f}",
                                    t=t, s=s)
             t_next = t + dt
             w_next = avatar_eval(n, path.point(t_next), w, ctx=ctx,
                                  table=table)
     return TraceRecord(m=m, gamma_start=gamma, end_s=s,
-                       matched_index=_match(s, zeros, opts), steps=steps,
+                       matched_index=_match(s, zeros), steps=steps,
                        max_residual=max_residual, max_abs_avatar=max_avatar,
                        wall_time=time.perf_counter() - t_start,
                        halvings=halvings, zeta_evals=zeta_evals,
@@ -264,7 +262,7 @@ def run_experiment(max_m: int, path: TreePath | None = None,
 
 
 def verify_fixing(n: int = 41, table: CosetTable | None = None,
-                  ctx: EtaContext | None = None, points: int = 10) -> dict:
+                  ctx: EtaContext | None = None) -> dict:
     """Check that the shift element leaves avatar n unchanged.
 
     Exact part: the shift element stabilizes the n-th coset, and not the
@@ -280,8 +278,8 @@ def verify_fixing(n: int = 41, table: CosetTable | None = None,
     control = table.verify_stabilizer(1, SHIFT_ELEMENT)
     theta_c = cmath.phase(find_c())
     max_delta = 0.0
-    for k in range(points):
-        theta = theta_c - 0.02 + 0.04 * k / (points - 1)
+    for k in range(_FIXING_POINTS):
+        theta = theta_c - 0.02 + 0.04 * k / (_FIXING_POINTS - 1)
         z = cmath.exp(1j * theta)
         u = z_eval_from_seed(mobius(rep, z), ctx=ctx)
         v = z_eval(mobius(rep, mobius(SHIFT_ELEMENT, z)), hint=u, ctx=ctx)
@@ -290,4 +288,5 @@ def verify_fixing(n: int = 41, table: CosetTable | None = None,
             max_delta = delta
     ok = exact and not control and max_delta < 1e-8
     return {"exact_conjugation": exact, "identity_control": control,
-            "numeric_max_delta": max_delta, "points": points, "ok": ok}
+            "numeric_max_delta": max_delta, "points": _FIXING_POINTS,
+            "ok": ok}

@@ -28,6 +28,8 @@ THETA_OMEGA = 2.0 * math.pi / 3.0
 OMEGA = cmath.exp(2j * math.pi / 3.0)
 
 _BISECT_THETA_TOL = 1e-13
+_ARC_POINTS = 160          # samples per arc in verify_local_intersections
+_PANEL_SIZE = 50           # longer words it checks against the base arc
 
 
 @dataclass(frozen=True)
@@ -239,15 +241,14 @@ def _panel_words(count: int) -> list[str]:
     return words[:count]
 
 
-def verify_local_intersections(arc_samples: int = 160,
-                               panel_size: int = 50) -> dict:
+def verify_local_intersections() -> dict:
     """How translates of the base arc meet the base arc itself.
 
     Checks the three local cases (identity: same set; the rotation letters
     meet only at omega; S meets only at i) and a panel of longer words
     whose edges must be disjoint from the base arc (minimum sample
     distance above 1e-6).  Returns a report dict with an overall flag."""
-    base = _arc_samples(IDENTITY, arc_samples)
+    base = _arc_samples(IDENTITY, _ARC_POINTS)
     report: dict = {"identity_same_set": True, "vertex_cases": {},
                     "panel": [], "ok": True}
     for z in base:
@@ -268,9 +269,9 @@ def verify_local_intersections(arc_samples: int = 160,
         report["vertex_cases"][name] = entry
         if not entry["fixes_vertex"] or separated <= 1e-6:
             report["ok"] = False
-    for w in _panel_words(panel_size):
+    for w in _panel_words(_PANEL_SIZE):
         g = word_eval(w)
-        image = _arc_samples(g, arc_samples)
+        image = _arc_samples(g, _ARC_POINTS)
         d = _min_distance(base, image)
         # refine around the coarse minimizer before judging
         if d < 1e-3:

@@ -51,8 +51,8 @@ _DIGAMMA_COEFFS = tuple(float(_BERNOULLI[j]) / (2 * (j + 1)) for j in range(8))
 # Correction terms below this modulus (value and derivative alike) end
 # the Euler-Maclaurin series early.
 _EM_STOP = 1e-18
-# ln n for n < 400, index n: the main sum's logarithms up to the default
-# truncation point at |Im s| ~ 1300.
+# ln n for n < 400, index n: the main sum's logarithms up to the
+# truncation point at |Im s| ~ 1300; past it _zeta_em takes its own.
 _LN = [0.0] + [math.log(n) for n in range(1, 400)]
 
 _POLE_TOL = 1e-12
@@ -74,12 +74,11 @@ def _term_count(s: complex) -> int:
     return max(20, int(1.8 * abs(s.imag) / (2.0 * math.pi)) + 10)
 
 
-def _zeta_em(s: complex, want_prime: bool,
-             terms: int | None = None) -> tuple[complex, complex]:
+def _zeta_em(s: complex, want_prime: bool) -> tuple[complex, complex]:
     """Euler-Maclaurin value and (optionally) derivative in one pass."""
     if abs(s - 1.0) < _POLE_TOL:
         raise PoleAtOne(f"zeta pole at s = 1 (given {s})")
-    n_cut = terms if terms is not None else _term_count(s)
+    n_cut = _term_count(s)
     lns = _LN
     if n_cut > len(_LN):
         lns = [0.0] + [math.log(n) for n in range(1, n_cut)]
@@ -164,10 +163,9 @@ def _digamma(z: complex) -> complex:
     return cmath.log(z) - 0.5 / z + series + acc
 
 
-def _zeta_reflect(s: complex, want_prime: bool,
-                  terms: int | None) -> tuple[complex, complex]:
+def _zeta_reflect(s: complex, want_prime: bool) -> tuple[complex, complex]:
     """Functional-equation branch: evaluate at 1-s and multiply back."""
-    val, der = _zeta_em(1.0 - s, want_prime, terms)
+    val, der = _zeta_em(1.0 - s, want_prime)
     half = 0.5 * math.pi * s
     chi = cmath.exp(s * _LN2PI - _LNPI + _log_sin(half) + _log_gamma(1.0 - s))
     if not want_prime:
@@ -183,14 +181,13 @@ def reflects(s: complex) -> bool:
     return s.real < _REFLECT_RE and abs(s) > 0.5
 
 
-def _zeta_eval(s: complex, want_prime: bool,
-               terms: int | None = None) -> tuple[complex, complex]:
+def _zeta_eval(s: complex, want_prime: bool) -> tuple[complex, complex]:
     if reflects(s):
-        return _zeta_reflect(s, want_prime, terms)
-    return _zeta_em(s, want_prime, terms)
+        return _zeta_reflect(s, want_prime)
+    return _zeta_em(s, want_prime)
 
 
-def zeta(s: complex, terms: int | None = None) -> complex:
+def zeta(s: complex) -> complex:
     """zeta(s).
 
     Measured absolute error stays under 1e-12 on the critical line through
@@ -198,15 +195,13 @@ def zeta(s: complex, terms: int | None = None) -> complex:
     Re s = 0.4 the reflected evaluation holds the error under 1e-12,
     relative where |zeta| >= 1: at the points a trace of zero 250 visits
     (t near 471, Re s down to -0.31) mpmath measured up to 9.6e-13 in the
-    value and 8.4e-13 in the derivative.
-    `terms` overrides the automatic truncation point, for convergence
-    checks only."""
-    return _zeta_eval(complex(s), False, terms)[0]
+    value and 8.4e-13 in the derivative."""
+    return _zeta_eval(complex(s), False)[0]
 
 
-def zeta_prime(s: complex, terms: int | None = None) -> complex:
+def zeta_prime(s: complex) -> complex:
     """zeta'(s) by the differentiated sum, not finite differences."""
-    return _zeta_eval(complex(s), True, terms)[1]
+    return _zeta_eval(complex(s), True)[1]
 
 
 def zeta_with_prime(s: complex) -> tuple[complex, complex]:

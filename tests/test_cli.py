@@ -6,7 +6,10 @@ from importlib.resources import files
 
 import pytest
 
+from zetapath import cli
 from zetapath.cli import main
+from zetapath.tracer import ExperimentSummary
+from zetapath.zetafn import MAX_ZEROS
 
 ZEROS_FILE = str(files("zetapath").joinpath("data/zeta_zeros.txt"))
 
@@ -200,9 +203,22 @@ def test_experiment_emit(capsys, tmp_path):
     assert json.loads(stdout_lines[0])["summary"]["success_count"] == 1
 
 
-def test_experiment_bounds(capsys):
-    assert main(["experiment", "--max-m", "301"]) == 2
+def test_experiment_bounds(capsys, monkeypatch):
+    assert main(["experiment", "--max-m", str(MAX_ZEROS - 1)]) == 2
+    assert f"between 0 and {MAX_ZEROS - 2}" in capsys.readouterr().err
     assert main(["experiment", "--max-m", "-1"]) == 2
+    # the largest bound leaves zero m+2 to match against; the sweep
+    # itself is stubbed
+    asked = []
+
+    def stub(max_m, **_):
+        asked.append(max_m)
+        return ExperimentSummary(records=(), errors=(), success_count=max_m,
+                                 max_residual=0.0, wall_time=0.0, steps=0,
+                                 halvings=0, zeta_evals=0, zeta_reflected=0)
+    monkeypatch.setattr(cli, "run_experiment", stub)
+    assert main(["experiment", "--max-m", str(MAX_ZEROS - 2)]) == 0
+    assert asked == [MAX_ZEROS - 2]
 
 
 def test_experiment_zeros_file(capsys):

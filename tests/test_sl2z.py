@@ -47,7 +47,7 @@ def test_mobius():
     assert mobius(g, mobius(S, z)) == pytest.approx(mobius(g * S, z))
 
 
-def test_in_k():
+def test_k_is_the_coset_keyed_1_0():
     # K itself is the coset keyed (1, 0), the first row of the identity
     assert coset_key(IDENTITY) == (1, 0)
     assert coset_key(-IDENTITY) == (1, 0)
@@ -106,7 +106,7 @@ def _in_k_by_negation(g):
                for m in (g, -g))
 
 
-def test_in_k_matches_the_negation_definition():
+def test_k_key_matches_the_negation_definition():
     rng = random.Random(11)
     k_gens = [GroupElem(1, 15, 0, 1), GroupElem(1, 0, 1, 1)]
     gens = [R, S, T, R.inv(), T.inv()]

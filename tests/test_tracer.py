@@ -137,11 +137,12 @@ def test_warm_trace_matches_cold_trace(zeros):
     assert warm.max_abs_avatar == cold.max_abs_avatar
 
 
-def test_trace_halves_off_the_grid_and_still_lands(zeros):
+def test_trace_halves_off_the_grid_and_still_lands(zeros, monkeypatch):
     # a tight cap on the corrector's move forces halved steps between
     # grid points
+    monkeypatch.setattr(tracer, "_DS_MAX", 2e-3)
     path = build_path(SHIFT_WORD)
-    rec = trace(1, path=path, opts=TraceOptions(ds_max=2e-3), zeros=zeros)
+    rec = trace(1, path=path, zeros=zeros)
     assert rec.halvings > 0
     assert rec.steps > path.samples
     assert rec.zeta_evals > rec.steps
@@ -186,36 +187,61 @@ def test_trace_pole_path_collapses_at_default_cap(zeros):
         trace(1, path=build_path(BAD_WORD), zeros=zeros)
 
 
-def test_trace_step_collapse(zeros):
-    for opts in (
-            # an unattainable residual target forces halving to the floor
-            TraceOptions(residual_tol=1e-18),
-            # a step floor above half a grid step collapses at the first
-            # halving
-            TraceOptions(ds_max=1e-6, dt_min=1e-3)):
-        with pytest.raises(StepCollapse) as exc:
-            trace(1, opts=opts, zeros=zeros)
+def test_trace_step_collapse(zeros, monkeypatch):
+    # an unattainable residual target forces halving to the floor
+    with pytest.raises(StepCollapse) as tight:
+        trace(1, opts=TraceOptions(residual_tol=1e-18), zeros=zeros)
+    # a step floor above half a grid step collapses at the first halving
+    monkeypatch.setattr(tracer, "_DS_MAX", 1e-6)
+    monkeypatch.setattr(tracer, "_DT_MIN", 1e-3)
+    with pytest.raises(StepCollapse) as floor:
+        trace(1, zeros=zeros)
+    for exc in (tight, floor):
         assert exc.value.t == 0.0
         assert exc.value.s == complex(0.5, zeros.gamma(1))
 
 
-def test_trace_derivative_guard(zeros):
-    opts = TraceOptions(derivative_min=1e6)
+def test_trace_derivative_guard(zeros, monkeypatch):
+    monkeypatch.setattr(tracer, "_DERIVATIVE_MIN", 1e6)
     with pytest.raises(DerivativeSmall) as exc:
-        trace(1, opts=opts, zeros=zeros)
+        trace(1, zeros=zeros)
     assert exc.value.t == 0.0
     assert exc.value.s == complex(0.5, zeros.gamma(1))
 
 
+def test_trace_derivative_guard_mid_walk(zeros, monkeypatch):
+    # a floor between |zeta'| at the start and the smallest |zeta'| the
+    # walk meets passes the start and trips on the first evaluation below
+    seen = []
+
+    def recording(s):
+        val, der = zeta_with_prime(s)
+        seen.append((s, abs(der)))
+        return val, der
+
+    monkeypatch.setattr(tracer, "zeta_with_prime", recording)
+    trace(1, zeros=zeros)
+    start, lowest = seen[0][1], min(d for _, d in seen)
+    assert lowest < start
+    floor = 0.5 * (lowest + start)
+    seen.clear()
+    monkeypatch.setattr(tracer, "_DERIVATIVE_MIN", floor)
+    with pytest.raises(DerivativeSmall) as exc:
+        trace(1, zeros=zeros)
+    assert 0.0 < exc.value.t < 1.0
+    assert exc.value.s == seen[-1][0]
+    assert seen[-1][1] < floor
+    assert all(d >= floor for _, d in seen[:-1])
+
+
 def test_match_rules():
     zl = ZeroList(ordinates=(14.0, 21.0), source="ingested")
-    opts = TraceOptions()
-    assert _match(complex(0.5, 14.0), zl, opts) == 1
-    assert _match(complex(0.5, 21.0 + 5e-7), zl, opts) == 2
+    assert _match(complex(0.5, 14.0), zl) == 1
+    assert _match(complex(0.5, 21.0 + 5e-7), zl) == 2
     # too far from every ordinate
-    assert _match(complex(0.5, 14.1), zl, opts) is None
+    assert _match(complex(0.5, 14.1), zl) is None
     # equidistant: no dominance
-    assert _match(complex(0.5, 17.5), zl, opts) is None
+    assert _match(complex(0.5, 17.5), zl) is None
 
 
 def test_experiment_small_sweep(zeros):
@@ -273,14 +299,16 @@ def test_default_zeros_are_computed_up_to_the_cap():
 
 
 def test_experiment_beyond_200_zeros_runs(monkeypatch):
-    # the CLI accepts --max-m up to 300; only the zero list is at stake
-    # here, so each trace is replaced by a record that lands on zero m+1
+    # the CLI accepts --max-m up to MAX_ZEROS - 2; only the zero list is
+    # at stake here, so each trace is replaced by a record that lands on
+    # zero m+1
     def landed(m, zeros, **_):
         assert len(zeros) >= m + 2
         return TraceRecord(m=m, gamma_start=zeros.gamma(m),
                            end_s=complex(0.5, zeros.gamma(m + 1)),
                            matched_index=m + 1, steps=0, max_residual=0.0,
-                           max_abs_avatar=0.0, wall_time=0.0)
+                           max_abs_avatar=0.0, wall_time=0.0, halvings=0,
+                           zeta_evals=0, zeta_reflected=0)
     monkeypatch.setattr(tracer, "trace", landed)
     summary = run_experiment(250)
     assert summary.success_count == 250
