@@ -28,7 +28,7 @@ from .exactquad import (
     B0_POLY, B1_POLY, BETA, C_POLY, D_POLY, GAMMA, DELTA,
     PSI_DENOM_CONST, PSI_DENOM_POLY,
 )
-from .sl2z import IDENTITY, GroupElem, load_table, mobius
+from .sl2z import GroupElem, load_table, mobius
 
 _B0_C = B0_POLY.float_coeffs()
 _B1_C = B1_POLY.float_coeffs()
@@ -123,7 +123,14 @@ _DEFAULT_CTX = EtaContext()
 def reduce_to_fundamental(z: complex) -> tuple[complex, GroupElem]:
     """Return (w, m) with w = m z, |Re w| <= 1/2 and |w| >= 1 (within a
     strict-boundary tolerance)."""
-    w = _require_upper(z)
+    w, a, b, c, d = _reduce(_require_upper(z))
+    return w, GroupElem(a, b, c, d)
+
+
+def _reduce(z: complex) -> tuple[complex, int, int, int, int]:
+    """reduce_to_fundamental for a validated z, the matrix as its
+    entries (w, a, b, c, d)."""
+    w = z
     a, b, c, d = 1, 0, 0, 1
     for _ in range(10000):
         n = round(w.real)
@@ -134,7 +141,7 @@ def reduce_to_fundamental(z: complex) -> tuple[complex, GroupElem]:
             w = -1.0 / w
             a, b, c, d = -c, -d, a, b         # S * m
         else:
-            return w, GroupElem(a, b, c, d)
+            return w, a, b, c, d
     raise ValueError(f"fundamental-domain reduction did not converge for {z}")
 
 
@@ -157,15 +164,18 @@ def dedekind_eta(z: complex, ctx: EtaContext | None = None) -> complex:
     """eta(z) for Im z > 0, exact multiplier unwinding of the reduction."""
     ctx = ctx or _DEFAULT_CTX
     z = _require_upper(z)
-    w, m = reduce_to_fundamental(z)
+    w, a, b, c, d = _reduce(z)
     val = _eta_series(w)
-    if m == IDENTITY:
+    if a == 1 and b == 0 and c == 0:          # the identity: d = 1
         return val
-    if m.c < 0 or (m.c == 0 and m.d < 0):
-        m = -m
+    if c < 0 or (c == 0 and d < 0):
+        a, b, c, d = -a, -b, -c, -d
+    mult = ctx._multipliers.get((a, b, c, d))
+    if mult is None:
+        mult = ctx.multiplier(GroupElem(a, b, c, d))
     # eta(w) = eta(m z) = eps(m) (c z + d)^(1/2) eta(z); principal root is
     # continuous here since c > 0 keeps cz + d in the upper half-plane.
-    return val / (ctx.multiplier(m) * cmath.sqrt(m.c * z + m.d))
+    return val / (mult * cmath.sqrt(c * z + d))
 
 
 def _etas(z: complex, ctx: EtaContext) -> tuple[complex, complex, complex, complex]:

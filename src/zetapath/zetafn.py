@@ -5,9 +5,10 @@ Turing's method, and ingestion of precomputed zero tables.
 
 Right of Re s = 0.4 a single Euler-Maclaurin pass covers the working
 range (|Im s| up to ~700): the truncation point N = 1.8 |Im s| / 2 pi + 10
-grows linearly with |Im s|, and up to 25 Bernoulli correction terms,
+grows linearly with |Im s|, and 25 Bernoulli correction terms,
 generated exactly from the tangent numbers, hold the error near 1e-12;
-the series stops early once its terms fall below 1e-18.  Left of that
+for each N they sum to N^(1-s) times one real polynomial of degree 49,
+built once and evaluated by Horner's rule.  Left of that
 line the alternating summands outgrow the value, so the evaluator
 reflects through the functional equation instead and keeps full relative
 accuracy there.
@@ -40,17 +41,17 @@ def _bernoulli_even(count: int) -> tuple[Fraction, ...]:
 
 
 _BERNOULLI = _bernoulli_even(25)   # B_2..B_50
-# B_2j / (2j)! as floats, j = 1..25.
-_EM_COEFFS = tuple(float(b) / math.factorial(2 * (j + 1))
+# B_2j / (2j)! exactly, j = 1..25.
+_EM_COEFFS = tuple(b / math.factorial(2 * (j + 1))
                    for j, b in enumerate(_BERNOULLI))
 # B_2j / (2j (2j-1)) for the Stirling series, j = 1..8.
 _STIRLING = tuple(float(_BERNOULLI[j]) / ((2 * (j + 1)) * (2 * (j + 1) - 1))
                   for j in range(8))
 # B_2j / 2j for the digamma asymptotic series, j = 1..8.
 _DIGAMMA_COEFFS = tuple(float(_BERNOULLI[j]) / (2 * (j + 1)) for j in range(8))
-# Correction terms below this modulus (value and derivative alike) end
-# the Euler-Maclaurin series early.
-_EM_STOP = 1e-18
+# The correction polynomial of _em_poly, per truncation point N, built
+# when N is first met.
+_EM_POLYS: dict[int, tuple[float, ...]] = {}
 # ln n for n < 400, index n: the main sum's logarithms up to the
 # truncation point at |Im s| ~ 1300; past it _zeta_em takes its own.
 _LN = [0.0] + [math.log(n) for n in range(1, 400)]
@@ -69,9 +70,34 @@ _LN2PI = math.log(2.0 * math.pi)
 
 def _term_count(s: complex) -> int:
     """Euler-Maclaurin truncation point N = 1.8 |Im s| / 2 pi + 10, at
-    least 20: with up to 25 correction terms the series then holds the
+    least 20: with 25 correction terms the series then holds the
     1e-12 contract through |Im s| = 700."""
     return max(20, int(1.8 * abs(s.imag) / (2.0 * math.pi)) + 10)
+
+
+def _em_poly(n: int) -> tuple[float, ...]:
+    """Coefficients, highest degree first, of the degree-49 real polynomial
+    P_n(s) = sum_{j=1..25} c_j n^(-2j) s (s+1) ... (s+2j-2), c_j = B_2j/(2j)!,
+    whose n^(1-s) multiple is the Euler-Maclaurin correction series.
+
+    Built exactly over the integers, scaled by den n^50, by nesting
+    Q_j = c_j n^(-2j) + (s+2j-1)(s+2j) Q_(j+1) down to P_n = s Q_1; each
+    coefficient is rounded once."""
+    count = len(_EM_COEFFS)
+    den = math.lcm(*(c.denominator for c in _EM_COEFFS))
+    n2 = n * n
+    # c_j den n^(50-2j), j = 1..25
+    heads = [c.numerator * (den // c.denominator) * n2 ** (count - j)
+             for j, c in enumerate(_EM_COEFFS, start=1)]
+    q = [heads[-1]]                        # Q_25, lowest degree first
+    for j in range(count - 1, 0, -1):
+        # (s + 2j - 1)(s + 2j) = s^2 + lin s + const
+        lin, const = 4 * j - 1, (2 * j - 1) * (2 * j)
+        q = [const * x + lin * y + z
+             for x, y, z in zip(q + [0, 0], [0] + q + [0], [0, 0] + q)]
+        q[0] += heads[j - 1]
+    scale = den * n2 ** count
+    return tuple(x / scale for x in reversed(q)) + (0.0,)
 
 
 def _zeta_em(s: complex, want_prime: bool) -> tuple[complex, complex]:
@@ -101,31 +127,22 @@ def _zeta_em(s: complex, want_prime: bool) -> tuple[complex, complex]:
     total += tail + nc_pow / 2.0
     if want_prime:
         total_p += tail * (-ln_nc - 1.0 / (s - 1.0)) - ln_nc * nc_pow / 2.0
-    # Correction terms: coeff_j * n_cut^(-s-2j+1) * prod_{i=0}^{2j-2}(s+i).
-    # u and v carry n_cut^(-s+1) times the product and its derivative,
-    # the factor n_cut^(-2j) rides on the coefficient, and the series
-    # stops once a term and its derivative are both below _EM_STOP.
-    u = nc_pow1 * s
-    v = nc_pow1
-    inv_nc2 = 1.0 / (n_cut * n_cut)
-    s2 = s * s
-    two_s = s + s
-    cn = inv_nc2
-    for j, coeff in enumerate(_EM_COEFFS):
-        if j:
-            # (s + 2j - 1)(s + 2j) and its derivative
-            f = s2 + (4 * j - 1) * s + (2 * j - 1) * (2 * j)
-            v = v * f + u * (two_s + (4 * j - 1))
-            u = u * f
-            cn *= inv_nc2
-        c = coeff * cn
-        term = c * u
-        term_p = c * (v - ln_nc * u)
-        total += term
-        if want_prime:
-            total_p += term_p
-        if abs(term_p) < _EM_STOP and abs(term) < _EM_STOP:
-            break
+    # The correction series is n_cut^(1-s) P(s); Horner's rule gives P
+    # and, alongside, P'.
+    poly = _EM_POLYS.get(n_cut)
+    if poly is None:
+        poly = _EM_POLYS[n_cut] = _em_poly(n_cut)
+    p = 0j
+    if want_prime:
+        dp = 0j
+        for a in poly:
+            dp = dp * s + p
+            p = p * s + a
+        total_p += nc_pow1 * (dp - ln_nc * p)
+    else:
+        for a in poly:
+            p = p * s + a
+    total += nc_pow1 * p
     return total, total_p
 
 
@@ -324,10 +341,13 @@ def _separate(ts: list[float], vs: list[float]) -> tuple[list, list]:
 def _illinois(a: float, b: float, fa: float, fb: float) -> float:
     """Zero of Hardy Z bracketed by [a, b] (fa, fb of opposite sign):
     secant steps, halving the value kept at an end that survives twice
-    (Illinois), until the bracket is below _BISECT_TOL."""
+    (Illinois), until the bracket is below _BISECT_TOL.  Each probe stays
+    _BISECT_TOL/4 inside the bracket, so a secant that has settled on one
+    end closes the bracket on the next step instead of creeping there."""
     side = 0
     while b - a > _BISECT_TOL:
         c = (a * fb - b * fa) / (fb - fa)
+        c = min(max(c, a + 0.25 * _BISECT_TOL), b - 0.25 * _BISECT_TOL)
         fc = hardy_z(c).real
         if fc == 0.0:
             return c

@@ -168,6 +168,57 @@ def test_reduction_properties():
         assert abs(q) <= math.exp(-math.pi * math.sqrt(3.0)) + 1e-12
 
 
+# (z, float.hex of eta(z)) frozen from the GroupElem-based unwinding; the
+# comments give the reducing matrix.  Identity, translations, c > 0, and
+# c < 0, where the matrix is negated before the multiplier is looked up.
+ETA_HEX = [
+    (0.1 + 1.5j, ("0x1.5994007b7fd3cp-1", "0x1.210d507a4e038p-6")),  # I
+    (0.5 + 0.8660254037844386j,
+     ("0x1.9663d28dbed7bp-1", "0x1.ac049b6063835p-4")),  # I, at the corner
+    (2.3 + 1.2j, ("0x1.345a6106b7997p-1", "0x1.a7644a133aa38p-2")),  # [[1,-2],[0,1]]
+    (-0.7 + 0.9j, ("0x1.8defea0022a9cp-1", "-0x1.2c7ad80fcf66ep-3")),  # [[0,-1],[1,1]]
+    (0.1234 + 0.3j, ("0x1.a782b37141729p-1", "-0x1.7cb0ac3c3032ap-4")),  # [[1,-1],[1,0]]
+    (0.3 + 0.01j, ("0x1.36cd3f6abfbcfp+1", "0x1.7e80019b8c5bdp-3")),  # [[-3,1],[-10,3]]
+    (-0.41 + 0.05j, ("0x1.998148b470945p+0", "-0x1.003ec778e087fp-2")),  # [[-5,-2],[-2,-1]]
+    (1 / 3 + 0.001j, ("0x1.29e2a04d7e3b0p-38", "-0x1.a0fc3e9d7bf7ap-42")),  # [[-1,0],[3,-1]]
+    (0.00655 + 0.032j, ("0x1.22cd52016a338p-13", "-0x1.1971056bcfe1cp-9")),  # [[6,-1],[1,0]]
+    (-1.9 + 0.004j, ("-0x1.e288723bb86c7p+0", "-0x1.c9e823a5795cap+0")),  # [[-1,-2],[10,19]]
+]
+
+
+def test_eta_is_bitwise_frozen_on_a_reduction_panel():
+    signs = set()
+    for z, (re, im) in ETA_HEX:
+        m = reduce_to_fundamental(z)[1]
+        signs.add((m.c > 0) - (m.c < 0))
+        value = dedekind_eta(z, EtaContext())       # cold multiplier cache
+        assert (value.real.hex(), value.imag.hex()) == (re, im), z
+        assert dedekind_eta(z) == value             # warm cache
+    assert signs == {-1, 0, 1}
+
+
+def test_warm_trajectory_walk_builds_no_group_element(monkeypatch):
+    from zetapath.sl2z import SHIFT_WORD
+    from zetapath.treepath import avatar_trajectory, build_path
+    path = build_path(SHIFT_WORD, samples=200)
+    table = load_table()
+    ctx = EtaContext()
+    first = avatar_trajectory(path, 41, ctx=ctx, table=table)
+    cold = [first[k] for k in range(201)]
+    built = []
+    post_init = GroupElem.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+    monkeypatch.setattr(GroupElem, "__post_init__", counting)
+    ctx.trajectory = None
+    again = avatar_trajectory(path, 41, ctx=ctx, table=table)
+    assert again is not first
+    assert [again[k] for k in range(201)] == cold
+    assert built == []
+
+
 TAU_INVARIANCE = [GroupElem(1, 0, 1, 1), GroupElem(2, 15, 1, 8)]
 LAMBDA_INVARIANCE = [GroupElem(1, 0, 1, 1), GroupElem(1, 15, 0, 1),
                      GroupElem(16, 15, 1, 1)]
@@ -331,7 +382,7 @@ def test_psi_phi_pole_guards():
             psi_phi(z, bad)
 
 
-def test_sigma_pole_guard_is_configurable(monkeypatch):
+def test_sigma_pole_guard_follows_the_module_constant(monkeypatch):
     monkeypatch.setattr(etaengine, "_POLE_TOL", 1e12)
     with pytest.raises(NearPole):
         sigma(0.1 + 1.2j, EtaContext())

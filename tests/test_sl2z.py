@@ -124,7 +124,7 @@ def test_k_key_matches_the_negation_definition():
             assert (coset_key(h) == (1, 0)) == _in_k_by_negation(h)
 
 
-def test_in_k_builds_no_group_element(monkeypatch):
+def test_coset_key_builds_no_group_element(monkeypatch):
     built = []
     post_init = GroupElem.__post_init__
 
