@@ -138,6 +138,7 @@ def _record_dict(rec: TraceRecord) -> dict:
             "steps": rec.steps, "halvings": rec.halvings,
             "zeta_evals": rec.zeta_evals,
             "zeta_reflected": rec.zeta_reflected,
+            "zeta_centres": rec.zeta_centres,
             "max_residual": rec.max_residual,
             "max_abs_avatar": rec.max_abs_avatar, "wall_time": rec.wall_time}
 
@@ -174,6 +175,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         "max_residual": summary.max_residual, "steps": summary.steps,
         "halvings": summary.halvings, "zeta_evals": summary.zeta_evals,
         "zeta_reflected": summary.zeta_reflected,
+        "zeta_centres": summary.zeta_centres,
         "wall_time": summary.wall_time, "emitted": args.emit}}))
     ok = summary.success_count == args.max_m and not summary.errors
     return 0 if ok else 1

@@ -18,7 +18,7 @@ from .etaengine import EtaContext, avatar_eval, z_eval, z_eval_from_seed
 from .sl2z import SHIFT_ELEMENT, SHIFT_WORD, CosetTable, load_table, mobius
 from .treepath import TreePath, avatar_trajectory, build_path, find_c
 from .zetafn import (
-    MAX_ZEROS, ZeroList, find_zeros, reflects, zeta_with_prime,
+    MAX_ZEROS, ZeroList, ZetaDisc, find_zeros, reflects, zeta_with_prime,
 )
 
 
@@ -55,6 +55,7 @@ class TraceRecord:
     halvings: int
     zeta_evals: int
     zeta_reflected: int
+    zeta_centres: int
 
 
 def _default_zeros(count: int) -> ZeroList:
@@ -101,7 +102,8 @@ def trace(m: int, path: TreePath | None = None,
     endpoint is matched against the zero list (_MATCH_TOL, _DOMINANCE),
     and the record counts its zeta_with_prime calls, the start derivative
     included, in zeta_evals, and those zeta evaluates through the
-    functional equation in zeta_reflected.
+    functional equation in zeta_reflected.  Every call shares one
+    ZetaDisc, and zeta_centres counts the expansions it built.
     """
     t_start = time.perf_counter()
     opts = opts or TraceOptions()
@@ -117,7 +119,8 @@ def trace(m: int, path: TreePath | None = None,
     if abs(w) > 1e-6:
         raise ValueError(f"avatar {n} is {abs(w):.2e} at the path start, so "
                          "the start pair does not satisfy the relation")
-    val, der_s = zeta_with_prime(s)
+    disc = ZetaDisc()
+    val, der_s = zeta_with_prime(s, disc)
     zeta_evals = 1
     zeta_reflected = int(reflects(s))
     if abs(der_s) < _DERIVATIVE_MIN:
@@ -150,7 +153,7 @@ def trace(m: int, path: TreePath | None = None,
                 # through the last three
                 s_try += 3.0 * errs[2] - 3.0 * errs[1] + errs[0]
             for _ in range(_NEWTON_MAX + 1):
-                val, der = zeta_with_prime(s_try)
+                val, der = zeta_with_prime(s_try, disc)
                 zeta_evals += 1
                 if reflects(s_try):
                     zeta_reflected += 1
@@ -192,7 +195,8 @@ def trace(m: int, path: TreePath | None = None,
                        max_residual=max_residual, max_abs_avatar=max_avatar,
                        wall_time=time.perf_counter() - t_start,
                        halvings=halvings, zeta_evals=zeta_evals,
-                       zeta_reflected=zeta_reflected)
+                       zeta_reflected=zeta_reflected,
+                       zeta_centres=disc.centres)
 
 
 class TraceFailure(NamedTuple):
@@ -219,6 +223,7 @@ class ExperimentSummary:
     halvings: int
     zeta_evals: int
     zeta_reflected: int
+    zeta_centres: int
 
 
 def run_experiment(max_m: int, path: TreePath | None = None,
@@ -258,7 +263,8 @@ def run_experiment(max_m: int, path: TreePath | None = None,
         steps=sum(r.steps for r in records),
         halvings=sum(r.halvings for r in records),
         zeta_evals=sum(r.zeta_evals for r in records),
-        zeta_reflected=sum(r.zeta_reflected for r in records))
+        zeta_reflected=sum(r.zeta_reflected for r in records),
+        zeta_centres=sum(r.zeta_centres for r in records))
 
 
 def verify_fixing(n: int = 41, table: CosetTable | None = None,

@@ -11,7 +11,8 @@ for each N they sum to N^(1-s) times one real polynomial of degree 49,
 built once and evaluated by Horner's rule.  Left of that
 line the alternating summands outgrow the value, so the evaluator
 reflects through the functional equation instead and keeps full relative
-accuracy there.
+accuracy there.  For runs of nearby evaluations, such as the tracer's, a
+ZetaDisc replaces the main sum by its Taylor series about a centre.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from pathlib import Path
 
 from .errors import MissedZero, MonotonicityError, ParseError, PoleAtOne
@@ -64,6 +66,10 @@ _ROSSER_ROUNDS = 4
 # Zero 350 sits near t = 612, inside the |Im s| <= 700 zeta contract.
 MAX_ZEROS = 350
 _REFLECT_RE = 0.4
+# A ZetaDisc serves the points within this distance of its centre, with
+# its Taylor remainder bounded by _DISC_TOL.
+_DISC_RADIUS = 0.1
+_DISC_TOL = 1e-17
 _LNPI = math.log(math.pi)
 _LN2PI = math.log(2.0 * math.pi)
 
@@ -100,26 +106,40 @@ def _em_poly(n: int) -> tuple[float, ...]:
     return tuple(x / scale for x in reversed(q)) + (0.0,)
 
 
-def _zeta_em(s: complex, want_prime: bool) -> tuple[complex, complex]:
-    """Euler-Maclaurin value and (optionally) derivative in one pass."""
-    if abs(s - 1.0) < _POLE_TOL:
-        raise PoleAtOne(f"zeta pole at s = 1 (given {s})")
-    n_cut = _term_count(s)
-    lns = _LN
+def _logs(n_cut: int) -> list[float]:
+    """ln n for n < n_cut, index n: the table, or past it a fresh list."""
     if n_cut > len(_LN):
-        lns = [0.0] + [math.log(n) for n in range(1, n_cut)]
+        return [0.0] + [math.log(n) for n in range(1, n_cut)]
+    return _LN
+
+
+def _main_sum(s: complex, want_prime: bool) -> tuple[int, complex, complex]:
+    """(N, sum_{n<N} n^(-s), its derivative) term by term, N the
+    truncation point _term_count(s)."""
+    n_cut = _term_count(s)
     exp = cmath.exp
     neg_s = -s
     total = 0j
     total_p = 0j
     if want_prime:
-        for ln_n in lns[1:n_cut]:
+        for ln_n in _logs(n_cut)[1:n_cut]:
             pw = exp(neg_s * ln_n)
             total += pw
             total_p -= ln_n * pw
     else:
-        for ln_n in lns[1:n_cut]:
+        for ln_n in _logs(n_cut)[1:n_cut]:
             total += exp(neg_s * ln_n)
+    return n_cut, total, total_p
+
+
+def _zeta_em(s: complex, want_prime: bool,
+             main_sum=_main_sum) -> tuple[complex, complex]:
+    """Euler-Maclaurin value and (optionally) derivative in one pass;
+    main_sum(s, want_prime) gives the truncation point N and the sum
+    below it."""
+    if abs(s - 1.0) < _POLE_TOL:
+        raise PoleAtOne(f"zeta pole at s = 1 (given {s})")
+    n_cut, total, total_p = main_sum(s, want_prime)
     ln_nc = math.log(n_cut)
     nc_pow = cmath.exp(-s * ln_nc)          # n_cut^(-s)
     nc_pow1 = nc_pow * n_cut                # n_cut^(1-s)
@@ -180,9 +200,10 @@ def _digamma(z: complex) -> complex:
     return cmath.log(z) - 0.5 / z + series + acc
 
 
-def _zeta_reflect(s: complex, want_prime: bool) -> tuple[complex, complex]:
+def _zeta_reflect(s: complex, want_prime: bool,
+                  main_sum=_main_sum) -> tuple[complex, complex]:
     """Functional-equation branch: evaluate at 1-s and multiply back."""
-    val, der = _zeta_em(1.0 - s, want_prime)
+    val, der = _zeta_em(1.0 - s, want_prime, main_sum)
     half = 0.5 * math.pi * s
     chi = cmath.exp(s * _LN2PI - _LNPI + _log_sin(half) + _log_gamma(1.0 - s))
     if not want_prime:
@@ -198,21 +219,91 @@ def reflects(s: complex) -> bool:
     return s.real < _REFLECT_RE and abs(s) > 0.5
 
 
-def _zeta_eval(s: complex, want_prime: bool) -> tuple[complex, complex]:
+def _zeta_eval(s: complex, want_prime: bool,
+               main_sum=_main_sum) -> tuple[complex, complex]:
     if reflects(s):
-        return _zeta_reflect(s, want_prime)
-    return _zeta_em(s, want_prime)
+        return _zeta_reflect(s, want_prime, main_sum)
+    return _zeta_em(s, want_prime, main_sum)
+
+
+class ZetaDisc:
+    """The Euler-Maclaurin main sum as a Taylor series about a centre, for
+    evaluations that move s a little at a time, as the tracer's do.
+
+    A disc centred at s0 serves the points s within _DISC_RADIUS of s0 on
+    the same side of `reflects`.  On that side the main sum is taken at
+    u = s (or 1 - s) about c = s0 (or 1 - s0):
+    sum_{n<N} n^(-u) = sum_{k<=K} a_k (u - c)^k,
+    a_k = (-1)^k sum_{n<N} n^(-c) (ln n)^k / k!, with N the truncation
+    point at height |Im c| + _DISC_RADIUS, so that it covers the whole
+    disc.  K is the first order whose remainder bound
+    S x^(K+1) / (K+1)! e^x, x = _DISC_RADIUS ln(N-1), S = sum n^(-Re c),
+    falls below _DISC_TOL.  Building costs the N exponentials of one
+    direct main sum and K+1 passes over the N terms; each evaluation then
+    costs two Horner passes of K+1 steps in u - c."""
+
+    def __init__(self) -> None:
+        self.centres = 0             # expansions built
+        self._s0 = complex("nan")    # covers nothing before the first
+        self._reflected = False
+        self._c = 0j
+        self._n_cut = 0
+        self._coeffs: tuple[complex, ...] = ()
+
+    def cover(self, s: complex) -> None:
+        """Re-centre the disc on s unless s already lies in it."""
+        side = reflects(s)
+        if side == self._reflected and abs(s - self._s0) <= _DISC_RADIUS:
+            return
+        c = 1.0 - s if side else s
+        n_cut = _term_count(complex(0.0, abs(c.imag) + _DISC_RADIUS))
+        lns = _logs(n_cut)[1:n_cut]
+        neg_c = -c
+        exp = cmath.exp
+        terms = [exp(neg_c * ln_n) for ln_n in lns]     # n^(-c)
+        x = _DISC_RADIUS * lns[-1]
+        bound = sum(map(abs, terms)) * math.exp(x) * x   # the bound at K = 0
+        order = 0
+        while bound >= _DISC_TOL:
+            order += 1
+            bound *= x / (order + 1)
+        coeffs = [sum(terms)]
+        scale = 1.0
+        for k in range(1, order + 1):
+            terms = list(map(mul, terms, lns))          # n^(-c) (ln n)^k
+            scale /= -k
+            coeffs.append(scale * sum(terms))
+        self._s0, self._reflected, self._c = s, side, c
+        self._n_cut = n_cut
+        self._coeffs = tuple(reversed(coeffs))
+        self.centres += 1
+
+    def main_sum(self, u: complex,
+                 _want_prime: bool) -> tuple[int, complex, complex]:
+        """(N, sum_{n<N} n^(-u), its derivative) from the expansion, the
+        derivative always; u is the Euler-Maclaurin argument of a point
+        the disc covers."""
+        d = u - self._c
+        p = dp = 0j
+        for a in self._coeffs:
+            dp = dp * d + p
+            p = p * d + a
+        return self._n_cut, p, dp
 
 
 def zeta(s: complex) -> complex:
     """zeta(s).
 
-    Measured absolute error stays under 1e-12 on the critical line through
-    |Im s| = 700 and throughout 0 <= Re s <= 30 for |Im s| <= 500; left of
-    Re s = 0.4 the reflected evaluation holds the error under 1e-12,
-    relative where |zeta| >= 1: at the points a trace of zero 250 visits
-    (t near 471, Re s down to -0.31) mpmath measured up to 9.6e-13 in the
-    value and 8.4e-13 in the derivative."""
+    Measured error is about 1e-12, relative where |zeta| >= 1, through
+    |Im s| = 700 on both branches: at the points a trace of zero 250
+    visits (t near 471, Re s down to -0.31) mpmath measured up to 9.6e-13
+    in the value and 8.4e-13 in the derivative.  Above Im s = 450 the
+    rounding of phases of a few thousand sets a floor near 1e-12 that
+    some points exceed: the value by 1.06e-12 at
+    0.2504015140262077+649.9581856853617i and 1.01e-12 at
+    -0.15679293990864085+592.5804965981979i, both reflected (through the
+    reflection factor), and the derivative by 1.19e-12 at
+    0.5868658594052902+465.7628128314928i, direct."""
     return _zeta_eval(complex(s), False)[0]
 
 
@@ -221,9 +312,18 @@ def zeta_prime(s: complex) -> complex:
     return _zeta_eval(complex(s), True)[1]
 
 
-def zeta_with_prime(s: complex) -> tuple[complex, complex]:
-    """(zeta(s), zeta'(s)) sharing one pass; the tracer's inner loop."""
-    return _zeta_eval(complex(s), True)
+def zeta_with_prime(s: complex,
+                    disc: ZetaDisc | None = None) -> tuple[complex, complex]:
+    """(zeta(s), zeta'(s)) sharing one pass; the tracer's inner loop.
+
+    With a disc, the main sum comes from the disc's expansion, re-centred
+    on s first when s lies outside it; the tail, the correction series
+    and the reflection factor are the same as without."""
+    s = complex(s)
+    if disc is None:
+        return _zeta_eval(s, True)
+    disc.cover(s)
+    return _zeta_eval(s, True, disc.main_sum)
 
 
 def _log_gamma(z: complex) -> complex:

@@ -161,6 +161,7 @@ def test_trace(capsys):
     assert out["halvings"] == 0
     assert out["steps"] < out["zeta_evals"] < 1.5 * out["steps"]
     assert 0 < out["zeta_reflected"] < out["zeta_evals"]
+    assert 0 < out["zeta_centres"] < out["zeta_evals"]
     assert out["max_residual"] < 1e-8
     assert abs(out["end_s"]["re"] - 0.5) < 1e-6
 
@@ -174,7 +175,8 @@ def test_experiment(capsys):
     summary = json.loads(lines[-1])["summary"]
     assert summary["success_count"] == 2
     assert summary["errors"] == []
-    for name in ("steps", "halvings", "zeta_evals", "zeta_reflected"):
+    for name in ("steps", "halvings", "zeta_evals", "zeta_reflected",
+                 "zeta_centres"):
         assert summary[name] == sum(r[name] for r in records)
 
 
@@ -215,7 +217,8 @@ def test_experiment_bounds(capsys, monkeypatch):
         asked.append(max_m)
         return ExperimentSummary(records=(), errors=(), success_count=max_m,
                                  max_residual=0.0, wall_time=0.0, steps=0,
-                                 halvings=0, zeta_evals=0, zeta_reflected=0)
+                                 halvings=0, zeta_evals=0, zeta_reflected=0,
+                                 zeta_centres=0)
     monkeypatch.setattr(cli, "run_experiment", stub)
     assert main(["experiment", "--max-m", str(MAX_ZEROS - 2)]) == 0
     assert asked == [MAX_ZEROS - 2]

@@ -80,6 +80,9 @@ def test_deep_trace_makes_about_one_zeta_evaluation_per_step():
     # the start derivative is counted too
     assert rec.steps < rec.zeta_evals < 1.5 * rec.steps
     assert rec.max_residual < TraceOptions().residual_tol
+    # one disc serves runs of evaluations: it is re-centred only when s
+    # moves out of it or across the reflection line
+    assert 0 < rec.zeta_centres < rec.zeta_evals / 20
 
 
 def test_zeta_matches_mpmath_where_the_tracer_evaluates(monkeypatch):
@@ -88,20 +91,21 @@ def test_zeta_matches_mpmath_where_the_tracer_evaluates(monkeypatch):
     for m in (1, 250):
         points = []
 
-        def recording(s, points=points):
-            points.append(s)
-            return zeta_with_prime(s)
+        def recording(s, disc=None, points=points):
+            val, der = zeta_with_prime(s, disc)
+            points.append((s, val, der))
+            return val, der
 
         monkeypatch.setattr(tracer, "zeta_with_prime", recording)
         trace(m, zeros=reference_zeros())
-        reflected = [s for s in points if reflects(s)]
-        direct = [s for s in points if not reflects(s)]
+        reflected = [p for p in points if reflects(p[0])]
+        direct = [p for p in points if not reflects(p[0])]
         assert reflected and direct
         picks += reflected[::len(reflected) // 10][:10]
         picks += direct[::len(direct) // 5][:5]
+    # the values the tracer received, read from its disc
     with mpmath.workdps(30):
-        for s in picks:
-            val, der = zeta_with_prime(s)
+        for s, val, der in picks:
             ref_val = complex(mpmath.zeta(s))
             ref_der = complex(mpmath.zeta(s, derivative=1))
             # relative where |zeta| >= 1; absolute nearer the zeros the
@@ -113,9 +117,9 @@ def test_zeta_matches_mpmath_where_the_tracer_evaluates(monkeypatch):
 def test_trace_counts_reflected_evaluations(zeros, monkeypatch):
     points = []
 
-    def recording(s):
+    def recording(s, disc=None):
         points.append(s)
-        return zeta_with_prime(s)
+        return zeta_with_prime(s, disc)
 
     monkeypatch.setattr(tracer, "zeta_with_prime", recording)
     rec = trace(1, zeros=zeros)
@@ -214,8 +218,8 @@ def test_trace_derivative_guard_mid_walk(zeros, monkeypatch):
     # walk meets passes the start and trips on the first evaluation below
     seen = []
 
-    def recording(s):
-        val, der = zeta_with_prime(s)
+    def recording(s, disc=None):
+        val, der = zeta_with_prime(s, disc)
         seen.append((s, abs(der)))
         return val, der
 
@@ -252,7 +256,8 @@ def test_experiment_small_sweep(zeros):
     assert summary.max_residual < 1e-8
     assert all(math.isfinite(r.wall_time) and r.wall_time > 0.0
                for r in summary.records)
-    for name in ("steps", "halvings", "zeta_evals", "zeta_reflected"):
+    for name in ("steps", "halvings", "zeta_evals", "zeta_reflected",
+                 "zeta_centres"):
         assert getattr(summary, name) == sum(getattr(r, name)
                                              for r in summary.records)
     assert 0 < summary.zeta_reflected < summary.zeta_evals
@@ -265,6 +270,7 @@ def test_experiment_empty():
     assert summary.success_count == 0
     assert summary.max_residual == 0.0
     assert summary.steps == summary.zeta_evals == summary.zeta_reflected == 0
+    assert summary.zeta_centres == 0
 
 
 def test_experiment_records_failures(zeros):
@@ -308,7 +314,7 @@ def test_experiment_beyond_200_zeros_runs(monkeypatch):
                            end_s=complex(0.5, zeros.gamma(m + 1)),
                            matched_index=m + 1, steps=0, max_residual=0.0,
                            max_abs_avatar=0.0, wall_time=0.0, halvings=0,
-                           zeta_evals=0, zeta_reflected=0)
+                           zeta_evals=0, zeta_reflected=0, zeta_centres=0)
     monkeypatch.setattr(tracer, "trace", landed)
     summary = run_experiment(250)
     assert summary.success_count == 250

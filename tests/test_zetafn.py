@@ -14,8 +14,8 @@ import pytest
 from zetapath import zetafn
 from zetapath.errors import MissedZero, MonotonicityError, ParseError, PoleAtOne
 from zetapath.zetafn import (
-    ZeroList, find_zeros, hardy_z, load_zeros, reference_zeros, reflects,
-    rs_theta, zeta, zeta_prime, zeta_with_prime,
+    ZeroList, ZetaDisc, find_zeros, hardy_z, load_zeros, reference_zeros,
+    reflects, rs_theta, zeta, zeta_prime, zeta_with_prime,
 )
 
 # Spot values frozen from an independent arbitrary-precision run.
@@ -202,6 +202,105 @@ def test_zeta_matches_mpmath_on_a_seeded_panel():
             ref_der = complex(mpmath.zeta(s, derivative=1))
             assert abs(val - ref_val) < 1e-12 * max(1.0, abs(ref_val)), s
             assert abs(der - ref_der) < 1e-12 * max(1.0, abs(ref_der)), s
+
+
+def _disc_pairs(seed, count):
+    """(s0, s): a disc centre with 14 <= Im s0 <= 620 on either branch, and
+    a point s on the same side of `reflects` within the disc's radius."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        s0 = complex(rng.uniform(-0.5, 1.5), rng.uniform(14.0, 620.0))
+        radius = rng.uniform(0.0, zetafn._DISC_RADIUS)
+        angle = rng.uniform(0.0, 2.0 * math.pi)
+        s = s0 + radius * complex(math.cos(angle), math.sin(angle))
+        if reflects(s) == reflects(s0):
+            pairs.append((s0, s))
+    assert any(reflects(s) for _, s in pairs)
+    assert not all(reflects(s) for _, s in pairs)
+    return pairs
+
+
+def _disc_eval(s0, s):
+    disc = ZetaDisc()
+    zeta_with_prime(s0, disc)
+    val, der = zeta_with_prime(s, disc)
+    assert disc.centres == 1
+    return val, der
+
+
+def test_disc_matches_mpmath_on_a_seeded_panel():
+    mpmath = pytest.importorskip("mpmath")
+    floor = []
+    with mpmath.workdps(30):
+        for s0, s in _disc_pairs(1979, 200):
+            ref_val = complex(mpmath.zeta(s))
+            ref_der = complex(mpmath.zeta(s, derivative=1))
+            tol_val = 1e-12 * max(1.0, abs(ref_val))
+            tol_der = 1e-12 * max(1.0, abs(ref_der))
+            val, der = _disc_eval(s0, s)
+            err_val, err_der = abs(val - ref_val), abs(der - ref_der)
+            direct_val, direct_der = zeta_with_prime(s)
+            direct_err_val = abs(direct_val - ref_val)
+            direct_err_der = abs(direct_der - ref_der)
+            if direct_err_val < tol_val and direct_err_der < tol_der:
+                assert err_val < tol_val and err_der < tol_der, s
+            else:
+                # the documented floor above Im s = 450, which the disc
+                # shares (here the reflection factor): it must add nothing
+                floor.append(s)
+                assert err_val < direct_err_val + 0.05 * tol_val, s
+                assert err_der < direct_err_der + 0.05 * tol_der, s
+    assert len(floor) <= 1 and all(s.imag > 450.0 for s in floor)
+
+
+def test_disc_agrees_with_the_direct_evaluation():
+    for s0, s in _disc_pairs(2010, 300):
+        val, der = _disc_eval(s0, s)
+        ref_val, ref_der = zeta_with_prime(s)
+        assert abs(val - ref_val) < 2e-12 * max(1.0, abs(ref_val)), s
+        assert abs(der - ref_der) < 2e-12 * max(1.0, abs(ref_der)), s
+
+
+def test_disc_recentres_when_s_leaves_it_or_crosses_reflects():
+    disc = ZetaDisc()
+    radius = zetafn._DISC_RADIUS
+    steps = [
+        (0.45 + 300.0j, 1),                 # the first centre
+        (0.45 + 300.0j + 0.9 * radius, 1),  # inside
+        (0.45 + 300.0j - 0.9j * radius, 1),
+        (0.45 + 300.0j + 1.1j * radius, 2),  # outside: re-centred on s
+        (0.45 + 300.0j + 1.6j * radius, 2),  # inside the new disc
+        (0.39 + 300.0j + 1.6j * radius, 3),  # inside, but it reflects
+        (0.41 + 300.0j + 1.6j * radius, 4),  # and back
+    ]
+    for s, centres in steps:
+        val, der = zeta_with_prime(s, disc)
+        assert disc.centres == centres, s
+        ref_val, ref_der = zeta_with_prime(s)
+        assert abs(val - ref_val) < 2e-12 * max(1.0, abs(ref_val)), s
+        assert abs(der - ref_der) < 2e-12 * max(1.0, abs(ref_der)), s
+
+
+def test_disc_keeps_the_pole_guard():
+    disc = ZetaDisc()
+    zeta_with_prime(1.05 + 0.0j, disc)
+    with pytest.raises(PoleAtOne):
+        zeta_with_prime(1.0 + 1e-14j, disc)
+    with pytest.raises(PoleAtOne):
+        zeta_with_prime(1.0, ZetaDisc())
+
+
+def test_import_builds_no_disc():
+    # discs belong to their callers: a fresh interpreter holds none after
+    # the import or after disc-less evaluations
+    code = ("import gc, zetapath.zetafn as z; "
+            "z.zeta_with_prime(0.3 + 541.8j); z.zeta(0.5 + 14.13j); "
+            "assert not any(isinstance(o, z.ZetaDisc) "
+            "for o in gc.get_objects())")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
 
 
 def test_reflects_is_the_branch_rule():
