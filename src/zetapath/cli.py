@@ -221,6 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", help="write the JSON result to this file")
     p.set_defaults(func=_cmd_zeros)
 
+    opts = TraceOptions()    # the defaults of --tol-residual and --pole-cap
     for name, help_text in (("trace", "continue one zero along the path"),
                             ("experiment", "run the m-sweep experiment")):
         p = sub.add_parser(name, help=help_text)
@@ -229,8 +230,8 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--max-m", type=int, required=True)
         p.add_argument("--samples", type=int, default=2000)
-        p.add_argument("--tol-residual", type=float, default=1e-10)
-        p.add_argument("--pole-cap", type=float, default=1e6)
+        p.add_argument("--tol-residual", type=float, default=opts.residual_tol)
+        p.add_argument("--pole-cap", type=float, default=opts.pole_cap)
         p.add_argument("--zeros-file", help="ordinate file instead of "
                                             "computed zeros")
         p.add_argument("--emit", help="write JSON-line records to this file")

@@ -122,7 +122,6 @@ class QuadNum:
         return f"{self.a} + {self.b}*sqrt5"
 
 
-ZERO = QuadNum(0)
 ONE = QuadNum(1)
 SQRT5 = QuadNum(0, 1)
 PHI = QuadNum(Fraction(1, 2), Fraction(1, 2))  # golden ratio
@@ -405,9 +404,7 @@ def exact_j_target() -> dict:
 
     There the degree-4 hauptmodul value is ALPHA_P, the square function
     vanishes, the degree-6 quotient equals (5 sqrt5 - 25)/2, and the
-    j-invariant works out to 135(637 sqrt5 - 1415)/2.  A sign-flipped
-    variant of that closed form floats to a much larger number; both are
-    reported so downstream checks can state which one is in use.
+    j-invariant works out to 135(637 sqrt5 - 1415)/2.
     """
     t = ALPHA_P
     # (t^4 - 9 t^3 - 9 t - 1) / (2 t), the square-free part of the
@@ -415,7 +412,6 @@ def exact_j_target() -> dict:
     numer = t ** 4 - QuadNum(9) * t ** 3 - QuadNum(9) * t - ONE
     t5 = numer / (QuadNum(2) * t)
     j = (t5 * t5 + QuadNum(10) * t5 + QuadNum(5)) ** 3 / t5
-    j_alt = QuadNum(135) * (QuadNum(Fraction(1415, 2)) + QuadNum(0, Fraction(637, 2)))
     assert t5 == QuadNum(Fraction(-25, 2), Fraction(5, 2))
     assert j == QuadNum(Fraction(-191025, 2), Fraction(85995, 2))
     return {
@@ -424,7 +420,6 @@ def exact_j_target() -> dict:
         "tau5_float": float(t5),
         "j": j,
         "j_float": float(j),
-        "j_alternate_float": float(j_alt),
     }
 
 
@@ -452,6 +447,5 @@ def run_symbolic_suite() -> dict:
             "tau": str(tgt["tau"]),
             "tau5": tgt["tau5_float"],
             "j_target": tgt["j_float"],
-            "j_target_alternate_form": tgt["j_alternate_float"],
         },
     }

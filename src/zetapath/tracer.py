@@ -18,7 +18,7 @@ from .etaengine import EtaContext, avatar_eval, z_eval, z_eval_from_seed
 from .sl2z import SHIFT_ELEMENT, SHIFT_WORD, CosetTable, load_table, mobius
 from .treepath import TreePath, avatar_trajectory, build_path, find_c
 from .zetafn import (
-    MAX_ZEROS, ZeroList, ZetaDisc, find_zeros, reflects, zeta_with_prime,
+    MAX_ZEROS, ZeroList, ZetaDisc, find_zeros, zeta_with_prime,
 )
 
 
@@ -79,6 +79,17 @@ def _match(s: complex, zeros: ZeroList) -> int | None:
     return None
 
 
+def _zeta_checked(s: complex, disc: ZetaDisc,
+                  t: float) -> tuple[complex, complex]:
+    """zeta_with_prime(s, disc), raising DerivativeSmall at path
+    parameter t where |zeta'| < _DERIVATIVE_MIN."""
+    val, der = zeta_with_prime(s, disc)
+    if abs(der) < _DERIVATIVE_MIN:
+        raise DerivativeSmall(f"|zeta'| = {abs(der):.2e} at s = {s:.6f}, "
+                              f"t={t:.6f}", t=t, s=s)
+    return val, der
+
+
 def trace(m: int, path: TreePath | None = None,
           opts: TraceOptions | None = None, zeros: ZeroList | None = None,
           n: int = 41, ctx: EtaContext | None = None,
@@ -98,12 +109,12 @@ def trace(m: int, path: TreePath | None = None,
     by more than _DS_MAX, and the next step aims at the grid point again;
     a halving empties the error history.  A step below _DT_MIN raises
     StepCollapse, any evaluation with |zeta'| < _DERIVATIVE_MIN
-    DerivativeSmall, and an avatar modulus above pole_cap Blocked.  The
-    endpoint is matched against the zero list (_MATCH_TOL, _DOMINANCE),
-    and the record counts its zeta_with_prime calls, the start derivative
-    included, in zeta_evals, and those zeta evaluates through the
-    functional equation in zeta_reflected.  Every call shares one
-    ZetaDisc, and zeta_centres counts the expansions it built.
+    DerivativeSmall (_zeta_checked), and an avatar modulus above pole_cap
+    Blocked.  The endpoint is matched against the zero list (_MATCH_TOL,
+    _DOMINANCE).  Every zeta_with_prime call, the start derivative
+    included, goes through one ZetaDisc, and the record reads its counts
+    from it: zeta_evals, zeta_reflected (those through the functional
+    equation) and zeta_centres (the expansions it built).
     """
     t_start = time.perf_counter()
     opts = opts or TraceOptions()
@@ -120,12 +131,7 @@ def trace(m: int, path: TreePath | None = None,
         raise ValueError(f"avatar {n} is {abs(w):.2e} at the path start, so "
                          "the start pair does not satisfy the relation")
     disc = ZetaDisc()
-    val, der_s = zeta_with_prime(s, disc)
-    zeta_evals = 1
-    zeta_reflected = int(reflects(s))
-    if abs(der_s) < _DERIVATIVE_MIN:
-        raise DerivativeSmall(f"|zeta'| = {abs(der_s):.2e} at s = {s:.6f}",
-                              t=0.0, s=s)
+    val, der_s = _zeta_checked(s, disc, 0.0)
     # the predictor works from the Newton-refined point, which is free
     # given val and der_s; the verified s keeps up to residual_tol of
     # noise, and the extrapolation below would amplify it
@@ -153,14 +159,7 @@ def trace(m: int, path: TreePath | None = None,
                 # through the last three
                 s_try += 3.0 * errs[2] - 3.0 * errs[1] + errs[0]
             for _ in range(_NEWTON_MAX + 1):
-                val, der = zeta_with_prime(s_try, disc)
-                zeta_evals += 1
-                if reflects(s_try):
-                    zeta_reflected += 1
-                if abs(der) < _DERIVATIVE_MIN:
-                    raise DerivativeSmall(f"|zeta'| = {abs(der):.2e} at "
-                                          f"s = {s_try:.6f}, t={t_next:.6f}",
-                                          t=t_next, s=s_try)
+                val, der = _zeta_checked(s_try, disc, t_next)
                 resid = abs(val - w_next)
                 if resid < opts.residual_tol:
                     break
@@ -194,8 +193,8 @@ def trace(m: int, path: TreePath | None = None,
                        matched_index=_match(s, zeros), steps=steps,
                        max_residual=max_residual, max_abs_avatar=max_avatar,
                        wall_time=time.perf_counter() - t_start,
-                       halvings=halvings, zeta_evals=zeta_evals,
-                       zeta_reflected=zeta_reflected,
+                       halvings=halvings, zeta_evals=disc.evals,
+                       zeta_reflected=disc.reflected,
                        zeta_centres=disc.centres)
 
 

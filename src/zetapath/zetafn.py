@@ -12,7 +12,7 @@ built once and evaluated by Horner's rule.  Left of that
 line the alternating summands outgrow the value, so the evaluator
 reflects through the functional equation instead and keeps full relative
 accuracy there.  For runs of nearby evaluations, such as the tracer's, a
-ZetaDisc replaces the main sum by its Taylor series about a centre.
+ZetaDisc evaluates zeta from its Taylor series of the main sum.
 """
 
 from __future__ import annotations
@@ -132,14 +132,13 @@ def _main_sum(s: complex, want_prime: bool) -> tuple[int, complex, complex]:
     return n_cut, total, total_p
 
 
-def _zeta_em(s: complex, want_prime: bool,
-             main_sum=_main_sum) -> tuple[complex, complex]:
-    """Euler-Maclaurin value and (optionally) derivative in one pass;
-    main_sum(s, want_prime) gives the truncation point N and the sum
-    below it."""
+def _zeta_em(s: complex, want_prime: bool, n_cut: int, total: complex,
+             total_p: complex) -> tuple[complex, complex]:
+    """Euler-Maclaurin value and (optionally) derivative, finished from
+    the main sum below the truncation point N = n_cut (total, and its
+    derivative total_p): the tail, N^(-s)/2 and the correction series."""
     if abs(s - 1.0) < _POLE_TOL:
         raise PoleAtOne(f"zeta pole at s = 1 (given {s})")
-    n_cut, total, total_p = main_sum(s, want_prime)
     ln_nc = math.log(n_cut)
     nc_pow = cmath.exp(-s * ln_nc)          # n_cut^(-s)
     nc_pow1 = nc_pow * n_cut                # n_cut^(1-s)
@@ -200,10 +199,11 @@ def _digamma(z: complex) -> complex:
     return cmath.log(z) - 0.5 / z + series + acc
 
 
-def _zeta_reflect(s: complex, want_prime: bool,
-                  main_sum=_main_sum) -> tuple[complex, complex]:
-    """Functional-equation branch: evaluate at 1-s and multiply back."""
-    val, der = _zeta_em(1.0 - s, want_prime, main_sum)
+def _reflect(s: complex, want_prime: bool, val: complex,
+             der: complex) -> tuple[complex, complex]:
+    """(zeta(s), zeta'(s)) from val = zeta(1-s) and der = zeta'(1-s)
+    through the functional equation zeta(s) = chi(s) zeta(1-s), with
+    (log chi)'(s) on the derivative path."""
     half = 0.5 * math.pi * s
     chi = cmath.exp(s * _LN2PI - _LNPI + _log_sin(half) + _log_gamma(1.0 - s))
     if not want_prime:
@@ -219,11 +219,12 @@ def reflects(s: complex) -> bool:
     return s.real < _REFLECT_RE and abs(s) > 0.5
 
 
-def _zeta_eval(s: complex, want_prime: bool,
-               main_sum=_main_sum) -> tuple[complex, complex]:
-    if reflects(s):
-        return _zeta_reflect(s, want_prime, main_sum)
-    return _zeta_em(s, want_prime, main_sum)
+def _zeta_eval(s: complex, want_prime: bool) -> tuple[complex, complex]:
+    """(zeta(s), zeta'(s) or 0) from the term-by-term main sum."""
+    side = reflects(s)
+    u = 1.0 - s if side else s
+    val, der = _zeta_em(u, want_prime, *_main_sum(u, want_prime))
+    return _reflect(s, want_prime, val, der) if side else (val, der)
 
 
 class ZetaDisc:
@@ -240,55 +241,57 @@ class ZetaDisc:
     S x^(K+1) / (K+1)! e^x, x = _DISC_RADIUS ln(N-1), S = sum n^(-Re c),
     falls below _DISC_TOL.  Building costs the N exponentials of one
     direct main sum and K+1 passes over the N terms; each evaluation then
-    costs two Horner passes of K+1 steps in u - c."""
+    costs two Horner passes of K+1 steps in u - c, then the finish and
+    the reflection factor of the disc-less path.  zeta_with_prime(s, disc)
+    evaluates through the disc, which counts its evaluations (evals),
+    those that reflect (reflected) and its expansions (centres)."""
 
     def __init__(self) -> None:
-        self.centres = 0             # expansions built
+        self.evals = self.reflected = self.centres = 0
         self._s0 = complex("nan")    # covers nothing before the first
         self._reflected = False
         self._c = 0j
         self._n_cut = 0
         self._coeffs: tuple[complex, ...] = ()
 
-    def cover(self, s: complex) -> None:
-        """Re-centre the disc on s unless s already lies in it."""
+    def _evaluate(self, s: complex) -> tuple[complex, complex]:
+        """(zeta(s), zeta'(s)), re-centring the disc on s first unless s
+        lies in it."""
         side = reflects(s)
-        if side == self._reflected and abs(s - self._s0) <= _DISC_RADIUS:
-            return
-        c = 1.0 - s if side else s
-        n_cut = _term_count(complex(0.0, abs(c.imag) + _DISC_RADIUS))
-        lns = _logs(n_cut)[1:n_cut]
-        neg_c = -c
-        exp = cmath.exp
-        terms = [exp(neg_c * ln_n) for ln_n in lns]     # n^(-c)
-        x = _DISC_RADIUS * lns[-1]
-        bound = sum(map(abs, terms)) * math.exp(x) * x   # the bound at K = 0
-        order = 0
-        while bound >= _DISC_TOL:
-            order += 1
-            bound *= x / (order + 1)
-        coeffs = [sum(terms)]
-        scale = 1.0
-        for k in range(1, order + 1):
-            terms = list(map(mul, terms, lns))          # n^(-c) (ln n)^k
-            scale /= -k
-            coeffs.append(scale * sum(terms))
-        self._s0, self._reflected, self._c = s, side, c
-        self._n_cut = n_cut
-        self._coeffs = tuple(reversed(coeffs))
-        self.centres += 1
-
-    def main_sum(self, u: complex,
-                 _want_prime: bool) -> tuple[int, complex, complex]:
-        """(N, sum_{n<N} n^(-u), its derivative) from the expansion, the
-        derivative always; u is the Euler-Maclaurin argument of a point
-        the disc covers."""
+        # `not <=`: the NaN centre of a fresh disc covers no point
+        if side != self._reflected or not abs(s - self._s0) <= _DISC_RADIUS:
+            c = 1.0 - s if side else s
+            n_cut = _term_count(complex(0.0, abs(c.imag) + _DISC_RADIUS))
+            lns = _logs(n_cut)[1:n_cut]
+            neg_c = -c
+            exp = cmath.exp
+            terms = [exp(neg_c * ln_n) for ln_n in lns]     # n^(-c)
+            x = _DISC_RADIUS * lns[-1]
+            bound = sum(map(abs, terms)) * math.exp(x) * x   # at K = 0
+            order = 0
+            while bound >= _DISC_TOL:
+                order += 1
+                bound *= x / (order + 1)
+            coeffs = [sum(terms)]
+            scale = 1.0
+            for k in range(1, order + 1):
+                terms = list(map(mul, terms, lns))          # n^(-c) (ln n)^k
+                scale /= -k
+                coeffs.append(scale * sum(terms))
+            self._s0, self._reflected, self._c = s, side, c
+            self._n_cut = n_cut
+            self._coeffs = tuple(reversed(coeffs))
+            self.centres += 1
+        self.evals += 1
+        self.reflected += side
+        u = 1.0 - s if side else s
         d = u - self._c
         p = dp = 0j
         for a in self._coeffs:
             dp = dp * d + p
             p = p * d + a
-        return self._n_cut, p, dp
+        val, der = _zeta_em(u, True, self._n_cut, p, dp)
+        return _reflect(s, True, val, der) if side else (val, der)
 
 
 def zeta(s: complex) -> complex:
@@ -307,23 +310,18 @@ def zeta(s: complex) -> complex:
     return _zeta_eval(complex(s), False)[0]
 
 
-def zeta_prime(s: complex) -> complex:
-    """zeta'(s) by the differentiated sum, not finite differences."""
-    return _zeta_eval(complex(s), True)[1]
-
-
 def zeta_with_prime(s: complex,
                     disc: ZetaDisc | None = None) -> tuple[complex, complex]:
-    """(zeta(s), zeta'(s)) sharing one pass; the tracer's inner loop.
+    """(zeta(s), zeta'(s)) sharing one pass, zeta' by the differentiated
+    sum; the tracer's inner loop.
 
-    With a disc, the main sum comes from the disc's expansion, re-centred
-    on s first when s lies outside it; the tail, the correction series
-    and the reflection factor are the same as without."""
+    A disc evaluates s itself, and counts it: its expansion, re-centred
+    on s first when s lies outside it, replaces the main sum; the tail,
+    the correction series and the reflection factor are as without."""
     s = complex(s)
     if disc is None:
         return _zeta_eval(s, True)
-    disc.cover(s)
-    return _zeta_eval(s, True, disc.main_sum)
+    return disc._evaluate(s)
 
 
 def _log_gamma(z: complex) -> complex:
@@ -493,7 +491,7 @@ def find_zeros(count: int) -> ZeroList:
     kept = [_illinois(*bracket) for bracket in brackets[:count]]
     for g in kept:
         # simple-zero sanity: the continuation divides by zeta' here
-        if abs(zeta_prime(0.5 + 1j * g)) <= 1e-3:
+        if abs(zeta_with_prime(0.5 + 1j * g)[1]) <= 1e-3:
             raise MissedZero(f"derivative too small at ordinate {g:.9f}; "
                              f"zero may be multiple or misplaced")
     return ZeroList(tuple(kept), source="computed")

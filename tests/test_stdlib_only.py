@@ -1,6 +1,8 @@
-"""The runtime imports nothing outside the standard library."""
+"""Package hygiene: the runtime imports nothing outside the standard
+library, and every top-level name of the package is used somewhere."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -22,3 +24,48 @@ def test_package_imports_only_the_standard_library():
             foreign += [(src.name, name) for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names]
     assert foreign == []
+
+
+ROOT = PACKAGE.parents[1]
+
+
+def _top_level_names(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            yield from (sub.id for sub in ast.walk(node)
+                        if isinstance(sub, ast.Name)
+                        and isinstance(sub.ctx, ast.Store))
+
+
+def _references(tree):
+    """Names a module reads: loaded names, attributes, imported names, and
+    string constants spelt as one identifier (monkeypatch.setattr)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.isidentifier()):
+            yield node.value
+
+
+def test_every_top_level_name_is_used():
+    # a top-level name of the package that nothing in src/, tests/,
+    # perfbench/ or the README reads is dead weight
+    used = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            used.update(_references(ast.parse(path.read_text(), str(path))))
+    used.update(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    unused = [f"{src.stem}.{name}"
+              for src in sorted(PACKAGE.glob("*.py"))
+              for name in _top_level_names(ast.parse(src.read_text()))
+              if not (name.startswith("__") and name.endswith("__"))
+              and name not in used]
+    assert unused == []

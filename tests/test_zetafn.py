@@ -15,7 +15,7 @@ from zetapath import zetafn
 from zetapath.errors import MissedZero, MonotonicityError, ParseError, PoleAtOne
 from zetapath.zetafn import (
     ZeroList, ZetaDisc, find_zeros, hardy_z, load_zeros, reference_zeros,
-    reflects, rs_theta, zeta, zeta_prime, zeta_with_prime,
+    reflects, rs_theta, zeta, zeta_with_prime,
 )
 
 # Spot values frozen from an independent arbitrary-precision run.
@@ -57,10 +57,10 @@ def test_trivial_zeros():
 def test_left_plane_derivative():
     ref = complex(-46.858953538477582, -6.8347720425864007)
     s = complex(-3.0, 18.2)
-    assert abs(zeta_prime(s) - ref) / abs(ref) < 1e-12
+    assert abs(zeta_with_prime(s)[1] - ref) / abs(ref) < 1e-12
     h = 1e-6
     fd = (zeta(s + h) - zeta(s - h)) / (2.0 * h)
-    assert abs(zeta_prime(s) - fd) / abs(ref) < 1e-7
+    assert abs(zeta_with_prime(s)[1] - fd) / abs(ref) < 1e-7
     assert abs(zeta(s.conjugate()) - zeta(s).conjugate()) < 1e-12
 
 
@@ -69,21 +69,21 @@ def test_classical_values():
     assert abs(zeta(0.0) + 0.5) < 1e-12
     assert abs(zeta(-1.0) + 1.0 / 12.0) < 1e-12
     assert abs(zeta(4.0) - math.pi ** 4 / 90.0) < 1e-12
-    assert abs(zeta_prime(0.0) + 0.5 * math.log(2.0 * math.pi)) < 1e-12
+    assert abs(zeta_with_prime(0.0)[1] + 0.5 * math.log(2.0 * math.pi)) < 1e-12
 
 
 def test_derivative_against_finite_difference():
     s = 2.0 + 3.0j
     h = 1e-6
     fd = (zeta(s + h) - zeta(s - h)) / (2.0 * h)
-    assert abs(zeta_prime(s) - fd) < 1e-8
+    assert abs(zeta_with_prime(s)[1] - fd) < 1e-8
 
 
 def test_shared_pass_matches_separate_calls():
     s = 0.3 + 41.7j
     v, vp = zeta_with_prime(s)
     assert v == zeta(s)
-    assert vp == zeta_prime(s)
+    assert vp == zeta_with_prime(s)[1]
 
 
 def test_conjugation_symmetry():
@@ -265,18 +265,21 @@ def test_disc_agrees_with_the_direct_evaluation():
 def test_disc_recentres_when_s_leaves_it_or_crosses_reflects():
     disc = ZetaDisc()
     radius = zetafn._DISC_RADIUS
+    # (s, centres, reflected) after each evaluation
     steps = [
-        (0.45 + 300.0j, 1),                 # the first centre
-        (0.45 + 300.0j + 0.9 * radius, 1),  # inside
-        (0.45 + 300.0j - 0.9j * radius, 1),
-        (0.45 + 300.0j + 1.1j * radius, 2),  # outside: re-centred on s
-        (0.45 + 300.0j + 1.6j * radius, 2),  # inside the new disc
-        (0.39 + 300.0j + 1.6j * radius, 3),  # inside, but it reflects
-        (0.41 + 300.0j + 1.6j * radius, 4),  # and back
+        (0.45 + 300.0j, 1, 0),                 # the first centre
+        (0.45 + 300.0j + 0.9 * radius, 1, 0),  # inside
+        (0.45 + 300.0j - 0.9j * radius, 1, 0),
+        (0.45 + 300.0j + 1.1j * radius, 2, 0),  # outside: re-centred on s
+        (0.45 + 300.0j + 1.6j * radius, 2, 0),  # inside the new disc
+        (0.39 + 300.0j + 1.6j * radius, 3, 1),  # inside, but it reflects
+        (0.39 + 300.0j + 1.7j * radius, 3, 2),  # inside the reflected disc
+        (0.41 + 300.0j + 1.6j * radius, 4, 2),  # and back
     ]
-    for s, centres in steps:
+    for evals, (s, centres, reflected) in enumerate(steps, start=1):
         val, der = zeta_with_prime(s, disc)
-        assert disc.centres == centres, s
+        assert (disc.evals, disc.centres, disc.reflected) == \
+            (evals, centres, reflected), s
         ref_val, ref_der = zeta_with_prime(s)
         assert abs(val - ref_val) < 2e-12 * max(1.0, abs(ref_val)), s
         assert abs(der - ref_der) < 2e-12 * max(1.0, abs(ref_der)), s
@@ -303,21 +306,74 @@ def test_import_builds_no_disc():
                    env={**os.environ, "PYTHONPATH": src})
 
 
+# (s, float.hex of Re, Im of zeta(s) and of zeta'(s) without a disc, the
+# same through a disc centred at s - 0.05i), frozen on the direct (0.5)
+# and the reflected (0.3) branch at three heights.  A change meant to move
+# these bits, such as a new reflection factor, re-freezes them.
+ZETA_HEX = [
+    (0.5 + 14.13j,
+     ("0x1.38843111b1370p-11", "-0x1.e4c8e0ce67b0bp-9",
+      "0x1.907d3d7653703p-1", "0x1.0552d7f8bee0bp-3"),
+     ("0x1.38843111acf70p-11", "-0x1.e4c8e0ce6700bp-9",
+      "0x1.907d3d7653727p-1", "0x1.0552d7f8bed5bp-3")),
+    (0.5 + 77.1j,
+     ("0x1.a303238e45b2bp-6", "-0x1.e440a75db1fd6p-5",
+      "0x1.440a4357cfa8bp+0", "0x1.456d6b23730e3p-1"),
+     ("0x1.a303238e4465bp-6", "-0x1.e440a75db18bep-5",
+      "0x1.440a4357cfb5bp+0", "0x1.456d6b2372ff5p-1")),
+    (0.5 + 541.8j,
+     ("0x1.9ba840c9ca0c0p-3", "0x1.09fb309cd82bdp-6",
+      "-0x1.8b092d9abcb6dp-1", "0x1.fc3e9ed25c6cbp+1"),
+     ("0x1.9ba840c9ca521p-3", "0x1.09fb309cc5009p-6",
+      "-0x1.8b092d9abd42ap-1", "0x1.fc3e9ed25d062p+1")),
+    (0.3 + 14.13j,
+     ("-0x1.5999c7036c3a0p-3", "-0x1.191dfcb983bccp-5",
+      "0x1.d44805335ec1dp-1", "0x1.72b4b69c76770p-3"),
+     ("-0x1.5999c7036c377p-3", "-0x1.191dfcb983b56p-5",
+      "0x1.d44805335ec26p-1", "0x1.72b4b69c767eap-3")),
+    (0.3 + 77.1j,
+     ("-0x1.2e50ccf281d51p-2", "-0x1.fab15590797a7p-3",
+      "0x1.0132319dc9622p+1", "0x1.5109c82fede40p+0"),
+     ("-0x1.2e50ccf281d19p-2", "-0x1.fab155907944fp-3",
+      "0x1.0132319dc9628p+1", "0x1.5109c82fede1fp+0")),
+    (0.3 + 541.8j,
+     ("0x1.74766d8beca81p-1", "-0x1.363effb5e1226p+0",
+      "-0x1.53c809d134740p+2", "0x1.1bc01713f586ap+3"),
+     ("0x1.74766d8bec8c2p-1", "-0x1.363effb5e0d02p+0",
+      "-0x1.53c809d134624p+2", "0x1.1bc01713f5847p+3")),
+]
+
+
+def test_zeta_is_bitwise_frozen_on_a_branch_panel():
+    for s, direct, through_disc in ZETA_HEX:
+        disc = ZetaDisc()
+        zeta_with_prime(s - 0.05j, disc)
+        for (val, der), frozen in ((zeta_with_prime(s), direct),
+                                   (zeta_with_prime(s, disc), through_disc)):
+            got = tuple(x.hex() for z in (val, der) for x in (z.real, z.imag))
+            assert got == frozen, s
+        assert disc.centres == 1
+        assert zeta(s) == zeta_with_prime(s)[0]
+
+
 def test_reflects_is_the_branch_rule():
     assert reflects(0.3 + 14.0j) and reflects(-2.5 + 0.0j)
     assert not reflects(0.4 + 14.0j)
     # near the origin the reflected argument 1-s would sit by the pole
     assert not reflects(0.0j) and not reflects(0.2 + 0.2j)
     for s in (0.3 + 41.7j, 0.7 + 41.7j):
-        branch = zetafn._zeta_reflect if reflects(s) else zetafn._zeta_em
-        assert zeta_with_prime(s) == branch(s, True)
+        u = 1.0 - s if reflects(s) else s
+        branch = zetafn._zeta_em(u, True, *zetafn._main_sum(u, True))
+        if reflects(s):
+            branch = zetafn._reflect(s, True, *branch)
+        assert zeta_with_prime(s) == branch
 
 
 def test_pole_guard():
     with pytest.raises(PoleAtOne):
         zeta(1.0)
     with pytest.raises(PoleAtOne):
-        zeta_prime(1.0 + 1e-14j)
+        zeta_with_prime(1.0 + 1e-14j)[1]
 
 
 def test_hardy_function_is_real_on_samples():
