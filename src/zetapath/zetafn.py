@@ -12,7 +12,9 @@ built once and evaluated by Horner's rule.  Left of that
 line the alternating summands outgrow the value, so the evaluator
 reflects through the functional equation instead and keeps full relative
 accuracy there.  For runs of nearby evaluations, such as the tracer's, a
-ZetaDisc evaluates zeta from its Taylor series of the main sum.
+ZetaDisc evaluates zeta from one Taylor series of the whole approximant
+about a centre, and on the reflected side from a Taylor polynomial of
+log Gamma about it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import accumulate
+from operator import add, mul
 from pathlib import Path
 
 from .errors import MissedZero, MonotonicityError, ParseError, PoleAtOne
@@ -51,6 +54,8 @@ _STIRLING = tuple(float(_BERNOULLI[j]) / ((2 * (j + 1)) * (2 * (j + 1) - 1))
                   for j in range(8))
 # B_2j / 2j for the digamma asymptotic series, j = 1..8.
 _DIGAMMA_COEFFS = tuple(float(_BERNOULLI[j]) / (2 * (j + 1)) for j in range(8))
+# B_2j / 2, j = 1..8, for the polygamma asymptotic series (_log_gamma_taylor).
+_POLYGAMMA_COEFFS = tuple(float(b) / 2.0 for b in _BERNOULLI[:8])
 # The correction polynomial of _em_poly, per truncation point N, built
 # when N is first met.
 _EM_POLYS: dict[int, tuple[float, ...]] = {}
@@ -106,6 +111,51 @@ def _em_poly(n: int) -> tuple[float, ...]:
     return tuple(x / scale for x in reversed(q)) + (0.0,)
 
 
+def _correction_poly(n: int) -> tuple[float, ...]:
+    """_em_poly(n), built when n is first met and kept in _EM_POLYS."""
+    poly = _EM_POLYS.get(n)
+    if poly is None:
+        poly = _EM_POLYS[n] = _em_poly(n)
+    return poly
+
+
+def _correction_taylor(n: int, c: complex, order: int,
+                       tol: float) -> list[complex]:
+    """Taylor coefficients p_0, p_1, ... of P_n(u) about c, lowest first,
+    to the orders that reach tol on the disc |u - c| <= _DISC_RADIUS.
+
+    There |u| <= rho = |c| + _DISC_RADIUS, so the leading coefficients
+    whose terms |p_m| rho^m sum below tol are dropped; of the degree M
+    left, with A = sum |p_m| rho^m, the k-th Taylor term is at most
+    A y^k / k!, y = M _DISC_RADIUS / rho, and the orders past the first
+    k whose remainder bound A y^(k+1)/(k+1)! e^y falls below tol (and
+    past `order`) are not formed.  Each kept order is one synthetic
+    division by u - c."""
+    poly = _correction_poly(n)
+    rho = abs(c) + _DISC_RADIUS
+    sizes = [abs(a) * rho ** m
+             for m, a in zip(range(len(poly) - 1, -1, -1), poly)]
+    top = sum(1 for head in accumulate(sizes) if head < tol)
+    poly = poly[top:]
+    y = (len(poly) - 1) * _DISC_RADIUS / rho
+    bound = sum(sizes[top:]) * math.exp(y) * y           # at k = 0
+    last = min(order, len(poly) - 1)
+    k = 0
+    while bound >= tol and k < last:
+        k += 1
+        bound *= y / (k + 1)
+    coeffs = []
+    for _ in range(k + 1):
+        acc = 0j
+        quotient = []
+        for a in poly:
+            acc = acc * c + a
+            quotient.append(acc)
+        coeffs.append(quotient.pop())
+        poly = quotient
+    return coeffs
+
+
 def _logs(n_cut: int) -> list[float]:
     """ln n for n < n_cut, index n: the table, or past it a fresh list."""
     if n_cut > len(_LN):
@@ -148,9 +198,7 @@ def _zeta_em(s: complex, want_prime: bool, n_cut: int, total: complex,
         total_p += tail * (-ln_nc - 1.0 / (s - 1.0)) - ln_nc * nc_pow / 2.0
     # The correction series is n_cut^(1-s) P(s); Horner's rule gives P
     # and, alongside, P'.
-    poly = _EM_POLYS.get(n_cut)
-    if poly is None:
-        poly = _EM_POLYS[n_cut] = _em_poly(n_cut)
+    poly = _correction_poly(n_cut)
     p = 0j
     if want_prime:
         dp = 0j
@@ -199,6 +247,44 @@ def _digamma(z: complex) -> complex:
     return cmath.log(z) - 0.5 / z + series + acc
 
 
+def _log_gamma_taylor(z: complex, tol: float) -> list[complex]:
+    """[q_1, q_2, ...] with log Gamma(z + d) = log Gamma(z) + sum q_k d^k,
+    q_k = psi^(k-1)(z) / k!, for Re z > 0.
+
+    |q_k| <= (1/k)(|z|^-k + (pi/2) |z|^(1-k)), so on |d| <= R =
+    _DISC_RADIUS the terms from order k on sum to at most
+    (R/k) (R/|z|)^(k-1) (1/|z| + pi/2) / (1 - R/|z|), and the series
+    stops before the first k where that is below tol.  q_1 is
+    _digamma(z); the others come from the polygamma asymptotic series
+    after the same upward shift to |z| >= 12."""
+    ratio = _DISC_RADIUS / abs(z)
+    scale = (1.0 / abs(z) + 0.5 * math.pi) / (1.0 - ratio)
+    order = 2
+    while _DISC_RADIUS / order * ratio ** (order - 1) * scale >= tol:
+        order += 1
+    coeffs = [_digamma(z)]
+    shifted = []
+    while abs(z) < 12.0:
+        shifted.append(1.0 / z)
+        z += 1.0
+    v = 1.0 / z
+    v2_powers = list(accumulate([v * v] * len(_POLYGAMMA_COEFFS), mul))
+    # B_2i (2i+k-2)! / ((2i)! k!), i = 1..8, from k = 2
+    weights = _POLYGAMMA_COEFFS
+    shift_powers = shifted
+    v_power = v                                          # v^(k-1)
+    for k in range(2, order):
+        shift_powers = list(map(mul, shift_powers, shifted))
+        term = v_power * (1.0 / ((k - 1) * k) + v / (2 * k)
+                          + sum(map(mul, weights, v2_powers)))
+        term += sum(shift_powers) / k
+        coeffs.append(-term if k % 2 else term)
+        weights = [w * (2 * i + k - 1) / (k + 1)
+                   for i, w in enumerate(weights, start=1)]
+        v_power *= v
+    return coeffs
+
+
 def _reflect(s: complex, want_prime: bool, val: complex,
              der: complex) -> tuple[complex, complex]:
     """(zeta(s), zeta'(s)) from val = zeta(1-s) and der = zeta'(1-s)
@@ -228,31 +314,44 @@ def _zeta_eval(s: complex, want_prime: bool) -> tuple[complex, complex]:
 
 
 class ZetaDisc:
-    """The Euler-Maclaurin main sum as a Taylor series about a centre, for
-    evaluations that move s a little at a time, as the tracer's do.
+    """Zeta as one Taylor series about a centre, for evaluations that move
+    s a little at a time, as the tracer's do.
 
-    A disc centred at s0 serves the points s within _DISC_RADIUS of s0 on
-    the same side of `reflects`.  On that side the main sum is taken at
-    u = s (or 1 - s) about c = s0 (or 1 - s0):
-    sum_{n<N} n^(-u) = sum_{k<=K} a_k (u - c)^k,
-    a_k = (-1)^k sum_{n<N} n^(-c) (ln n)^k / k!, with N the truncation
-    point at height |Im c| + _DISC_RADIUS, so that it covers the whole
-    disc.  K is the first order whose remainder bound
-    S x^(K+1) / (K+1)! e^x, x = _DISC_RADIUS ln(N-1), S = sum n^(-Re c),
-    falls below _DISC_TOL.  Building costs the N exponentials of one
-    direct main sum and K+1 passes over the N terms; each evaluation then
-    costs two Horner passes of K+1 steps in u - c, then the finish and
-    the reflection factor of the disc-less path.  zeta_with_prime(s, disc)
-    evaluates through the disc, which counts its evaluations (evals),
-    those that reflect (reflected) and its expansions (centres)."""
+    A disc centred at s0 serves the points s within R = _DISC_RADIUS of
+    s0 on the same side of `reflects`.  On that side it works at u = s
+    (or 1 - s) about c = s0 (or 1 - s0), with the Euler-Maclaurin
+    approximant of the disc-less path,
+    F(u) = sum_{n<N} n^(-u) + N^(1-u)/(u-1) + N^(-u)/2 + N^(1-u) P_N(u),
+    N the truncation point at height |Im c| + R, so that one N covers
+    the whole disc.  F has a pole at u = 1, which a disc centred within
+    R of it contains, so the disc expands G(u) = (u - 1) F(u), which is
+    entire, to order K + 1 in d = u - c:
+    - the main sum, a_k = (-1)^k sum_{n<N} n^(-c) (ln n)^k / k!;
+    - N^(-u) = N^(-c) e^(-d ln N);
+    - P_N by _correction_taylor, to the orders that reach _DISC_TOL;
+    - G = (u - 1)(main sum + N^(-u)/2 + N^(1-u) P_N) + N^(1-u), by
+      Cauchy products.
+    K is the first order whose remainder bound S x^(K+1)/(K+1)! e^x,
+    x = R ln N, S = sum_{n<N} n^(-Re c) + N^(1-Re c), falls below
+    _DISC_TOL.  An evaluation is the pole guard and one Horner pass for
+    G and G' in d, then F = G/(u - 1) and F' = (G' - F)/(u - 1).  Where s
+    reflects, zeta(s) = chi(s) F(1 - s) with
+    chi(s) = chi(s0) e^(Q(d)) (cos h - tan(pi c/2) sin h), h = pi d / 2,
+    and Q(d) = log Gamma(c + d) - log Gamma(c) - d ln 2 pi a Taylor
+    polynomial (_log_gamma_taylor).  Only a centring calls _reflect, for
+    chi(s0); no evaluation runs _zeta_em or _reflect.
+    zeta_with_prime(s, disc) evaluates through the disc,
+    which counts its evaluations (evals), those that reflect (reflected)
+    and its expansions (centres)."""
 
     def __init__(self) -> None:
         self.evals = self.reflected = self.centres = 0
         self._s0 = complex("nan")    # covers nothing before the first
         self._reflected = False
         self._c = 0j
-        self._n_cut = 0
         self._coeffs: tuple[complex, ...] = ()
+        # chi(s0), tan(pi c / 2) and Q, highest degree first
+        self._chi: tuple[complex, complex, tuple[complex, ...]] = (0j, 0j, ())
 
     def _evaluate(self, s: complex) -> tuple[complex, complex]:
         """(zeta(s), zeta'(s)), re-centring the disc on s first unless s
@@ -260,38 +359,85 @@ class ZetaDisc:
         side = reflects(s)
         # `not <=`: the NaN centre of a fresh disc covers no point
         if side != self._reflected or not abs(s - self._s0) <= _DISC_RADIUS:
-            c = 1.0 - s if side else s
-            n_cut = _term_count(complex(0.0, abs(c.imag) + _DISC_RADIUS))
-            lns = _logs(n_cut)[1:n_cut]
-            neg_c = -c
-            exp = cmath.exp
-            terms = [exp(neg_c * ln_n) for ln_n in lns]     # n^(-c)
-            x = _DISC_RADIUS * lns[-1]
-            bound = sum(map(abs, terms)) * math.exp(x) * x   # at K = 0
-            order = 0
-            while bound >= _DISC_TOL:
-                order += 1
-                bound *= x / (order + 1)
-            coeffs = [sum(terms)]
-            scale = 1.0
-            for k in range(1, order + 1):
-                terms = list(map(mul, terms, lns))          # n^(-c) (ln n)^k
-                scale /= -k
-                coeffs.append(scale * sum(terms))
-            self._s0, self._reflected, self._c = s, side, c
-            self._n_cut = n_cut
-            self._coeffs = tuple(reversed(coeffs))
-            self.centres += 1
+            self._centre(s, side)
         self.evals += 1
         self.reflected += side
         u = 1.0 - s if side else s
+        w = u - 1.0
+        if abs(w) < _POLE_TOL:
+            raise PoleAtOne(f"zeta pole at s = 1 (given {u})")
         d = u - self._c
-        p = dp = 0j
+        g = dg = 0j
         for a in self._coeffs:
-            dp = dp * d + p
-            p = p * d + a
-        val, der = _zeta_em(u, True, self._n_cut, p, dp)
-        return _reflect(s, True, val, der) if side else (val, der)
+            dg = dg * d + g
+            g = g * d + a
+        val = g / w
+        der = (dg - val) / w
+        if not side:
+            return val, der
+        # zeta(s) = chi F(u), and zeta'(s) is -d/du of it
+        chi0, tan_c, q_poly = self._chi
+        q = dq = 0j
+        for a in q_poly:
+            dq = dq * d + q
+            q = q * d + a
+        h = 0.5 * math.pi * d
+        sin_h, cos_h = cmath.sin(h), cmath.cos(h)
+        ratio = cos_h - tan_c * sin_h
+        chi = chi0 * cmath.exp(q) * ratio
+        log_chi_prime = dq - 0.5 * math.pi * (sin_h + tan_c * cos_h) / ratio
+        return chi * val, -chi * (log_chi_prime * val + der)
+
+    def _centre(self, s: complex, side: bool) -> None:
+        """Centre the disc on s: expand G about c = s (or 1 - s where s
+        reflects), and there take chi(s), tan(pi c / 2) and Q."""
+        c = 1.0 - s if side else s
+        n_cut = _term_count(complex(0.0, abs(c.imag) + _DISC_RADIUS))
+        lns = _logs(n_cut)[1:n_cut]
+        ln_nc = math.log(n_cut)
+        neg_c = -c
+        exp = cmath.exp
+        terms = [exp(neg_c * ln_n) for ln_n in lns]         # n^(-c)
+        nc_pow = exp(neg_c * ln_nc)                         # N^(-c)
+        tail = n_cut * abs(nc_pow)                          # |N^(1-c)|
+        x = _DISC_RADIUS * ln_nc
+        size = sum(map(abs, terms)) + tail
+        if side:
+            chi = _reflect(s, False, 1.0, 0j)[0]             # chi(s0)
+            q = _log_gamma_taylor(c, _DISC_TOL / size)
+            q[0] -= _LN2PI
+            self._chi = (chi, _cot(0.5 * math.pi * s),
+                         tuple(reversed(q)) + (0j,))
+        growth = math.exp(x)
+        bound = size * growth * x                           # at K = 0
+        order = 0
+        while bound >= _DISC_TOL:
+            order += 1
+            bound *= x / (order + 1)
+        # the main sum: a_k = (-1)^k sum n^(-c) (ln n)^k / k!
+        main = [sum(terms)]
+        scale = 1.0
+        for k in range(1, order + 1):
+            terms = list(map(mul, terms, lns))              # n^(-c) (ln n)^k
+            scale /= -k
+            main.append(scale * sum(terms))
+        # N^(-u) = N^(-c) e^(-(u - c) ln N), to order K + 1
+        em = [nc_pow]
+        for k in range(1, order + 2):
+            em.append(em[-1] * (-ln_nc / k))
+        # G = (u - 1) main + N^(-u) H, H = (u - 1)(1/2 + N P_N) + N
+        w0 = c - 1.0
+        h = [n_cut * p for p in _correction_taylor(
+            n_cut, c, order, _DISC_TOL / (tail * growth))]
+        h[0] += 0.5
+        big_h = [w0 * a + prev for a, prev in zip(h + [0j], [0j] + h)]
+        big_h[0] += n_cut
+        g = [w0 * a + prev for a, prev in zip(main + [0j], [0j] + main)]
+        for i, a in enumerate(big_h):
+            g[i:] = map(add, g[i:], [a * e for e in em[:order + 2 - i]])
+        self._s0, self._reflected, self._c = s, side, c
+        self._coeffs = tuple(reversed(g))
+        self.centres += 1
 
 
 def zeta(s: complex) -> complex:
@@ -315,9 +461,11 @@ def zeta_with_prime(s: complex,
     """(zeta(s), zeta'(s)) sharing one pass, zeta' by the differentiated
     sum; the tracer's inner loop.
 
-    A disc evaluates s itself, and counts it: its expansion, re-centred
-    on s first when s lies outside it, replaces the main sum; the tail,
-    the correction series and the reflection factor are as without."""
+    A disc evaluates s itself, and counts it: from its expansion,
+    re-centred on s first when s lies outside it, which replaces the
+    whole Euler-Maclaurin pass and, where s reflects, the reflection
+    factor but for a ratio of sines.  The values agree with the disc-less
+    ones to rounding, not bitwise."""
     s = complex(s)
     if disc is None:
         return _zeta_eval(s, True)

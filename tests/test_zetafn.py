@@ -179,6 +179,39 @@ def test_horner_correction_matches_the_term_by_term_series(n):
             assert abs(dp - ref_dp) <= 1e-15 * abs(ref_dp), s
 
 
+@pytest.mark.parametrize("c", [0.5 + 14.13j, 0.7 - 40.0j, 0.5 + 541.8j,
+                               0.05 + 0.0j, 1.05 + 0.0j, -2.0 + 1.0j])
+def test_correction_taylor_reproduces_the_polynomial_on_the_disc(c):
+    # the kept leading coefficients and orders of P_N about c must give
+    # P_N on the whole disc |u - c| <= R to the tolerance they were cut at
+    n = zetafn._term_count(complex(0.0, abs(c.imag) + zetafn._DISC_RADIUS))
+    tol = 1e-17
+    coeffs = zetafn._correction_taylor(n, c, 30, tol)
+    assert len(coeffs) < 12
+    poly = zetafn._correction_poly(n)
+    for k in range(8):
+        d = zetafn._DISC_RADIUS * complex(math.cos(k), math.sin(k))
+        p = 0j
+        for a in poly:
+            p = p * (c + d) + a
+        taylor = sum(a * d ** j for j, a in enumerate(coeffs))
+        assert abs(taylor - p) < tol + 1e-15 * abs(p), (c, d)
+
+
+def test_log_gamma_taylor_matches_mpmath_polygamma():
+    mpmath = pytest.importorskip("mpmath")
+    radius = zetafn._DISC_RADIUS
+    with mpmath.workdps(30):
+        for z in (0.7 - 40.0j, 3.0 + 0.0j, 0.65 + 0.3j, 0.6 - 541.8j):
+            q = zetafn._log_gamma_taylor(z, 1e-20)
+            for k, qk in enumerate(q, start=1):
+                ref = complex(mpmath.psi(k - 1, z) / mpmath.factorial(k))
+                assert abs(qk - ref) * radius ** k < 1e-16, (z, k)
+            # the next term is below the tolerance the series stopped at
+            ref = complex(mpmath.psi(len(q), z) / mpmath.factorial(len(q) + 1))
+            assert abs(ref) * radius ** (len(q) + 1) < 1e-20, z
+
+
 def test_correction_polynomials_are_built_on_first_use():
     # building the polynomials for N = 20..229 takes ~60 ms, more than the
     # rest of an import; a fresh interpreter must start with none
@@ -204,13 +237,17 @@ def test_zeta_matches_mpmath_on_a_seeded_panel():
             assert abs(der - ref_der) < 1e-12 * max(1.0, abs(ref_der)), s
 
 
-def _disc_pairs(seed, count):
-    """(s0, s): a disc centre with 14 <= Im s0 <= 620 on either branch, and
-    a point s on the same side of `reflects` within the disc's radius."""
+def _disc_pairs(seed, count, centre=None):
+    """(s0, s): a disc centre s0 and a point s on the same side of
+    `reflects` within the disc's radius.  s0 is drawn by `centre(rng)`,
+    by default with -0.5 <= Re s0 <= 1.5 and 14 <= Im s0 <= 620."""
     rng = random.Random(seed)
+    if centre is None:
+        def centre(rng):
+            return complex(rng.uniform(-0.5, 1.5), rng.uniform(14.0, 620.0))
     pairs = []
     while len(pairs) < count:
-        s0 = complex(rng.uniform(-0.5, 1.5), rng.uniform(14.0, 620.0))
+        s0 = centre(rng)
         radius = rng.uniform(0.0, zetafn._DISC_RADIUS)
         angle = rng.uniform(0.0, 2.0 * math.pi)
         s = s0 + radius * complex(math.cos(angle), math.sin(angle))
@@ -219,6 +256,22 @@ def _disc_pairs(seed, count):
     assert any(reflects(s) for _, s in pairs)
     assert not all(reflects(s) for _, s in pairs)
     return pairs
+
+
+def _low_centre(rng):
+    """A centre with -2 <= Re s0 <= 3 and 0 <= Im s0 <= 14: one in three
+    within R of the pole at s = 1, one in three by |s| = 1/2, where
+    `reflects` turns, the rest anywhere in the box."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return complex(rng.uniform(-2.0, 3.0), rng.uniform(0.0, 14.0))
+    radius = rng.uniform(0.0, zetafn._DISC_RADIUS)
+    around = 1.0
+    if kind == 2:
+        radius += 0.5 - 0.5 * zetafn._DISC_RADIUS
+        around = 0.0
+    angle = rng.uniform(0.0, math.pi)
+    return around + radius * complex(math.cos(angle), math.sin(angle))
 
 
 def _disc_eval(s0, s):
@@ -260,6 +313,46 @@ def test_disc_agrees_with_the_direct_evaluation():
         ref_val, ref_der = zeta_with_prime(s)
         assert abs(val - ref_val) < 2e-12 * max(1.0, abs(ref_val)), s
         assert abs(der - ref_der) < 2e-12 * max(1.0, abs(ref_der)), s
+
+
+def test_disc_agrees_with_the_direct_evaluation_at_low_height():
+    # the disc about a centre within R of s = 1 contains the pole of
+    # N^(1-u)/(u - 1): at (1.05, 0.96) a geometric series in 1/(u - 1)
+    # about the centre diverges; about -2 the reflection factor vanishes
+    pairs = [(1.05 + 0.0j, 0.96 + 0.0j), (0.95 + 0.0j, 1.0 + 1e-9j),
+             (-2.0 + 0.0j, -1.95 + 0.02j), (-1.95 + 0.0j, -2.0 + 0.0j)]
+    pairs += _disc_pairs(1859, 400, _low_centre)
+    assert any(abs(s0 - 1.0) < zetafn._DISC_RADIUS for s0, _ in pairs[4:])
+    assert any(abs(abs(s) - 0.5) < 0.02 and reflects(s) == side
+               for _, s in pairs for side in (False, True))
+    for s0, s in pairs:
+        val, der = _disc_eval(s0, s)
+        ref_val, ref_der = zeta_with_prime(s)
+        assert abs(val - ref_val) < 2e-12 * max(1.0, abs(ref_val)), (s0, s)
+        assert abs(der - ref_der) < 2e-12 * max(1.0, abs(ref_der)), (s0, s)
+
+
+def test_disc_evaluates_without_the_euler_maclaurin_finish(monkeypatch):
+    # the disc expands the whole approximant and log Gamma: once it is
+    # centred, an evaluation in it runs neither _zeta_em's tail and
+    # correction pass nor _reflect
+    points = (0.5 + 77.1j, 0.3 + 77.1j)
+    refs = [zeta_with_prime(s + 0.05j) for s in points]
+    discs = [ZetaDisc() for _ in points]
+    for s, disc in zip(points, discs):
+        zeta_with_prime(s, disc)
+
+    def finish(*args):
+        raise AssertionError("the disc-less finish ran")
+    monkeypatch.setattr(zetafn, "_zeta_em", finish)
+    monkeypatch.setattr(zetafn, "_reflect", finish)
+    for s, disc, ref in zip(points, discs, refs):
+        val, der = zeta_with_prime(s + 0.05j, disc)
+        assert disc.centres == 1 and disc.evals == 2
+        assert abs(val - ref[0]) < 2e-12 * max(1.0, abs(ref[0])), s
+        assert abs(der - ref[1]) < 2e-12 * max(1.0, abs(ref[1])), s
+    with pytest.raises(AssertionError, match="disc-less finish"):
+        zeta_with_prime(points[0])
 
 
 def test_disc_recentres_when_s_leaves_it_or_crosses_reflects():
@@ -309,38 +402,42 @@ def test_import_builds_no_disc():
 # (s, float.hex of Re, Im of zeta(s) and of zeta'(s) without a disc, the
 # same through a disc centred at s - 0.05i), frozen on the direct (0.5)
 # and the reflected (0.3) branch at three heights.  A change meant to move
-# these bits, such as a new reflection factor, re-freezes them.
+# these bits, such as a new reflection factor, re-freezes them.  The disc
+# tuples were re-frozen when the disc came to expand the whole
+# Euler-Maclaurin approximant and log Gamma: its values moved by rounding
+# only (the disc panels above still hold), while the direct tuples did
+# not move.
 ZETA_HEX = [
     (0.5 + 14.13j,
      ("0x1.38843111b1370p-11", "-0x1.e4c8e0ce67b0bp-9",
       "0x1.907d3d7653703p-1", "0x1.0552d7f8bee0bp-3"),
-     ("0x1.38843111acf70p-11", "-0x1.e4c8e0ce6700bp-9",
-      "0x1.907d3d7653727p-1", "0x1.0552d7f8bed5bp-3")),
+     ("0x1.38843111ae00cp-11", "-0x1.e4c8e0ce67abap-9",
+      "0x1.907d3d765371bp-1", "0x1.0552d7f8bedd8p-3")),
     (0.5 + 77.1j,
      ("0x1.a303238e45b2bp-6", "-0x1.e440a75db1fd6p-5",
       "0x1.440a4357cfa8bp+0", "0x1.456d6b23730e3p-1"),
-     ("0x1.a303238e4465bp-6", "-0x1.e440a75db18bep-5",
-      "0x1.440a4357cfb5bp+0", "0x1.456d6b2372ff5p-1")),
+     ("0x1.a303238e44378p-6", "-0x1.e440a75db1b2bp-5",
+      "0x1.440a4357cfb84p+0", "0x1.456d6b237307cp-1")),
     (0.5 + 541.8j,
      ("0x1.9ba840c9ca0c0p-3", "0x1.09fb309cd82bdp-6",
       "-0x1.8b092d9abcb6dp-1", "0x1.fc3e9ed25c6cbp+1"),
-     ("0x1.9ba840c9ca521p-3", "0x1.09fb309cc5009p-6",
-      "-0x1.8b092d9abd42ap-1", "0x1.fc3e9ed25d062p+1")),
+     ("0x1.9ba840c9ca56ap-3", "0x1.09fb309cc4facp-6",
+      "-0x1.8b092d9abd487p-1", "0x1.fc3e9ed25d066p+1")),
     (0.3 + 14.13j,
      ("-0x1.5999c7036c3a0p-3", "-0x1.191dfcb983bccp-5",
       "0x1.d44805335ec1dp-1", "0x1.72b4b69c76770p-3"),
-     ("-0x1.5999c7036c377p-3", "-0x1.191dfcb983b56p-5",
-      "0x1.d44805335ec26p-1", "0x1.72b4b69c767eap-3")),
+     ("-0x1.5999c7036c368p-3", "-0x1.191dfcb983bd4p-5",
+      "0x1.d44805335ec0dp-1", "0x1.72b4b69c767b8p-3")),
     (0.3 + 77.1j,
      ("-0x1.2e50ccf281d51p-2", "-0x1.fab15590797a7p-3",
       "0x1.0132319dc9622p+1", "0x1.5109c82fede40p+0"),
-     ("-0x1.2e50ccf281d19p-2", "-0x1.fab155907944fp-3",
-      "0x1.0132319dc9628p+1", "0x1.5109c82fede1fp+0")),
+     ("-0x1.2e50ccf281d38p-2", "-0x1.fab1559079228p-3",
+      "0x1.0132319dc9665p+1", "0x1.5109c82fedc45p+0")),
     (0.3 + 541.8j,
      ("0x1.74766d8beca81p-1", "-0x1.363effb5e1226p+0",
       "-0x1.53c809d134740p+2", "0x1.1bc01713f586ap+3"),
-     ("0x1.74766d8bec8c2p-1", "-0x1.363effb5e0d02p+0",
-      "-0x1.53c809d134624p+2", "0x1.1bc01713f5847p+3")),
+     ("0x1.74766d8becc84p-1", "-0x1.363effb5e0c30p+0",
+      "-0x1.53c809d134983p+2", "0x1.1bc01713f578ap+3")),
 ]
 
 
