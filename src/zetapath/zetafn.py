@@ -135,7 +135,9 @@ def _correction_taylor(n: int, c: complex, order: int,
     rho = abs(c) + _DISC_RADIUS
     sizes = [abs(a) * rho ** m
              for m, a in zip(range(len(poly) - 1, -1, -1), poly)]
-    top = sum(1 for head in accumulate(sizes) if head < tol)
+    # the constant stays even when every size is below tol (large Re c)
+    top = min(len(poly) - 1,
+              sum(1 for head in accumulate(sizes) if head < tol))
     poly = poly[top:]
     y = (len(poly) - 1) * _DISC_RADIUS / rho
     bound = sum(sizes[top:]) * math.exp(y) * y           # at k = 0

@@ -318,11 +318,15 @@ def test_disc_agrees_with_the_direct_evaluation():
 def test_disc_agrees_with_the_direct_evaluation_at_low_height():
     # the disc about a centre within R of s = 1 contains the pole of
     # N^(1-u)/(u - 1): at (1.05, 0.96) a geometric series in 1/(u - 1)
-    # about the centre diverges; about -2 the reflection factor vanishes
+    # about the centre diverges; about -2 the reflection factor vanishes;
+    # from Re u ~ 12 (u = s, or 1 - s where s reflects) every term of P_N
+    # is below the tolerance it is cut at, and only its constant is kept
     pairs = [(1.05 + 0.0j, 0.96 + 0.0j), (0.95 + 0.0j, 1.0 + 1e-9j),
-             (-2.0 + 0.0j, -1.95 + 0.02j), (-1.95 + 0.0j, -2.0 + 0.0j)]
+             (-2.0 + 0.0j, -1.95 + 0.02j), (-1.95 + 0.0j, -2.0 + 0.0j),
+             (13.0 + 0.0j, 13.05 + 0.02j), (-12.0 + 0.0j, -12.05 + 0.03j),
+             (20.0 + 0.0j, 19.93 - 0.05j), (-30.0 + 3.0j, -30.02 + 3.06j)]
     pairs += _disc_pairs(1859, 400, _low_centre)
-    assert any(abs(s0 - 1.0) < zetafn._DISC_RADIUS for s0, _ in pairs[4:])
+    assert any(abs(s0 - 1.0) < zetafn._DISC_RADIUS for s0, _ in pairs[8:])
     assert any(abs(abs(s) - 0.5) < 0.02 and reflects(s) == side
                for _, s in pairs for side in (False, True))
     for s0, s in pairs:
