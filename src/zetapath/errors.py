@@ -38,7 +38,7 @@ class ParseError(ZetaPathError):
 
 
 class MonotonicityError(ZetaPathError):
-    """Ingested zero ordinates were not strictly increasing."""
+    """Zero ordinates were not finite, positive and strictly increasing."""
 
 
 class NotReduced(ZetaPathError):

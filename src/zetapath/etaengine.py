@@ -60,8 +60,9 @@ def _horner(coeffs: tuple, z: complex) -> complex:
 
 def _require_upper(z: complex) -> complex:
     z = complex(z)
-    if not z.imag > 0:
-        raise ValueError(f"point must have positive imaginary part: {z}")
+    if not (z.imag > 0 and cmath.isfinite(z)):
+        raise ValueError(f"point must be finite with positive imaginary "
+                         f"part: {z}")
     return z
 
 
@@ -199,40 +200,39 @@ def _in_range(z: complex, what: str, compute) -> complex:
     return value
 
 
-def _tau_lambda(z: complex,
-                ctx: EtaContext) -> tuple[complex, complex, complex]:
-    """tau, lambda and tau5 from one eta quartet."""
-    e1, e3, e5, e15 = _etas(z, ctx)
+def _tau_lambda(z: complex, e1: complex, e3: complex, e5: complex,
+                e15: complex) -> tuple[complex, complex]:
+    """tau and lambda from the eta quartet _etas(z)."""
     return (_in_range(z, "tau", lambda: ((e3 * e5) / (e1 * e15)) ** 3),
-            _in_range(z, "lambda", lambda: e3 ** 6 / (e1 ** 3 * e5 ** 3)),
-            _in_range(z, "tau5", lambda: (e5 / e1) ** 6))
+            _in_range(z, "lambda", lambda: e3 ** 6 / (e1 ** 3 * e5 ** 3)))
+
+
+def _tau5(z: complex, e1: complex, e5: complex) -> complex:
+    """tau5 from eta(z) and eta(z/5)."""
+    return _in_range(z, "tau5", lambda: (e5 / e1) ** 6)
 
 
 def tau(z: complex, ctx: EtaContext | None = None) -> complex:
     """Degree-4 hauptmodul (eta_3 eta_5 / eta_1 eta_15)^3, with
     eta_m(z) = eta(z/m)."""
-    return _tau_lambda(z, ctx or _DEFAULT_CTX)[0]
+    return _tau_lambda(z, *_etas(z, ctx or _DEFAULT_CTX))[0]
 
 
 def lambda_fn(z: complex, ctx: EtaContext | None = None) -> complex:
     """Weight-0 quotient eta_1^-3 eta_3^6 eta_5^-3."""
-    return _tau_lambda(z, ctx or _DEFAULT_CTX)[1]
+    return _tau_lambda(z, *_etas(z, ctx or _DEFAULT_CTX))[1]
 
 
 def tau5(z: complex, ctx: EtaContext | None = None) -> complex:
     """Level-5 quotient (eta_5 / eta_1)^6; needs only two of the quartet."""
     ctx = ctx or _DEFAULT_CTX
-    e1 = dedekind_eta(z, ctx)
-    e5 = dedekind_eta(z / 5, ctx)
-    return _in_range(z, "tau5", lambda: (e5 / e1) ** 6)
+    return _tau5(z, dedekind_eta(z, ctx), dedekind_eta(z / 5, ctx))
 
 
 def sigma(z: complex, ctx: EtaContext | None = None) -> complex:
     """Square function recovered rationally:
     (250 tau^4 lambda^2 - D(tau)) / C(tau)."""
-    ctx = ctx or _DEFAULT_CTX
-    t, lam, _ = _tau_lambda(z, ctx)
-    return _sigma_from(z, t, lam)
+    return _sigma_from(z, *_tau_lambda(z, *_etas(z, ctx or _DEFAULT_CTX)))
 
 
 def _sigma_from(z: complex, t: complex, lam: complex) -> complex:
@@ -273,8 +273,7 @@ def z_root_pair(z: complex, ctx: EtaContext | None = None) -> RootPair:
     Rh = sqrt((5 + 2 sqrt5)/3) (tau - BETA)(tau^2 + GAMMA tau + DELTA).
 
     The coefficient symmetry a = c makes the roots a reciprocal pair."""
-    t, lam, _ = _tau_lambda(z, ctx or _DEFAULT_CTX)
-    return _root_pair(z, t, lam)
+    return _root_pair(z, *_tau_lambda(z, *_etas(z, ctx or _DEFAULT_CTX)))
 
 
 def _root_pair(z: complex, t: complex, lam: complex) -> RootPair:
@@ -397,7 +396,9 @@ def identity_residuals(z: complex, ctx: EtaContext | None = None,
 
 def _residuals(z: complex, ctx: EtaContext,
                branch_value: complex | None) -> dict[str, float]:
-    t, lam, t5 = _tau_lambda(z, ctx)
+    e1, e3, e5, e15 = _etas(z, ctx)
+    t, lam = _tau_lambda(z, e1, e3, e5, e15)
+    t5 = _tau5(z, e1, e5)
     s = _sigma_from(z, t, lam)
     out: dict[str, float] = {}
 

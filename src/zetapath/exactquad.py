@@ -404,7 +404,8 @@ def exact_j_target() -> dict:
 
     There the degree-4 hauptmodul value is ALPHA_P, the square function
     vanishes, the degree-6 quotient equals (5 sqrt5 - 25)/2, and the
-    j-invariant works out to 135(637 sqrt5 - 1415)/2.
+    j-invariant works out to 135(637 sqrt5 - 1415)/2; run_symbolic_suite
+    checks both closed forms.
     """
     t = ALPHA_P
     # (t^4 - 9 t^3 - 9 t - 1) / (2 t), the square-free part of the
@@ -412,8 +413,6 @@ def exact_j_target() -> dict:
     numer = t ** 4 - QuadNum(9) * t ** 3 - QuadNum(9) * t - ONE
     t5 = numer / (QuadNum(2) * t)
     j = (t5 * t5 + QuadNum(10) * t5 + QuadNum(5)) ** 3 / t5
-    assert t5 == QuadNum(Fraction(-25, 2), Fraction(5, 2))
-    assert j == QuadNum(Fraction(-191025, 2), Fraction(85995, 2))
     return {
         "tau": t,
         "tau5": t5,
@@ -427,6 +426,7 @@ def run_symbolic_suite() -> dict:
     """Run all exact identity checks; returns {'identities': [...], 'ok': bool}
     plus the exact special values as floats."""
     wi = verify_weierstrass_invariants()
+    tgt = exact_j_target()
     results = [
         {"identity": "substitution_identity", "ok": verify_substitution_identity()},
         {"identity": "weierstrass_discriminant",
@@ -438,8 +438,13 @@ def run_symbolic_suite() -> dict:
         {"identity": "constant_product", "ok": verify_constant_product()},
         {"identity": "square_product_identity", "ok": verify_square_product_identity()},
         {"identity": "cubic_reduction", "ok": verify_cubic_reduction()},
+        {"identity": "special_tau5",
+         "ok": tgt["tau5"] == QuadNum(Fraction(-25, 2), Fraction(5, 2)),
+         "value": str(tgt["tau5"])},
+        {"identity": "special_j",
+         "ok": tgt["j"] == QuadNum(Fraction(-191025, 2), Fraction(85995, 2)),
+         "value": str(tgt["j"])},
     ]
-    tgt = exact_j_target()
     return {
         "identities": results,
         "ok": all(r["ok"] for r in results),

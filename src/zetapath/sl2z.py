@@ -127,30 +127,20 @@ def is_reduced_alternating(word: str) -> bool:
 
 def word_normalize(word: str) -> str:
     """Rewrite to reduced alternating form using S^2 = R^3 = -I (signs are
-    dropped: only the coset/path image matters to callers)."""
+    dropped: only the coset/path image matters to callers), in one pass:
+    the output stays reduced, so each letter meets only the last one
+    (SS, Rr and rR cancel; RR becomes r, rr becomes R)."""
     validate_word(word)
-    letters = list(word)
-    changed = True
-    while changed:
-        changed = False
-        out: list[str] = []
-        i = 0
-        while i < len(letters):
-            if i + 1 < len(letters):
-                pair = letters[i] + letters[i + 1]
-                if pair in ("SS", "Rr", "rR"):
-                    i += 2
-                    changed = True
-                    continue
-                if pair in ("RR", "rr"):
-                    out.append("r" if pair == "RR" else "R")
-                    i += 2
-                    changed = True
-                    continue
-            out.append(letters[i])
-            i += 1
-        letters = out
-    return "".join(letters)
+    out: list[str] = []
+    for ch in word:
+        pair = out[-1] + ch if out else ch
+        if pair in ("SS", "Rr", "rR"):
+            out.pop()
+        elif pair in ("RR", "rr"):
+            out[-1] = "r" if ch == "R" else "R"
+        else:
+            out.append(ch)
+    return "".join(out)
 
 
 def coset_key(g: GroupElem) -> tuple[int, int]:

@@ -20,7 +20,7 @@ from .etaengine import EtaContext, avatar_eval, j_fricke, z_eval_from_seed
 from .exactquad import exact_j_target
 from .sl2z import (
     _LETTERS, IDENTITY, R, S, GroupElem, is_reduced_alternating, load_table,
-    mobius, validate_word, word_eval,
+    mobius, word_eval,
 )
 
 THETA_I = math.pi / 2.0
@@ -120,10 +120,11 @@ def build_path(word: str, theta_c: float | None = None,
     theta_c on the final edge.  Raises NotReduced unless the word is
     reduced alternating (otherwise consecutive edges would meet at the
     same vertex twice and the path would backtrack), and ValueError
-    unless samples >= 1."""
+    unless samples >= 1.  A reduced alternating word visits no edge
+    twice: prefix_i^-1 prefix_j is then a non-empty reduced alternating
+    word, never +-I in PSL(2,Z) = Z/2 * Z/3."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
-    validate_word(word)
     if not is_reduced_alternating(word):
         raise NotReduced(f"word must alternate rotation and S letters: {word!r}")
     if theta_c is None:
@@ -138,11 +139,6 @@ def build_path(word: str, theta_c: float | None = None,
         t_from = theta_c if j == 0 else _vertex_theta(letters[j - 1])
         t_to = theta_c if j == k else _vertex_theta(letters[j])
         edges.append(Edge(g, t_from, t_to))
-    for i in range(len(prefixes)):
-        for j in range(i + 1, len(prefixes)):
-            d = prefixes[i].inv() * prefixes[j]
-            if d == IDENTITY or -d == IDENTITY:
-                raise NotReduced(f"path revisits an edge: prefixes {i} and {j}")
     mismatch = 0.0
     for a, b in zip(edges, edges[1:]):
         mismatch = max(mismatch, abs(a.end - b.start))

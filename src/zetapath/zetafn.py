@@ -93,7 +93,11 @@ def _em_poly(n: int) -> tuple[float, ...]:
 
     Built exactly over the integers, scaled by den n^50, by nesting
     Q_j = c_j n^(-2j) + (s+2j-1)(s+2j) Q_(j+1) down to P_n = s Q_1; each
-    coefficient is rounded once."""
+    coefficient is rounded once.  Built when n is first met and kept in
+    _EM_POLYS."""
+    poly = _EM_POLYS.get(n)
+    if poly is not None:
+        return poly
     count = len(_EM_COEFFS)
     den = math.lcm(*(c.denominator for c in _EM_COEFFS))
     n2 = n * n
@@ -108,14 +112,7 @@ def _em_poly(n: int) -> tuple[float, ...]:
              for x, y, z in zip(q + [0, 0], [0] + q + [0], [0, 0] + q)]
         q[0] += heads[j - 1]
     scale = den * n2 ** count
-    return tuple(x / scale for x in reversed(q)) + (0.0,)
-
-
-def _correction_poly(n: int) -> tuple[float, ...]:
-    """_em_poly(n), built when n is first met and kept in _EM_POLYS."""
-    poly = _EM_POLYS.get(n)
-    if poly is None:
-        poly = _EM_POLYS[n] = _em_poly(n)
+    poly = _EM_POLYS[n] = tuple(x / scale for x in reversed(q)) + (0.0,)
     return poly
 
 
@@ -131,7 +128,7 @@ def _correction_taylor(n: int, c: complex, order: int,
     k whose remainder bound A y^(k+1)/(k+1)! e^y falls below tol (and
     past `order`) are not formed.  Each kept order is one synthetic
     division by u - c."""
-    poly = _correction_poly(n)
+    poly = _em_poly(n)
     rho = abs(c) + _DISC_RADIUS
     sizes = [abs(a) * rho ** m
              for m, a in zip(range(len(poly) - 1, -1, -1), poly)]
@@ -165,9 +162,12 @@ def _logs(n_cut: int) -> list[float]:
     return _LN
 
 
-def _main_sum(s: complex, want_prime: bool) -> tuple[int, complex, complex]:
-    """(N, sum_{n<N} n^(-s), its derivative) term by term, N the
-    truncation point _term_count(s)."""
+def _zeta_em(s: complex, want_prime: bool) -> tuple[complex, complex]:
+    """Euler-Maclaurin value and (optionally) derivative: the main sum
+    below the truncation point N = _term_count(s), term by term, then the
+    tail, N^(-s)/2 and the correction series."""
+    if abs(s - 1.0) < _POLE_TOL:
+        raise PoleAtOne(f"zeta pole at s = 1 (given {s})")
     n_cut = _term_count(s)
     exp = cmath.exp
     neg_s = -s
@@ -181,18 +181,8 @@ def _main_sum(s: complex, want_prime: bool) -> tuple[int, complex, complex]:
     else:
         for ln_n in _logs(n_cut)[1:n_cut]:
             total += exp(neg_s * ln_n)
-    return n_cut, total, total_p
-
-
-def _zeta_em(s: complex, want_prime: bool, n_cut: int, total: complex,
-             total_p: complex) -> tuple[complex, complex]:
-    """Euler-Maclaurin value and (optionally) derivative, finished from
-    the main sum below the truncation point N = n_cut (total, and its
-    derivative total_p): the tail, N^(-s)/2 and the correction series."""
-    if abs(s - 1.0) < _POLE_TOL:
-        raise PoleAtOne(f"zeta pole at s = 1 (given {s})")
     ln_nc = math.log(n_cut)
-    nc_pow = cmath.exp(-s * ln_nc)          # n_cut^(-s)
+    nc_pow = exp(neg_s * ln_nc)             # n_cut^(-s)
     nc_pow1 = nc_pow * n_cut                # n_cut^(1-s)
     tail = nc_pow1 / (s - 1.0)
     total += tail + nc_pow / 2.0
@@ -200,7 +190,7 @@ def _zeta_em(s: complex, want_prime: bool, n_cut: int, total: complex,
         total_p += tail * (-ln_nc - 1.0 / (s - 1.0)) - ln_nc * nc_pow / 2.0
     # The correction series is n_cut^(1-s) P(s); Horner's rule gives P
     # and, alongside, P'.
-    poly = _correction_poly(n_cut)
+    poly = _em_poly(n_cut)
     p = 0j
     if want_prime:
         dp = 0j
@@ -287,17 +277,11 @@ def _log_gamma_taylor(z: complex, tol: float) -> list[complex]:
     return coeffs
 
 
-def _reflect(s: complex, want_prime: bool, val: complex,
-             der: complex) -> tuple[complex, complex]:
-    """(zeta(s), zeta'(s)) from val = zeta(1-s) and der = zeta'(1-s)
-    through the functional equation zeta(s) = chi(s) zeta(1-s), with
-    (log chi)'(s) on the derivative path."""
-    half = 0.5 * math.pi * s
-    chi = cmath.exp(s * _LN2PI - _LNPI + _log_sin(half) + _log_gamma(1.0 - s))
-    if not want_prime:
-        return chi * val, 0j
-    log_chi_prime = _LN2PI + 0.5 * math.pi * _cot(half) - _digamma(1.0 - s)
-    return chi * val, chi * (log_chi_prime * val - der)
+def _chi(s: complex) -> complex:
+    """The reflection factor chi(s) = (2 pi)^s sin(pi s/2) Gamma(1-s) / pi
+    of the functional equation zeta(s) = chi(s) zeta(1-s)."""
+    return cmath.exp(s * _LN2PI - _LNPI + _log_sin(0.5 * math.pi * s)
+                     + _log_gamma(1.0 - s))
 
 
 def reflects(s: complex) -> bool:
@@ -308,11 +292,17 @@ def reflects(s: complex) -> bool:
 
 
 def _zeta_eval(s: complex, want_prime: bool) -> tuple[complex, complex]:
-    """(zeta(s), zeta'(s) or 0) from the term-by-term main sum."""
-    side = reflects(s)
-    u = 1.0 - s if side else s
-    val, der = _zeta_em(u, want_prime, *_main_sum(u, want_prime))
-    return _reflect(s, want_prime, val, der) if side else (val, der)
+    """(zeta(s), zeta'(s) or 0): _zeta_em at s, or where s reflects at
+    1 - s times chi(s), with (log chi)'(s) on the derivative path."""
+    if not reflects(s):
+        return _zeta_em(s, want_prime)
+    val, der = _zeta_em(1.0 - s, want_prime)
+    chi = _chi(s)
+    if not want_prime:
+        return chi * val, 0j
+    log_chi_prime = (_LN2PI + 0.5 * math.pi * _cot(0.5 * math.pi * s)
+                     - _digamma(1.0 - s))
+    return chi * val, chi * (log_chi_prime * val - der)
 
 
 class ZetaDisc:
@@ -340,8 +330,8 @@ class ZetaDisc:
     reflects, zeta(s) = chi(s) F(1 - s) with
     chi(s) = chi(s0) e^(Q(d)) (cos h - tan(pi c/2) sin h), h = pi d / 2,
     and Q(d) = log Gamma(c + d) - log Gamma(c) - d ln 2 pi a Taylor
-    polynomial (_log_gamma_taylor).  Only a centring calls _reflect, for
-    chi(s0); no evaluation runs _zeta_em or _reflect.
+    polynomial (_log_gamma_taylor).  Only a centring calls _chi, for
+    chi(s0); no evaluation runs _zeta_em or _chi.
     zeta_with_prime(s, disc) evaluates through the disc,
     which counts its evaluations (evals), those that reflect (reflected)
     and its expansions (centres)."""
@@ -405,10 +395,9 @@ class ZetaDisc:
         x = _DISC_RADIUS * ln_nc
         size = sum(map(abs, terms)) + tail
         if side:
-            chi = _reflect(s, False, 1.0, 0j)[0]             # chi(s0)
             q = _log_gamma_taylor(c, _DISC_TOL / size)
             q[0] -= _LN2PI
-            self._chi = (chi, _cot(0.5 * math.pi * s),
+            self._chi = (_chi(s), _cot(0.5 * math.pi * s),
                          tuple(reversed(q)) + (0j,))
         growth = math.exp(x)
         bound = size * growth * x                           # at K = 0
@@ -512,10 +501,10 @@ class ZeroList:
     def __post_init__(self):
         prev = 0.0
         for g in self.ordinates:
-            if g <= prev:
+            if not prev < g < math.inf:
                 raise MonotonicityError(
-                    f"ordinates must be strictly increasing and positive; "
-                    f"saw {g} after {prev}")
+                    f"ordinates must be finite, positive and strictly "
+                    f"increasing; saw {g} after {prev}")
             prev = g
 
     def __len__(self) -> int:
@@ -656,10 +645,13 @@ def load_zeros(path) -> ZeroList:
         if not body:
             continue
         try:
-            ordinates.append(float(body))
+            g = float(body)
         except ValueError:
             raise ParseError(f"not a decimal ordinate: {body!r}",
                              line=lineno) from None
+        if not math.isfinite(g):
+            raise ParseError(f"not a finite ordinate: {body!r}", line=lineno)
+        ordinates.append(g)
     try:
         return ZeroList(tuple(ordinates), source="ingested")
     except MonotonicityError as exc:

@@ -84,9 +84,9 @@ def test_symbolic_identities_verify_exactly():
     report = run_symbolic_suite()
     elapsed = time.perf_counter() - start
     assert report["ok"], [r for r in report["identities"] if not r["ok"]]
-    assert len(report["identities"]) == 8
+    assert len(report["identities"]) == 10
     assert elapsed < 1.0, f"symbolic suite took {elapsed:.3f}s"
-    print(f"criterion 1 PASS: 8 exact identities in {elapsed:.3f}s")
+    print(f"criterion 1 PASS: 10 exact identities in {elapsed:.3f}s")
 
 
 def test_coset_table_and_conjugation_verify_exactly():

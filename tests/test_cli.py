@@ -22,7 +22,7 @@ def test_verify_symbolic(capsys):
     assert main(["verify-symbolic"]) == 0
     report = _json_out(capsys)
     assert report["ok"] is True
-    assert len(report["identities"]) == 8
+    assert len(report["identities"]) == 10
     assert all(item["ok"] for item in report["identities"])
 
 
@@ -67,6 +67,14 @@ def test_eval_avatar_needs_index(capsys):
 def test_eval_rejects_lower_half_plane(capsys):
     assert main(["eval", "--fn", "j", "--z=0.0,-1.0"]) == 1
     assert _json_out(capsys)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("point", ["inf,1", "nan,1"])
+def test_eval_rejects_non_finite_points(capsys, point):
+    assert main(["eval", "--fn", "tau", f"--z={point}"]) == 1
+    out = _json_out(capsys)
+    assert out["error"] == "ValueError"
+    assert "finite" in out["message"]
 
 
 def test_eval_near_a_cusp_is_a_json_error(capsys):
@@ -147,6 +155,15 @@ def test_zeros_check_failure(capsys, tmp_path):
     bad.write_text("10.0\n20.0\n30.0\n")
     assert main(["zeros", "--count", "3", "--check", str(bad)]) == 1
     assert _json_out(capsys)["check"]["ok"] is False
+
+
+def test_zeros_check_rejects_non_finite_ordinates(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("14.134725\nnan\ninf\n")
+    assert main(["zeros", "--count", "3", "--check", str(bad)]) == 1
+    out = _json_out(capsys)
+    assert out["error"] == "ParseError"
+    assert out["message"].startswith("line 2:")
 
 
 def test_zeros_count_bounds(capsys):

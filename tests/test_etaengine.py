@@ -464,6 +464,17 @@ def test_rejects_lower_half_plane():
             fn(0.3 - 1j)
 
 
+@pytest.mark.parametrize("z", [complex(math.inf, 1.0), complex(math.nan, 1.0),
+                               complex(0.3, math.inf), complex(0.3, math.nan)])
+def test_rejects_non_finite_points(z):
+    # rejected at entry: the reduction's round() cannot take them
+    for fn in (dedekind_eta, tau, lambda_fn, tau5, sigma, j_fricke,
+               z_eval_from_seed, reduce_to_fundamental):
+        with pytest.raises(ValueError, match="finite") as err:
+            fn(z)
+        assert str(z) in str(err.value)
+
+
 # Near the cusp 0 tau reaches ~1e81 here; the branch quadratic's
 # coefficients once reached ~1e245 and its discriminant overflowed.
 CUSP_POINT = complex(0.006552700655029886, 0.0320233352088164)

@@ -7,7 +7,11 @@ not rely on the polynomial-multiplication code under test.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -193,6 +197,25 @@ def test_coefficient_tables_are_palindromic():
 def test_run_symbolic_suite():
     r = run_symbolic_suite()
     assert r["ok"]
-    assert len(r["identities"]) == 8
+    assert len(r["identities"]) == 10
     assert all(item["ok"] for item in r["identities"])
     assert r["special_point"]["j_target"] == pytest.approx(632.8328625472187, abs=1e-10)
+
+
+def test_special_point_checks_survive_python_O():
+    # the special values are checked by the suite itself, not by asserts
+    # that -O strips: a wrong hauptmodul value must fail both entries
+    code = (
+        "import zetapath.exactquad as q\n"
+        "assert not __debug__\n"
+        "names = lambda r: {i['identity']: i['ok'] for i in r['identities']}\n"
+        "r = q.run_symbolic_suite()\n"
+        "assert r['ok'] and names(r)['special_tau5'] and names(r)['special_j']\n"
+        "q.ALPHA_P = q.QuadNum(2)\n"
+        "r = q.run_symbolic_suite()\n"
+        "print(r['ok'], names(r)['special_tau5'], names(r)['special_j'])\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run([sys.executable, "-O", "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.split() == ["False", "False", "False"]

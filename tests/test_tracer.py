@@ -85,6 +85,34 @@ def test_deep_trace_makes_about_one_zeta_evaluation_per_step():
     assert 0 < rec.zeta_centres < rec.zeta_evals / 20
 
 
+# float.hex of end_s (re, im), max_residual and max_abs_avatar, then
+# steps, halvings, zeta_evals, zeta_reflected and zeta_centres, per
+# (m, samples): a refactor that keeps every bit keeps these.
+TRACE_HEX = {
+    (1, 2000): (("0x1.00000000002eap-1", "0x1.505a463c7bd4cp+4",
+                 "0x1.b746577c62931p-34", "0x1.98f97b7ea9012p+5"),
+                (2000, 0, 2576, 1644, 106)),
+    (2, 2000): (("0x1.00000000001ffp-1", "0x1.902c78ff7a3a4p+4",
+                 "0x1.b4645922e1750p-34", "0x1.98f97b7ea9012p+5"),
+                (2000, 0, 2600, 1814, 77)),
+    (250, 3000): (("0x1.0000000000192p-1", "0x1.d8cc96b5ecb0fp+8",
+                   "0x1.b3dc1b5f06fcbp-34", "0x1.98f97b7ea9012p+5"),
+                  (3000, 0, 3505, 1077, 30)),
+}
+
+
+@pytest.mark.parametrize("m, samples", list(TRACE_HEX))
+def test_trace_outputs_are_frozen_bitwise(m, samples):
+    rec = trace(m, path=build_path(SHIFT_WORD, samples=samples),
+                zeros=reference_zeros())
+    floats = (rec.end_s.real, rec.end_s.imag, rec.max_residual,
+              rec.max_abs_avatar)
+    counts = (rec.steps, rec.halvings, rec.zeta_evals, rec.zeta_reflected,
+              rec.zeta_centres)
+    assert (tuple(x.hex() for x in floats), counts) == TRACE_HEX[m, samples]
+    assert rec.matched_index == m + 1
+
+
 def test_zeta_matches_mpmath_where_the_tracer_evaluates(monkeypatch):
     mpmath = pytest.importorskip("mpmath")
     picks = []

@@ -131,17 +131,29 @@ def test_path_samples_attribute():
     assert build_path("S", samples=777).samples == 777
 
 
+def _reduced_alternating_words(max_len):
+    words = [""]
+    for word in words:
+        if len(word) < max_len:
+            nexts = "Rr" if word[-1:] == "S" else "S" if word else "RrS"
+            words += [word + ch for ch in nexts]
+    return words
+
+
 def test_prefixes_pairwise_distinct():
-    # no two prefix matrices agree up to sign, so the edge list never
-    # revisits an edge of the tree
-    prefixes = [IDENTITY]
+    # for every reduced alternating word, no two prefix matrices agree up
+    # to sign, so build_path's edge list never revisits an edge of the tree
     letters = {"R": R, "r": R.inv(), "S": S}
-    for ch in SHIFT_WORD:
-        prefixes.append(prefixes[-1] * letters[ch])
-    for i in range(len(prefixes)):
-        for j in range(i + 1, len(prefixes)):
-            d = prefixes[i].inv() * prefixes[j]
-            assert d != IDENTITY and -d != IDENTITY
+    words = _reduced_alternating_words(12)
+    # 2^floor(L/2) + 2^ceil(L/2) of each length L from 1, and the empty one
+    assert len(words) == 442
+    for word in words + [SHIFT_WORD]:
+        assert is_reduced_alternating(word)
+        prefixes = [IDENTITY]
+        for ch in word:
+            prefixes.append(prefixes[-1] * letters[ch])
+        keys = {min(g.entries(), (-g).entries()) for g in prefixes}
+        assert len(keys) == len(prefixes), word
 
 
 # ------------------------------------------------------------------ pole scan

@@ -188,7 +188,7 @@ def test_correction_taylor_reproduces_the_polynomial_on_the_disc(c):
     tol = 1e-17
     coeffs = zetafn._correction_taylor(n, c, 30, tol)
     assert len(coeffs) < 12
-    poly = zetafn._correction_poly(n)
+    poly = zetafn._em_poly(n)
     for k in range(8):
         d = zetafn._DISC_RADIUS * complex(math.cos(k), math.sin(k))
         p = 0j
@@ -338,8 +338,7 @@ def test_disc_agrees_with_the_direct_evaluation_at_low_height():
 
 def test_disc_evaluates_without_the_euler_maclaurin_finish(monkeypatch):
     # the disc expands the whole approximant and log Gamma: once it is
-    # centred, an evaluation in it runs neither _zeta_em's tail and
-    # correction pass nor _reflect
+    # centred, an evaluation in it runs neither _zeta_em nor _chi
     points = (0.5 + 77.1j, 0.3 + 77.1j)
     refs = [zeta_with_prime(s + 0.05j) for s in points]
     discs = [ZetaDisc() for _ in points]
@@ -349,7 +348,7 @@ def test_disc_evaluates_without_the_euler_maclaurin_finish(monkeypatch):
     def finish(*args):
         raise AssertionError("the disc-less finish ran")
     monkeypatch.setattr(zetafn, "_zeta_em", finish)
-    monkeypatch.setattr(zetafn, "_reflect", finish)
+    monkeypatch.setattr(zetafn, "_chi", finish)
     for s, disc, ref in zip(points, discs, refs):
         val, der = zeta_with_prime(s + 0.05j, disc)
         assert disc.centres == 1 and disc.evals == 2
@@ -464,10 +463,15 @@ def test_reflects_is_the_branch_rule():
     assert not reflects(0.0j) and not reflects(0.2 + 0.2j)
     for s in (0.3 + 41.7j, 0.7 + 41.7j):
         u = 1.0 - s if reflects(s) else s
-        branch = zetafn._zeta_em(u, True, *zetafn._main_sum(u, True))
+        val, der = zetafn._zeta_em(u, True)
         if reflects(s):
-            branch = zetafn._reflect(s, True, *branch)
-        assert zeta_with_prime(s) == branch
+            # zeta(s) = chi(s) zeta(1-s), zeta'(s) by (log chi)'
+            chi = zetafn._chi(s)
+            log_chi_prime = (zetafn._LN2PI
+                             + 0.5 * math.pi * zetafn._cot(0.5 * math.pi * s)
+                             - zetafn._digamma(1.0 - s))
+            val, der = chi * val, chi * (log_chi_prime * val - der)
+        assert zeta_with_prime(s) == (val, der)
 
 
 def test_pole_guard():
@@ -626,6 +630,23 @@ def test_load_zeros_parse_error_carries_line(tmp_path):
     with pytest.raises(ParseError) as err:
         load_zeros(p)
     assert err.value.line == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_zeros_rejects_non_finite_ordinates(tmp_path, bad):
+    p = tmp_path / "bad.txt"
+    p.write_text(f"14.134725\n21.022040\n{bad}\n")
+    with pytest.raises(ParseError, match="finite") as err:
+        load_zeros(p)
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_zerolist_rejects_non_finite_ordinates(bad):
+    with pytest.raises(MonotonicityError, match="finite"):
+        ZeroList((14.134725, bad), source="ingested")
+    with pytest.raises(MonotonicityError, match="finite"):
+        ZeroList((bad, 14.134725), source="ingested")
 
 
 def test_load_zeros_monotonicity(tmp_path):
