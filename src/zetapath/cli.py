@@ -17,12 +17,12 @@ from .etaengine import (
     z_eval_from_seed,
 )
 from .exactquad import run_symbolic_suite
-from .sl2z import SHIFT_WORD, load_table, mobius
+from .sl2z import SHIFT_AVATAR, SHIFT_WORD, load_table, mobius
 from .tracer import TraceOptions, TraceRecord, run_experiment, trace
 from .treepath import build_path, find_c
 from .zetafn import MAX_ZEROS, find_zeros, load_zeros
 
-# zero m+2 must exist for matching the endpoint of trace m
+# zero m+2 must exist for matching the endpoint of trace m (--m, --max-m)
 _MAX_M = MAX_ZEROS - 2
 
 
@@ -90,7 +90,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_find_c(args: argparse.Namespace) -> int:
     c = find_c()
     jc = j_fricke(c)
-    z41 = z_eval_from_seed(mobius(load_table().rep(41), c))
+    z41 = z_eval_from_seed(mobius(load_table().rep(SHIFT_AVATAR), c))
     _emit_json({"theta_c": cmath.phase(c), "c": _cpx(c),
                 "j_c": _cpx(jc), "abs_avatar41_at_c": abs(z41)}, args.emit)
     return 0
@@ -248,6 +248,9 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     if args.command == "experiment" and not 0 <= args.max_m <= _MAX_M:
         print(f"--max-m must be between 0 and {_MAX_M}", file=sys.stderr)
+        return 2
+    if args.command == "trace" and args.m > _MAX_M:
+        print(f"--m must be at most {_MAX_M}", file=sys.stderr)
         return 2
     try:
         return args.func(args)

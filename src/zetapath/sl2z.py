@@ -75,12 +75,13 @@ R = GroupElem(0, -1, 1, 1)
 S = GroupElem(0, -1, 1, 0)
 T = GroupElem(1, 1, 0, 1)
 
-# Order-4 hyperbolic element whose conjugate by the index-41 coset
-# representative lands in K; its tree path transports the avatar value
-# from one zeta zero to the next.  SHIFT_WORD evaluates to -SHIFT_ELEMENT,
-# a sign K absorbs.
+# Order-4 hyperbolic element whose conjugate by the coset representative
+# of avatar SHIFT_AVATAR, the one of the 96 that vanishes at c, lands in
+# K; its tree path transports that avatar's value from one zeta zero to
+# the next.  SHIFT_WORD evaluates to -SHIFT_ELEMENT, a sign K absorbs.
 SHIFT_ELEMENT = (R * S * R * S * R) ** 4
 SHIFT_WORD = "RSRSrSRSrSRSrSRSR"
+SHIFT_AVATAR = 41
 
 _LETTERS = {"R": R, "r": R.inv(), "S": S}
 

@@ -1,9 +1,9 @@
 """Predictor-corrector continuation along tree paths.
 
 Walking the path from the marked point c to its shift-element image while
-enforcing zeta(s(t)) = w(t), where w is the branch-continued index-41
-avatar value, carries a critical-line zero to another point of the zero
-list; the m-sweep experiment records which one.
+enforcing zeta(s(t)) = w(t), where w is the branch-continued value of
+avatar SHIFT_AVATAR (41), carries a critical-line zero to another point
+of the zero list; the m-sweep experiment records which one.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from typing import NamedTuple
 
 from .errors import Blocked, DerivativeSmall, StepCollapse
 from .etaengine import EtaContext, avatar_eval, z_eval, z_eval_from_seed
-from .sl2z import SHIFT_ELEMENT, SHIFT_WORD, CosetTable, load_table, mobius
-from .treepath import TreePath, avatar_trajectory, build_path, find_c
+from .sl2z import (
+    SHIFT_AVATAR, SHIFT_ELEMENT, SHIFT_WORD, CosetTable, load_table, mobius,
+)
+from .treepath import POLE_CAP, TreePath, avatar_trajectory, build_path, find_c
 from .zetafn import (
     MAX_ZEROS, ZeroList, ZetaDisc, find_zeros, zeta_with_prime,
 )
@@ -37,7 +39,7 @@ class TraceOptions:
     """The tolerances the CLI sets: --tol-residual and --pole-cap."""
 
     residual_tol: float = 1e-10
-    pole_cap: float = 1e6
+    pole_cap: float = POLE_CAP
 
 
 @dataclass(frozen=True)
@@ -92,9 +94,11 @@ def _zeta_checked(s: complex, disc: ZetaDisc,
 
 def trace(m: int, path: TreePath | None = None,
           opts: TraceOptions | None = None, zeros: ZeroList | None = None,
-          n: int = 41, ctx: EtaContext | None = None,
+          ctx: EtaContext | None = None,
           table: CosetTable | None = None) -> TraceRecord:
-    """Continue zeta(s) = Z_n(z) along the path, starting at the m-th zero.
+    """Continue zeta(s) = Z_41(z), Z_41 the avatar SHIFT_AVATAR, along the
+    path from the m-th zero towards zero m + 1, which the zero list must
+    hold (IndexError without zero m, ValueError without m + 1).
 
     Steps through the path's grid k/samples, reading the avatar values
     from avatar_trajectory (shared through ctx with every other trace on
@@ -124,12 +128,16 @@ def trace(m: int, path: TreePath | None = None,
     if zeros is None:
         zeros = _default_zeros(m + 2)
     gamma = zeros.gamma(m)
+    if m >= len(zeros):
+        raise ValueError(f"m={m} needs at least {m + 1} zeros, "
+                         f"only {len(zeros)} available")
     s = complex(0.5, gamma)
-    traj = avatar_trajectory(path, n, ctx=ctx, table=table)
+    traj = avatar_trajectory(path, SHIFT_AVATAR, ctx=ctx, table=table)
     w = traj[0]
     if abs(w) > 1e-6:
-        raise ValueError(f"avatar {n} is {abs(w):.2e} at the path start, so "
-                         "the start pair does not satisfy the relation")
+        raise ValueError(f"avatar {SHIFT_AVATAR} is {abs(w):.2e} at the path "
+                         "start, so the start pair does not satisfy the "
+                         "relation")
     disc = ZetaDisc()
     val, der_s = _zeta_checked(s, disc, 0.0)
     # the predictor works from the Newton-refined point, which is free
@@ -149,9 +157,10 @@ def trace(m: int, path: TreePath | None = None,
         full_step = True
         while True:
             if abs(w_next) > opts.pole_cap:
-                raise Blocked(f"avatar {n} modulus {abs(w_next):.3e} exceeds "
-                              f"the pole cap {opts.pole_cap:.1e} at "
-                              f"t={t_next:.6f}", t=t_next, s=s)
+                raise Blocked(f"avatar {SHIFT_AVATAR} modulus "
+                              f"{abs(w_next):.3e} exceeds the pole cap "
+                              f"{opts.pole_cap:.1e} at t={t_next:.6f}",
+                              t=t_next, s=s)
             s_lin = s_ref + (w_next - w) / der_s
             s_try = s_lin
             if full_step and len(errs) == 3:
@@ -187,8 +196,8 @@ def trace(m: int, path: TreePath | None = None,
                                    f"{_DT_MIN:.1e} at t={t:.6f}",
                                    t=t, s=s)
             t_next = t + dt
-            w_next = avatar_eval(n, path.point(t_next), w, ctx=ctx,
-                                 table=table)
+            w_next = avatar_eval(SHIFT_AVATAR, path.point(t_next), w,
+                                 ctx=ctx, table=table)
     return TraceRecord(m=m, gamma_start=gamma, end_s=s,
                        matched_index=_match(s, zeros), steps=steps,
                        max_residual=max_residual, max_abs_avatar=max_avatar,
@@ -227,7 +236,7 @@ class ExperimentSummary:
 
 def run_experiment(max_m: int, path: TreePath | None = None,
                    opts: TraceOptions | None = None,
-                   zeros: ZeroList | None = None, n: int = 41,
+                   zeros: ZeroList | None = None,
                    ctx: EtaContext | None = None,
                    table: CosetTable | None = None) -> ExperimentSummary:
     """Trace m = 1..max_m sequentially and tally endpoint matches.
@@ -250,7 +259,7 @@ def run_experiment(max_m: int, path: TreePath | None = None,
     errors: list[TraceFailure] = []
     for m in range(1, max_m + 1):
         try:
-            records.append(trace(m, path=path, opts=opts, zeros=zeros, n=n,
+            records.append(trace(m, path=path, opts=opts, zeros=zeros,
                                  ctx=ctx, table=table))
         except (Blocked, StepCollapse, DerivativeSmall) as exc:
             errors.append(TraceFailure(m, type(exc).__name__, exc.t, exc.s))
@@ -266,11 +275,11 @@ def run_experiment(max_m: int, path: TreePath | None = None,
         zeta_centres=sum(r.zeta_centres for r in records))
 
 
-def verify_fixing(n: int = 41, table: CosetTable | None = None,
+def verify_fixing(table: CosetTable | None = None,
                   ctx: EtaContext | None = None) -> dict:
-    """Check that the shift element leaves avatar n unchanged.
+    """Check that the shift element leaves avatar SHIFT_AVATAR unchanged.
 
-    Exact part: the shift element stabilizes the n-th coset, and not the
+    Exact part: the shift element stabilizes its coset, and not the
     identity coset (the control).  Numeric part: avatar values agree to
     1e-8 at sample points on the base arc around the marked point, the
     value at z continued from the seed and the value at the shifted point
@@ -278,8 +287,8 @@ def verify_fixing(n: int = 41, table: CosetTable | None = None,
     """
     table = table or load_table()
     ctx = ctx or EtaContext()
-    rep = table.rep(n)
-    exact = table.verify_stabilizer(n, SHIFT_ELEMENT)
+    rep = table.rep(SHIFT_AVATAR)
+    exact = table.verify_stabilizer(SHIFT_AVATAR, SHIFT_ELEMENT)
     control = table.verify_stabilizer(1, SHIFT_ELEMENT)
     theta_c = cmath.phase(find_c())
     max_delta = 0.0

@@ -30,6 +30,7 @@ OMEGA = cmath.exp(2j * math.pi / 3.0)
 _BISECT_THETA_TOL = 1e-13
 _ARC_POINTS = 160          # samples per arc in verify_local_intersections
 _PANEL_SIZE = 50           # longer words it checks against the base arc
+POLE_CAP = 1e6             # default avatar modulus cap of a walk
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ def avatar_trajectory(path: TreePath, n: int, ctx: EtaContext | None = None,
     return traj
 
 
-def pole_scan(path: TreePath, n: int, pole_cap: float = 1e6,
+def pole_scan(path: TreePath, n: int, pole_cap: float = POLE_CAP,
               ctx: EtaContext | None = None, table=None) -> float:
     """Maximum |Z_n| along the path grid, walked with branch continuity.
 
@@ -222,18 +223,12 @@ def _min_distance(aa: list[complex], bb: list[complex]) -> float:
 def _panel_words(count: int) -> list[str]:
     # reduced alternating words of increasing length; skip single letters
     # (those are the vertex-sharing special cases handled separately)
-    words = []
+    words: list[str] = []
     frontier = ["R", "r", "S"]
     while len(words) < count:
-        nxt = []
-        for w in frontier:
-            last_s = w[-1] == "S"
-            for ch in ("S",) if not last_s else ("R", "r"):
-                nxt.append(w + ch)
-        for w in nxt:
-            if len(words) < count:
-                words.append(w)
-        frontier = nxt
+        frontier = [w + ch for w in frontier
+                    for ch in ("Rr" if w[-1] == "S" else "S")]
+        words += frontier
     return words[:count]
 
 
@@ -242,14 +237,12 @@ def verify_local_intersections() -> dict:
 
     Checks the three local cases (identity: same set; the rotation letters
     meet only at omega; S meets only at i) and a panel of longer words
-    whose edges must be disjoint from the base arc (minimum sample
-    distance above 1e-6).  Returns a report dict with an overall flag."""
+    whose edges must keep away from the base arc (minimum sample
+    distance at least 1e-3).  Returns a report dict with an overall flag."""
     base = _arc_samples(IDENTITY, _ARC_POINTS)
-    report: dict = {"identity_same_set": True, "vertex_cases": {},
-                    "panel": [], "ok": True}
-    for z in base:
-        if abs(mobius(IDENTITY, z) - z) > 1e-15:
-            report["identity_same_set"] = False
+    same = all(abs(mobius(IDENTITY, z) - z) <= 1e-15 for z in base)
+    report: dict = {"identity_same_set": same, "vertex_cases": {},
+                    "panel": [], "ok": same}
     # rotation letters fix omega, S fixes i; away from the shared vertex
     # the arcs must separate
     away = 0.05
@@ -269,20 +262,7 @@ def verify_local_intersections() -> dict:
         g = word_eval(w)
         image = _arc_samples(g, _ARC_POINTS)
         d = _min_distance(base, image)
-        # refine around the coarse minimizer before judging
-        if d < 1e-3:
-            ai = min(range(len(base)),
-                     key=lambda i: min(abs(base[i] - b) for b in image))
-            lo = max(0, ai - 2)
-            hi = min(len(base) - 1, ai + 2)
-            t0 = THETA_I + (THETA_OMEGA - THETA_I) * lo / (len(base) - 1)
-            t1 = THETA_I + (THETA_OMEGA - THETA_I) * hi / (len(base) - 1)
-            fine = [cmath.exp(1j * (t0 + (t1 - t0) * k / 400))
-                    for k in range(401)]
-            d = _min_distance(fine, image)
         report["panel"].append({"word": w, "min_distance": d})
-        if d <= 1e-6:
+        if d < 1e-3:
             report["ok"] = False
-    if not report["identity_same_set"]:
-        report["ok"] = False
     return report

@@ -54,7 +54,7 @@ _STIRLING = tuple(float(_BERNOULLI[j]) / ((2 * (j + 1)) * (2 * (j + 1) - 1))
                   for j in range(8))
 # B_2j / 2j for the digamma asymptotic series, j = 1..8.
 _DIGAMMA_COEFFS = tuple(float(_BERNOULLI[j]) / (2 * (j + 1)) for j in range(8))
-# B_2j / 2, j = 1..8, for the polygamma asymptotic series (_log_gamma_taylor).
+# B_2j / 2, j = 1..8: _log_gamma_taylor's polygamma series for q_k, k >= 2.
 _POLYGAMMA_COEFFS = tuple(float(b) / 2.0 for b in _BERNOULLI[:8])
 # The correction polynomial of _em_poly, per truncation point N, built
 # when N is first met.
@@ -205,67 +205,24 @@ def _zeta_em(s: complex, want_prime: bool) -> tuple[complex, complex]:
     return total, total_p
 
 
-def _log_sin(x: complex) -> complex:
-    # log sin x up to a multiple of 2 pi i (harmless: only exp'd); the
-    # large-|Im| branches avoid overflow in sin itself
-    if x.imag > 10.0:
-        return cmath.log(0.5j) - 1j * x + cmath.log(1.0 - cmath.exp(2j * x))
-    if x.imag < -10.0:
-        return cmath.log(-0.5j) + 1j * x + cmath.log(1.0 - cmath.exp(-2j * x))
-    return cmath.log(cmath.sin(x))
-
-
-def _cot(x: complex) -> complex:
-    # exponential forms keep |u| <= 1 on either half plane
-    if x.imag >= 0.0:
-        u = cmath.exp(2j * x)
-        return 1j * (u + 1.0) / (u - 1.0)
-    u = cmath.exp(-2j * x)
-    return 1j * (1.0 + u) / (1.0 - u)
-
-
-def _digamma(z: complex) -> complex:
-    """Digamma for Re z > 0 via the asymptotic series with upward shift."""
-    acc = 0j
-    while abs(z) < 12.0:
-        acc -= 1.0 / z
-        z += 1.0
-    inv2 = 1.0 / (z * z)
-    series = 0j
-    zpow = inv2
-    for coeff in _DIGAMMA_COEFFS:
-        series -= coeff * zpow
-        zpow *= inv2
-    return cmath.log(z) - 0.5 / z + series + acc
-
-
-def _log_gamma_taylor(z: complex, tol: float) -> list[complex]:
-    """[q_1, q_2, ...] with log Gamma(z + d) = log Gamma(z) + sum q_k d^k,
-    q_k = psi^(k-1)(z) / k!, for Re z > 0.
-
-    |q_k| <= (1/k)(|z|^-k + (pi/2) |z|^(1-k)), so on |d| <= R =
-    _DISC_RADIUS the terms from order k on sum to at most
-    (R/k) (R/|z|)^(k-1) (1/|z| + pi/2) / (1 - R/|z|), and the series
-    stops before the first k where that is below tol.  q_1 is
-    _digamma(z); the others come from the polygamma asymptotic series
-    after the same upward shift to |z| >= 12."""
-    ratio = _DISC_RADIUS / abs(z)
-    scale = (1.0 / abs(z) + 0.5 * math.pi) / (1.0 - ratio)
-    order = 2
-    while _DISC_RADIUS / order * ratio ** (order - 1) * scale >= tol:
-        order += 1
-    coeffs = [_digamma(z)]
+def _log_gamma_taylor(z: complex, order: int) -> list[complex]:
+    """[q_1, ..., q_order], log Gamma(z + d) = log Gamma(z) + sum q_k d^k,
+    q_k = psi^(k-1)(z) / k!, Re z > 0: after one upward shift to |z| >= 12,
+    q_1 by the digamma asymptotic series, the others by the polygamma one."""
     shifted = []
     while abs(z) < 12.0:
         shifted.append(1.0 / z)
         z += 1.0
+    inv2_powers = accumulate([1.0 / (z * z)] * len(_DIGAMMA_COEFFS), mul)
+    coeffs = [cmath.log(z) - 0.5 / z
+              - sum(map(mul, _DIGAMMA_COEFFS, inv2_powers)) - sum(shifted)]
     v = 1.0 / z
     v2_powers = list(accumulate([v * v] * len(_POLYGAMMA_COEFFS), mul))
     # B_2i (2i+k-2)! / ((2i)! k!), i = 1..8, from k = 2
     weights = _POLYGAMMA_COEFFS
     shift_powers = shifted
     v_power = v                                          # v^(k-1)
-    for k in range(2, order):
+    for k in range(2, order + 1):
         shift_powers = list(map(mul, shift_powers, shifted))
         term = v_power * (1.0 / ((k - 1) * k) + v / (2 * k)
                           + sum(map(mul, weights, v2_powers)))
@@ -277,11 +234,27 @@ def _log_gamma_taylor(z: complex, tol: float) -> list[complex]:
     return coeffs
 
 
-def _chi(s: complex) -> complex:
-    """The reflection factor chi(s) = (2 pi)^s sin(pi s/2) Gamma(1-s) / pi
-    of the functional equation zeta(s) = chi(s) zeta(1-s)."""
-    return cmath.exp(s * _LN2PI - _LNPI + _log_sin(0.5 * math.pi * s)
-                     + _log_gamma(1.0 - s))
+def _chi(s: complex, order: int = 0) -> tuple[complex, complex, list]:
+    """(chi(s), cot(pi s/2), [q_1..q_order] of log Gamma about 1 - s):
+    chi(s) = (2 pi)^s sin(pi s/2) Gamma(1-s) / pi reflects zeta(s) =
+    chi(s) zeta(1-s), and the other two make up its log derivative."""
+    x = 0.5 * math.pi * s
+    # u = e^(+-2ix) keeps |u| <= 1; past |Im x| = 10, where sin x would
+    # overflow, log sin x (up to 2 pi i k: it is only exp'd) comes from u
+    if x.imag >= 0.0:
+        u = cmath.exp(2j * x)
+        cot = 1j * (u + 1.0) / (u - 1.0)
+    else:
+        u = cmath.exp(-2j * x)
+        cot = 1j * (1.0 + u) / (1.0 - u)
+    if x.imag > 10.0:
+        log_sin = cmath.log(0.5j) - 1j * x + cmath.log(1.0 - u)
+    elif x.imag < -10.0:
+        log_sin = cmath.log(-0.5j) + 1j * x + cmath.log(1.0 - u)
+    else:
+        log_sin = cmath.log(cmath.sin(x))
+    chi = cmath.exp(s * _LN2PI - _LNPI + log_sin + _log_gamma(1.0 - s))
+    return chi, cot, _log_gamma_taylor(1.0 - s, order) if order else []
 
 
 def reflects(s: complex) -> bool:
@@ -297,11 +270,10 @@ def _zeta_eval(s: complex, want_prime: bool) -> tuple[complex, complex]:
     if not reflects(s):
         return _zeta_em(s, want_prime)
     val, der = _zeta_em(1.0 - s, want_prime)
-    chi = _chi(s)
     if not want_prime:
-        return chi * val, 0j
-    log_chi_prime = (_LN2PI + 0.5 * math.pi * _cot(0.5 * math.pi * s)
-                     - _digamma(1.0 - s))
+        return _chi(s)[0] * val, 0j
+    chi, cot, (q1,) = _chi(s, 1)
+    log_chi_prime = _LN2PI + 0.5 * math.pi * cot - q1
     return chi * val, chi * (log_chi_prime * val - der)
 
 
@@ -330,8 +302,9 @@ class ZetaDisc:
     reflects, zeta(s) = chi(s) F(1 - s) with
     chi(s) = chi(s0) e^(Q(d)) (cos h - tan(pi c/2) sin h), h = pi d / 2,
     and Q(d) = log Gamma(c + d) - log Gamma(c) - d ln 2 pi a Taylor
-    polynomial (_log_gamma_taylor).  Only a centring calls _chi, for
-    chi(s0); no evaluation runs _zeta_em or _chi.
+    polynomial to the orders that reach _DISC_TOL.  A centring takes
+    chi(s0), tan(pi c/2) = cot(pi s0/2) and Q from one _chi call; no
+    evaluation runs _zeta_em or _chi.
     zeta_with_prime(s, disc) evaluates through the disc,
     which counts its evaluations (evals), those that reflect (reflected)
     and its expansions (centres)."""
@@ -395,10 +368,18 @@ class ZetaDisc:
         x = _DISC_RADIUS * ln_nc
         size = sum(map(abs, terms)) + tail
         if side:
-            q = _log_gamma_taylor(c, _DISC_TOL / size)
+            # |q_k| <= (1/k)(|c|^-k + (pi/2) |c|^(1-k)) bounds the terms
+            # from order k on by (R/k) (R/|c|)^(k-1) (1/|c| + pi/2) /
+            # (1 - R/|c|); Q stops before the first k where that is < tol
+            tol = _DISC_TOL / size
+            ratio = _DISC_RADIUS / abs(c)
+            scale = (1.0 / abs(c) + 0.5 * math.pi) / (1.0 - ratio)
+            k = 2
+            while _DISC_RADIUS / k * ratio ** (k - 1) * scale >= tol:
+                k += 1
+            chi, cot, q = _chi(s, k - 1)
             q[0] -= _LN2PI
-            self._chi = (_chi(s), _cot(0.5 * math.pi * s),
-                         tuple(reversed(q)) + (0j,))
+            self._chi = (chi, cot, tuple(reversed(q)) + (0j,))
         growth = math.exp(x)
         bound = size * growth * x                           # at K = 0
         order = 0

@@ -132,7 +132,7 @@ def test_samples_below_one_rejected(capsys, tmp_path, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv, error", [
     (["trace", "--m", "0"], "IndexError"),
-    (["trace", "--m", "400"], "IndexError"),
+    (["trace", "--m", "320", "--zeros-file", ZEROS_FILE], "IndexError"),
     (["eval", "--fn", "avatar", "--z", "0.1,1.2", "--n", "200"], "KeyError"),
 ])
 def test_out_of_range_index_is_a_json_error(capsys, argv, error):
@@ -239,6 +239,15 @@ def test_experiment_bounds(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_experiment", stub)
     assert main(["experiment", "--max-m", str(MAX_ZEROS - 2)]) == 0
     assert asked == [MAX_ZEROS - 2]
+
+
+def test_trace_bound(capsys, monkeypatch):
+    # zero 350 is the last find_zeros certifies, so --m 349 would end
+    # past the list; refused before any zero is computed
+    monkeypatch.setattr(cli, "trace", None)     # the bound fires first
+    for m in (MAX_ZEROS - 1, 400):
+        assert main(["trace", "--m", str(m)]) == 2
+        assert f"at most {MAX_ZEROS - 2}" in capsys.readouterr().err
 
 
 def test_experiment_zeros_file(capsys):

@@ -314,6 +314,17 @@ def test_experiment_records_failures(zeros):
         assert isinstance(e.s, complex)
 
 
+def test_trace_needs_the_zero_it_lands_on(zeros, monkeypatch):
+    # zero m+1 must be in the list; refused before any avatar is evaluated
+    def unreached(*args, **kwargs):
+        raise AssertionError("an avatar was evaluated")
+    monkeypatch.setattr(tracer, "avatar_trajectory", unreached)
+    monkeypatch.setattr(tracer, "avatar_eval", unreached)
+    three = ZeroList(zeros.ordinates[:3], source="computed")
+    with pytest.raises(ValueError, match="m=3 needs at least 4 zeros"):
+        trace(3, zeros=three)
+
+
 def test_experiment_needs_enough_zeros(zeros):
     with pytest.raises(ValueError):
         run_experiment(10, zeros=zeros)

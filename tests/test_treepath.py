@@ -11,8 +11,8 @@ from zetapath.errors import Blocked, NotReduced
 from zetapath.etaengine import EtaContext, j_fricke, z_eval_from_seed
 from zetapath.exactquad import exact_j_target
 from zetapath.sl2z import (
-    IDENTITY, R, S, SHIFT_ELEMENT, SHIFT_WORD, is_reduced_alternating,
-    load_table, mobius, word_eval,
+    IDENTITY, R, S, SHIFT_AVATAR, SHIFT_ELEMENT, SHIFT_WORD,
+    is_reduced_alternating, load_table, mobius, word_eval,
 )
 from zetapath.treepath import (
     OMEGA, THETA_I, THETA_OMEGA, avatar_trajectory, build_path, find_c,
@@ -165,6 +165,17 @@ def test_avatar_41_small_at_marked_point():
     assert abs(z_eval_from_seed(mobius(rep, c))) < 1e-10
 
 
+def test_the_shift_avatar_is_the_only_one_vanishing_at_c():
+    # why the tracer takes no avatar index: a trace starts at zeta = 0,
+    # and of the 96 avatars only SHIFT_AVATAR vanishes at c
+    c = find_c()
+    table = load_table()
+    moduli = {n: abs(z_eval_from_seed(mobius(table.rep(n), c)))
+              for n in range(1, 97)}
+    assert moduli.pop(SHIFT_AVATAR) < 1e-12
+    assert min(moduli.values()) >= 1e-2
+
+
 def test_pole_scan_shift_path_clean():
     path = build_path(SHIFT_WORD)
     peak = pole_scan(path, 41)
@@ -270,3 +281,11 @@ def test_local_intersections_report():
     assert len(panel) == 50
     assert "RS" in panel and "SR" in panel
     assert min(panel.values()) > 1e-6
+
+
+def test_local_intersections_fail_a_panel_word_near_the_arc(monkeypatch):
+    # R's image shares the vertex omega with the base arc
+    monkeypatch.setattr(treepath, "_panel_words", lambda count: ["R"])
+    report = verify_local_intersections()
+    assert report["panel"][0]["min_distance"] < 1e-3
+    assert report["ok"] is False

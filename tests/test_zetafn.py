@@ -198,18 +198,34 @@ def test_correction_taylor_reproduces_the_polynomial_on_the_disc(c):
         assert abs(taylor - p) < tol + 1e-15 * abs(p), (c, d)
 
 
-def test_log_gamma_taylor_matches_mpmath_polygamma():
+def test_log_gamma_taylor_matches_mpmath_polygamma(monkeypatch):
     mpmath = pytest.importorskip("mpmath")
     radius = zetafn._DISC_RADIUS
+    chi = zetafn._chi
+    orders = []
+
+    def recording_chi(s, order=0):
+        orders.append(order)
+        return chi(s, order)
+    monkeypatch.setattr(zetafn, "_chi", recording_chi)
     with mpmath.workdps(30):
         for z in (0.7 - 40.0j, 3.0 + 0.0j, 0.65 + 0.3j, 0.6 - 541.8j):
-            q = zetafn._log_gamma_taylor(z, 1e-20)
+            q = zetafn._log_gamma_taylor(z, 20)
             for k, qk in enumerate(q, start=1):
                 ref = complex(mpmath.psi(k - 1, z) / mpmath.factorial(k))
                 assert abs(qk - ref) * radius ** k < 1e-16, (z, k)
-            # the next term is below the tolerance the series stopped at
-            ref = complex(mpmath.psi(len(q), z) / mpmath.factorial(len(q) + 1))
-            assert abs(ref) * radius ** (len(q) + 1) < 1e-20, z
+        # a disc centred where s = 1 - z reflects takes q_1..q_K about z
+        # from _chi; the next term is below the tolerance the series
+        # stopped at, _DISC_TOL over the disc's bound on its sum and tail
+        for z in (0.7 - 40.0j, 3.0 + 0.0j, 0.65 + 0.6j, 0.61 - 541.8j):
+            zeta_with_prime(1.0 - z, ZetaDisc())
+            order = orders[-1]
+            n_cut = zetafn._term_count(complex(0.0, abs(z.imag) + radius))
+            size = (sum(n ** -z.real for n in range(1, n_cut))
+                    + n_cut ** (1.0 - z.real))
+            ref = complex(mpmath.psi(order, z) / mpmath.factorial(order + 1))
+            tol = zetafn._DISC_TOL / size
+            assert abs(ref) * radius ** (order + 1) < tol, (z, order)
 
 
 def test_correction_polynomials_are_built_on_first_use():
@@ -466,12 +482,34 @@ def test_reflects_is_the_branch_rule():
         val, der = zetafn._zeta_em(u, True)
         if reflects(s):
             # zeta(s) = chi(s) zeta(1-s), zeta'(s) by (log chi)'
-            chi = zetafn._chi(s)
-            log_chi_prime = (zetafn._LN2PI
-                             + 0.5 * math.pi * zetafn._cot(0.5 * math.pi * s)
-                             - zetafn._digamma(1.0 - s))
+            chi, cot, (q1,) = zetafn._chi(s, 1)
+            log_chi_prime = zetafn._LN2PI + 0.5 * math.pi * cot - q1
             val, der = chi * val, chi * (log_chi_prime * val - der)
         assert zeta_with_prime(s) == (val, der)
+
+
+def test_reflected_branch_below_the_real_axis():
+    # zeta(conj s) = conj zeta(s), so below the real axis the reflected
+    # value and derivative, with and without a disc, mirror those above
+    points = [s for s, _, _ in ZETA_HEX if reflects(s)]
+    points += [-0.3 + 2.0j, 0.1 + 5.5j, -1.5 + 0.7j, 0.2 + 13.0j]
+    for s in points:
+        low = s.conjugate()
+        assert reflects(low) and reflects(s - 0.05j)
+        for got, ref in ((zeta_with_prime(low), zeta_with_prime(s)),
+                         (_disc_eval(low + 0.05j, low),
+                          _disc_eval(s - 0.05j, s))):
+            for x, y in zip(got, ref):
+                assert abs(x - y.conjugate()) < 1e-12 * abs(y), (s, got)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for s in points[-4:]:
+            low = s.conjugate()
+            refs = (complex(mpmath.zeta(low)),
+                    complex(mpmath.zeta(low, derivative=1)))
+            for got in (zeta_with_prime(low), _disc_eval(low + 0.05j, low)):
+                for x, y in zip(got, refs):
+                    assert abs(x - y) < 1e-12 * abs(y), (low, got)
 
 
 def test_pole_guard():
