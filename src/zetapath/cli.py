@@ -9,21 +9,21 @@ import cmath
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import ZetaPathError
 from .etaengine import (
-    dedekind_eta, identity_residuals, j_fricke, lambda_fn, sigma, tau,
-    z_eval_from_seed,
+    avatar_eval, dedekind_eta, identity_residuals, j_fricke, lambda_fn,
+    sigma, tau, z_eval_from_seed,
 )
 from .exactquad import run_symbolic_suite
 from .sl2z import SHIFT_AVATAR, SHIFT_WORD, load_table, mobius
-from .tracer import TraceOptions, TraceRecord, run_experiment, trace
+from .tracer import (
+    COUNTERS, MAX_M, TraceOptions, TraceRecord, run_experiment, trace,
+)
 from .treepath import build_path, find_c
-from .zetafn import MAX_ZEROS, find_zeros, load_zeros
-
-# zero m+2 must exist for matching the endpoint of trace m (--m, --max-m)
-_MAX_M = MAX_ZEROS - 2
+from .zetafn import find_zeros, load_zeros
 
 
 def _cpx(z: complex) -> dict:
@@ -89,10 +89,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_find_c(args: argparse.Namespace) -> int:
     c = find_c()
-    jc = j_fricke(c)
-    z41 = z_eval_from_seed(mobius(load_table().rep(SHIFT_AVATAR), c))
     _emit_json({"theta_c": cmath.phase(c), "c": _cpx(c),
-                "j_c": _cpx(jc), "abs_avatar41_at_c": abs(z41)}, args.emit)
+                "j_c": _cpx(j_fricke(c)),
+                "abs_avatar41_at_c": abs(avatar_eval(SHIFT_AVATAR, c))},
+               args.emit)
     return 0
 
 
@@ -133,14 +133,7 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
 
 
 def _record_dict(rec: TraceRecord) -> dict:
-    return {"m": rec.m, "gamma_start": rec.gamma_start,
-            "end_s": _cpx(rec.end_s), "matched_index": rec.matched_index,
-            "steps": rec.steps, "halvings": rec.halvings,
-            "zeta_evals": rec.zeta_evals,
-            "zeta_reflected": rec.zeta_reflected,
-            "zeta_centres": rec.zeta_centres,
-            "max_residual": rec.max_residual,
-            "max_abs_avatar": rec.max_abs_avatar, "wall_time": rec.wall_time}
+    return {**asdict(rec), "end_s": _cpx(rec.end_s)}
 
 
 def _trace_setup(args: argparse.Namespace):
@@ -169,13 +162,10 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             print(line)
     print(json.dumps({"summary": {
         "max_m": args.max_m, "success_count": summary.success_count,
-        "errors": [{"m": e.m, "kind": e.kind, "t": e.t,
-                    "s": None if e.s is None else _cpx(e.s)}
+        "errors": [{**e._asdict(), "s": None if e.s is None else _cpx(e.s)}
                    for e in summary.errors],
-        "max_residual": summary.max_residual, "steps": summary.steps,
-        "halvings": summary.halvings, "zeta_evals": summary.zeta_evals,
-        "zeta_reflected": summary.zeta_reflected,
-        "zeta_centres": summary.zeta_centres,
+        "max_residual": summary.max_residual,
+        **{name: getattr(summary, name) for name in COUNTERS},
         "wall_time": summary.wall_time, "emitted": args.emit}}))
     ok = summary.success_count == args.max_m and not summary.errors
     return 0 if ok else 1
@@ -246,11 +236,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    if args.command == "experiment" and not 0 <= args.max_m <= _MAX_M:
-        print(f"--max-m must be between 0 and {_MAX_M}", file=sys.stderr)
+    if args.command == "experiment" and not 0 <= args.max_m <= MAX_M:
+        print(f"--max-m must be between 0 and {MAX_M}", file=sys.stderr)
         return 2
-    if args.command == "trace" and args.m > _MAX_M:
-        print(f"--m must be at most {_MAX_M}", file=sys.stderr)
+    if args.command == "trace" and not 1 <= args.m <= MAX_M:
+        print(f"--m must be between 1 and {MAX_M}", file=sys.stderr)
         return 2
     try:
         return args.func(args)

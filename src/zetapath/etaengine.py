@@ -302,8 +302,8 @@ def _root_pair(z: complex, t: complex, lam: complex) -> RootPair:
             q = -(b + sq) / 2.0
         else:
             q = -(b - sq) / 2.0
-        if q == 0:  # b = 0 and a = c: roots are +-1
-            r1, r2 = 1.0 + 0j, -1.0 + 0j
+        if q == 0:  # b = 0 and a = c: a (Z^2 + 1) = 0, roots are +-i
+            r1, r2 = 1j, -1j
         else:
             r1, r2 = q / a, a / q
     return RootPair(r1, r2, a, b)

@@ -60,9 +60,22 @@ class TraceRecord:
     zeta_centres: int
 
 
-def _default_zeros(count: int) -> ZeroList:
-    """The first `count` zeros from find_zeros, at most its 350."""
-    return find_zeros(min(count, MAX_ZEROS))
+COUNTERS = ("steps", "halvings", "zeta_evals", "zeta_reflected",
+            "zeta_centres")     # the record counts a sweep sums
+MAX_M = MAX_ZEROS - 2           # the last start whose zero m + 2 exists
+
+
+def _zeros_for(first: int, last: int, zeros: ZeroList | None) -> ZeroList:
+    """The zeros for traces from zero first..last: `zeros`, or find_zeros
+    through zero last + 2 (at most MAX_ZEROS) to name an overshoot.
+    IndexError without zero first, ValueError without zero last + 1."""
+    if zeros is None:
+        zeros = find_zeros(min(last + 2, MAX_ZEROS))
+    zeros.gamma(first)
+    if last >= len(zeros):
+        raise ValueError(f"m={last} needs at least {last + 1} zeros, "
+                         f"only {len(zeros)} available")
+    return zeros
 
 
 def _match(s: complex, zeros: ZeroList) -> int | None:
@@ -125,12 +138,8 @@ def trace(m: int, path: TreePath | None = None,
     path = path or build_path(SHIFT_WORD)
     table = table or load_table()
     ctx = ctx or EtaContext()
-    if zeros is None:
-        zeros = _default_zeros(m + 2)
+    zeros = _zeros_for(m, m, zeros)
     gamma = zeros.gamma(m)
-    if m >= len(zeros):
-        raise ValueError(f"m={m} needs at least {m + 1} zeros, "
-                         f"only {len(zeros)} available")
     s = complex(0.5, gamma)
     traj = avatar_trajectory(path, SHIFT_AVATAR, ctx=ctx, table=table)
     w = traj[0]
@@ -220,7 +229,7 @@ class TraceFailure(NamedTuple):
 @dataclass(frozen=True)
 class ExperimentSummary:
     """Aggregated m-sweep results; per-m failures recorded, not fatal.
-    The counts sum those of the records."""
+    The COUNTERS fields sum those of the records."""
 
     records: tuple[TraceRecord, ...]
     errors: tuple[TraceFailure, ...]
@@ -246,15 +255,9 @@ def run_experiment(max_m: int, path: TreePath | None = None,
     m and are recorded as TraceFailure entries.
     """
     t0 = time.perf_counter()
-    opts = opts or TraceOptions()
     path = path or build_path(SHIFT_WORD)
-    table = table or load_table()
     ctx = ctx or EtaContext()
-    if zeros is None:
-        zeros = _default_zeros(max(max_m, 0) + 2)
-    if max_m > len(zeros.ordinates) - 1:
-        raise ValueError(f"max_m={max_m} needs at least {max_m + 1} zeros, "
-                         f"only {len(zeros.ordinates)} available")
+    zeros = _zeros_for(1, max(max_m, 0), zeros)
     records: list[TraceRecord] = []
     errors: list[TraceFailure] = []
     for m in range(1, max_m + 1):
@@ -268,11 +271,8 @@ def run_experiment(max_m: int, path: TreePath | None = None,
         records=tuple(records), errors=tuple(errors), success_count=success,
         max_residual=max((r.max_residual for r in records), default=0.0),
         wall_time=time.perf_counter() - t0,
-        steps=sum(r.steps for r in records),
-        halvings=sum(r.halvings for r in records),
-        zeta_evals=sum(r.zeta_evals for r in records),
-        zeta_reflected=sum(r.zeta_reflected for r in records),
-        zeta_centres=sum(r.zeta_centres for r in records))
+        **{name: sum(getattr(r, name) for r in records)
+           for name in COUNTERS})
 
 
 def verify_fixing(table: CosetTable | None = None,

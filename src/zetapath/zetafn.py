@@ -59,9 +59,7 @@ _POLYGAMMA_COEFFS = tuple(float(b) / 2.0 for b in _BERNOULLI[:8])
 # The correction polynomial of _em_poly, per truncation point N, built
 # when N is first met.
 _EM_POLYS: dict[int, tuple[float, ...]] = {}
-# ln n for n < 400, index n: the main sum's logarithms up to the
-# truncation point at |Im s| ~ 1300; past it _zeta_em takes its own.
-_LN = [0.0] + [math.log(n) for n in range(1, 400)]
+_LN: tuple[float, ...] = (0.0,)     # ln n, index n; grown by _logs
 
 _POLE_TOL = 1e-12
 _BISECT_TOL = 1e-10
@@ -155,11 +153,13 @@ def _correction_taylor(n: int, c: complex, order: int,
     return coeffs
 
 
-def _logs(n_cut: int) -> list[float]:
-    """ln n for n < n_cut, index n: the table, or past it a fresh list."""
-    if n_cut > len(_LN):
-        return [0.0] + [math.log(n) for n in range(1, n_cut)]
-    return _LN
+def _logs(n_cut: int) -> tuple[float, ...]:
+    """ln n for n < n_cut at least, index n: _LN, rebound when outgrown."""
+    global _LN
+    ln = _LN
+    if n_cut > len(ln):
+        ln = _LN = ln + tuple(map(math.log, range(len(ln), n_cut)))
+    return ln
 
 
 def _zeta_em(s: complex, want_prime: bool) -> tuple[complex, complex]:

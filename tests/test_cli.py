@@ -2,13 +2,16 @@
 
 import json
 import math
+from dataclasses import fields
 from importlib.resources import files
 
 import pytest
 
 from zetapath import cli
 from zetapath.cli import main
-from zetapath.tracer import ExperimentSummary
+from zetapath.tracer import (
+    COUNTERS, ExperimentSummary, TraceFailure, TraceRecord,
+)
 from zetapath.zetafn import MAX_ZEROS
 
 ZEROS_FILE = str(files("zetapath").joinpath("data/zeta_zeros.txt"))
@@ -131,7 +134,6 @@ def test_samples_below_one_rejected(capsys, tmp_path, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv, error", [
-    (["trace", "--m", "0"], "IndexError"),
     (["trace", "--m", "320", "--zeros-file", ZEROS_FILE], "IndexError"),
     (["eval", "--fn", "avatar", "--z", "0.1,1.2", "--n", "200"], "KeyError"),
 ])
@@ -174,6 +176,7 @@ def test_zeros_count_bounds(capsys):
 def test_trace(capsys):
     assert main(["trace", "--m", "1"]) == 0
     out = _json_out(capsys)
+    assert set(out) == {f.name for f in fields(TraceRecord)}
     assert out["matched_index"] == 2
     assert out["halvings"] == 0
     assert out["steps"] < out["zeta_evals"] < 1.5 * out["steps"]
@@ -192,8 +195,7 @@ def test_experiment(capsys):
     summary = json.loads(lines[-1])["summary"]
     assert summary["success_count"] == 2
     assert summary["errors"] == []
-    for name in ("steps", "halvings", "zeta_evals", "zeta_reflected",
-                 "zeta_centres"):
+    for name in COUNTERS:
         assert summary[name] == sum(r[name] for r in records)
 
 
@@ -206,6 +208,7 @@ def test_experiment_errors_are_json_records(capsys):
     errors = summary["errors"]
     assert [e["m"] for e in errors] == [1, 2]
     for e in errors:
+        assert list(e) == list(TraceFailure._fields)
         assert e["kind"] == "Blocked"
         assert 0.0 < e["t"] < 1.0
         assert set(e["s"]) == {"re", "im"}
@@ -242,12 +245,13 @@ def test_experiment_bounds(capsys, monkeypatch):
 
 
 def test_trace_bound(capsys, monkeypatch):
-    # zero 350 is the last find_zeros certifies, so --m 349 would end
-    # past the list; refused before any zero is computed
+    # zero 350 is the last find_zeros certifies: trace 349 would land on
+    # it with no zero 351 to name an overshoot, and there is no zero 0;
+    # refused before any zero is computed
     monkeypatch.setattr(cli, "trace", None)     # the bound fires first
-    for m in (MAX_ZEROS - 1, 400):
+    for m in (-1, 0, MAX_ZEROS - 1, 400):
         assert main(["trace", "--m", str(m)]) == 2
-        assert f"at most {MAX_ZEROS - 2}" in capsys.readouterr().err
+        assert f"between 1 and {MAX_ZEROS - 2}" in capsys.readouterr().err
 
 
 def test_experiment_zeros_file(capsys):

@@ -536,6 +536,38 @@ def test_root_pair_divided_through_agrees_in_the_band(monkeypatch):
         assert chordal(pair.second, ref.second) < 1e-12, z
 
 
+def _quadratic_residual(pair, r):
+    # |a r^2 + b r + a|, relative to |a| where a != 0; the quadratic is
+    # palindromic, so the root inf is checked through its reciprocal 0
+    a, b = pair.quad_a, pair.quad_b
+    if cmath.isinf(r):
+        r = 0j
+    return abs(a * r * r + b * r + a) / (abs(a) or 1.0)
+
+
+def test_root_pair_degenerate_branches(monkeypatch):
+    # q == 0: b = 0 and 4a^2 underflows, leaving a (Z^2 + 1) = 0
+    for name in ("_CUBE27_F", "_BETA_F", "_GAMMA_F", "_DELTA_F"):
+        monkeypatch.setattr(etaengine, name, 0.0)
+    monkeypatch.setattr(etaengine, "_RHS_SCALE_F", 3.0 * 2.0 ** -600)
+    pair = etaengine._root_pair(1j, 1 + 0j, 2.0 ** -600 + 0j)
+    assert pair.quad_a != 0 and pair.quad_b == 0
+    assert {pair.first, pair.second} == {1j, -1j}
+    for r in (pair.first, pair.second):
+        assert _quadratic_residual(pair, r) < 1e-15
+    assert etaengine._nearest(pair, 0.2 + 0.9j) == 1j
+    assert etaengine._nearest(pair, 0.2 - 0.9j) == -1j
+    # a == 0: the roots are 0 and inf
+    monkeypatch.setattr(etaengine, "_RHS_SCALE_F", 0.0)
+    pair = etaengine._root_pair(1j, 0j, 1 + 0j)
+    assert pair.quad_a == 0
+    assert pair.first == 0 and cmath.isinf(pair.second)
+    for r in (pair.first, pair.second):
+        assert _quadratic_residual(pair, r) == 0.0
+    assert etaengine._nearest(pair, 0.1 + 0.1j) == 0
+    assert cmath.isinf(etaengine._nearest(pair, 1e6j))
+
+
 def test_quotients_out_of_double_range_raise_near_pole():
     # nearer the cusps 0 and 1/2 the quotients themselves overflow
     for fn, z in ((tau, 0.008j), (lambda_fn, 0.008j), (sigma, 0.01j),

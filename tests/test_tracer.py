@@ -9,7 +9,7 @@ from zetapath.errors import Blocked, DerivativeSmall, StepCollapse
 from zetapath.etaengine import EtaContext
 from zetapath.sl2z import SHIFT_WORD
 from zetapath.tracer import (
-    TraceOptions, TraceRecord, _default_zeros, _match, run_experiment, trace,
+    TraceOptions, TraceRecord, _match, _zeros_for, run_experiment, trace,
     verify_fixing,
 )
 from zetapath.treepath import build_path
@@ -323,6 +323,10 @@ def test_trace_needs_the_zero_it_lands_on(zeros, monkeypatch):
     three = ZeroList(zeros.ordinates[:3], source="computed")
     with pytest.raises(ValueError, match="m=3 needs at least 4 zeros"):
         trace(3, zeros=three)
+    # without zero m itself the index is out of range, checked first
+    for m in (0, 4):
+        with pytest.raises(IndexError):
+            trace(m, zeros=three)
 
 
 def test_experiment_needs_enough_zeros(zeros):
@@ -331,16 +335,17 @@ def test_experiment_needs_enough_zeros(zeros):
 
 
 def test_default_zeros_are_computed_up_to_the_cap():
-    assert _default_zeros(3).ordinates == find_zeros(3).ordinates
+    # a trace from zero m computes the zeros through m + 2
+    assert _zeros_for(1, 1, None).ordinates == find_zeros(3).ordinates
     ref = reference_zeros()
     assert len(ref) == 310
-    deep = _default_zeros(302)
+    deep = _zeros_for(300, 300, None)
     assert deep.source == "computed"
     assert len(deep) == 302
     worst = max(abs(a - b) for a, b in zip(deep.ordinates, ref.ordinates))
     assert worst < 1e-9
-    assert _default_zeros(201).ordinates == deep.ordinates[:201]
-    assert len(_default_zeros(400)) == 350
+    assert _zeros_for(199, 199, None).ordinates == deep.ordinates[:201]
+    assert len(_zeros_for(1, 349, None)) == 350
 
 
 def test_experiment_beyond_200_zeros_runs(monkeypatch):

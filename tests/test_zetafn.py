@@ -106,7 +106,8 @@ def test_truncation_point_rule():
     assert zetafn._term_count(0.5 + 14.13j) == 20
     assert zetafn._term_count(0.5 + 541.8j) == 165
     assert zetafn._term_count(0.5 - 541.8j) == 165
-    # the ln n table covers the default truncation point to |Im s| ~ 1300
+    # the ln n table grows to the truncation point the first time it is met
+    zeta(0.5 + 1300j)
     assert zetafn._term_count(0.5 + 1300j) <= len(zetafn._LN)
 
 
@@ -116,6 +117,13 @@ def test_truncation_past_the_log_table(monkeypatch):
     n = len(zetafn._LN) + 50
     monkeypatch.setattr(zetafn, "_term_count", lambda _: n)
     assert abs(zeta(s) - at_default) < 1e-12
+    # the table grew to N, rebound rather than built per call
+    table = zetafn._LN
+    assert len(table) == n
+    assert table[0] == 0.0
+    assert all(table[k] == math.log(k) for k in range(1, n))
+    zeta(s)
+    assert zetafn._LN is table
 
 
 # B_2..B_30 as they were typed in before the tangent-number generator.
