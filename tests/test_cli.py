@@ -134,6 +134,8 @@ def test_samples_below_one_rejected(capsys, tmp_path, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("argv, error", [
+    # the shipped file holds 310 zeros: 311 is the first index past it
+    (["trace", "--m", "311", "--zeros-file", ZEROS_FILE], "IndexError"),
     (["trace", "--m", "320", "--zeros-file", ZEROS_FILE], "IndexError"),
     (["eval", "--fn", "avatar", "--z", "0.1,1.2", "--n", "200"], "KeyError"),
 ])
