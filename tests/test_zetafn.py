@@ -480,6 +480,29 @@ def test_zeta_is_bitwise_frozen_on_a_branch_panel():
         assert zeta(s) == zeta_with_prime(s)[0]
 
 
+# theta(t) and Z(t) in float.hex: (t, theta, Re Z, Im Z).  The first three
+# heights put 1/4 + it/2 inside |z| < 12, where log Gamma shifts upward.
+THETA_Z_HEX = [
+    (9.667, "-0x1.921f0f4a7f8aap+1",
+     "-0x1.8825d682938e6p+0", "-0x1.1e72800000000p-50"),
+    (14.13, "-0x1.bb079b819cb38p+0",
+     "-0x1.eb0a416f5d03dp-9", "0x1.1030000000000p-50"),
+    (20.0, "0x1.2fd856920fae0p+0",
+     "0x1.25d900154c132p+0", "0x1.7000000000000p-50"),
+    (100.0, "0x1.5fe37f4853566p+6",
+     "0x1.58aa4c1234625p+1", "0x1.4e40000000000p-48"),
+    (611.0, "0x1.111cac3b97167p+10",
+     "0x1.bc3dfec026f32p-2", "0x1.3800000000000p-49"),
+]
+
+
+def test_theta_and_hardy_z_are_frozen_bitwise():
+    for t, theta, z_re, z_im in THETA_Z_HEX:
+        z = hardy_z(t)
+        assert (rs_theta(t).hex(), z.real.hex(), z.imag.hex()) == (
+            theta, z_re, z_im), t
+
+
 def test_reflects_is_the_branch_rule():
     assert reflects(0.3 + 14.0j) and reflects(-2.5 + 0.0j)
     assert not reflects(0.4 + 14.0j)
