@@ -54,7 +54,7 @@ _STIRLING = tuple(float(_BERNOULLI[j]) / ((2 * (j + 1)) * (2 * (j + 1) - 1))
                   for j in range(8))
 # B_2j / 2j for the digamma asymptotic series, j = 1..8.
 _DIGAMMA_COEFFS = tuple(float(_BERNOULLI[j]) / (2 * (j + 1)) for j in range(8))
-# B_2j / 2, j = 1..8: _log_gamma_taylor's polygamma series for q_k, k >= 2.
+# B_2j / 2, j = 1..8: _log_gamma's polygamma series for q_k, k >= 2.
 _POLYGAMMA_COEFFS = tuple(float(b) / 2.0 for b in _BERNOULLI[:8])
 # The correction polynomial of _em_poly, per truncation point N, built
 # when N is first met.
@@ -205,35 +205,6 @@ def _zeta_em(s: complex, want_prime: bool) -> tuple[complex, complex]:
     return total, total_p
 
 
-def _log_gamma_taylor(z: complex, order: int) -> list[complex]:
-    """[q_1, ..., q_order], log Gamma(z + d) = log Gamma(z) + sum q_k d^k,
-    q_k = psi^(k-1)(z) / k!, Re z > 0: after one upward shift to |z| >= 12,
-    q_1 by the digamma asymptotic series, the others by the polygamma one."""
-    shifted = []
-    while abs(z) < 12.0:
-        shifted.append(1.0 / z)
-        z += 1.0
-    inv2_powers = accumulate([1.0 / (z * z)] * len(_DIGAMMA_COEFFS), mul)
-    coeffs = [cmath.log(z) - 0.5 / z
-              - sum(map(mul, _DIGAMMA_COEFFS, inv2_powers)) - sum(shifted)]
-    v = 1.0 / z
-    v2_powers = list(accumulate([v * v] * len(_POLYGAMMA_COEFFS), mul))
-    # B_2i (2i+k-2)! / ((2i)! k!), i = 1..8, from k = 2
-    weights = _POLYGAMMA_COEFFS
-    shift_powers = shifted
-    v_power = v                                          # v^(k-1)
-    for k in range(2, order + 1):
-        shift_powers = list(map(mul, shift_powers, shifted))
-        term = v_power * (1.0 / ((k - 1) * k) + v / (2 * k)
-                          + sum(map(mul, weights, v2_powers)))
-        term += sum(shift_powers) / k
-        coeffs.append(-term if k % 2 else term)
-        weights = [w * (2 * i + k - 1) / (k + 1)
-                   for i, w in enumerate(weights, start=1)]
-        v_power *= v
-    return coeffs
-
-
 def _chi(s: complex, order: int = 0) -> tuple[complex, complex, list]:
     """(chi(s), cot(pi s/2), [q_1..q_order] of log Gamma about 1 - s):
     chi(s) = (2 pi)^s sin(pi s/2) Gamma(1-s) / pi reflects zeta(s) =
@@ -253,8 +224,9 @@ def _chi(s: complex, order: int = 0) -> tuple[complex, complex, list]:
         log_sin = cmath.log(-0.5j) + 1j * x + cmath.log(1.0 - u)
     else:
         log_sin = cmath.log(cmath.sin(x))
-    chi = cmath.exp(s * _LN2PI - _LNPI + log_sin + _log_gamma(1.0 - s))
-    return chi, cot, _log_gamma_taylor(1.0 - s, order) if order else []
+    log_gamma = _log_gamma(1.0 - s, order)
+    chi = cmath.exp(s * _LN2PI - _LNPI + log_sin + log_gamma[0])
+    return chi, cot, log_gamma[1:]
 
 
 def reflects(s: complex) -> bool:
@@ -444,12 +416,19 @@ def zeta_with_prime(s: complex,
     return disc._evaluate(s)
 
 
-def _log_gamma(z: complex) -> complex:
-    """Principal log-gamma for Re z > 0 via Stirling with upward shift."""
+def _log_gamma(z: complex, order: int = 0) -> list[complex]:
+    """[log Gamma(z), q_1, ..., q_order] for Re z > 0, where
+    log Gamma(z + d) = log Gamma(z) + sum q_k d^k, q_k = psi^(k-1)(z) / k!.
+    After one upward shift to |z| >= 12: log Gamma by Stirling, q_1 by the
+    digamma asymptotic series, the others by the polygamma one."""
     acc = 0j
+    shifted = []
     while abs(z) < 12.0:
         acc -= cmath.log(z)
+        if order:
+            shifted.append(1.0 / z)
         z += 1.0
+    log_z = cmath.log(z)
     series = 0j
     zpow = z
     z2 = z * z
@@ -458,13 +437,33 @@ def _log_gamma(z: complex) -> complex:
         zpow *= z2
     # (z - 1/2)(log z - 1) is (z - 1/2) log z - z + 1/2 with one rounding
     # fewer at the scale of |z| log |z|
-    return ((z - 0.5) * (cmath.log(z) - 1.0) + (0.5 * _LN2PI - 0.5)
-            + series + acc)
+    out = [(z - 0.5) * (log_z - 1.0) + (0.5 * _LN2PI - 0.5) + series + acc]
+    if not order:
+        return out
+    inv2_powers = accumulate([1.0 / z2] * len(_DIGAMMA_COEFFS), mul)
+    out.append(log_z - 0.5 / z
+               - sum(map(mul, _DIGAMMA_COEFFS, inv2_powers)) - sum(shifted))
+    v = 1.0 / z
+    v2_powers = list(accumulate([v * v] * len(_POLYGAMMA_COEFFS), mul))
+    # B_2i (2i+k-2)! / ((2i)! k!), i = 1..8, from k = 2
+    weights = _POLYGAMMA_COEFFS
+    shift_powers = shifted
+    v_power = v                                          # v^(k-1)
+    for k in range(2, order + 1):
+        shift_powers = list(map(mul, shift_powers, shifted))
+        term = v_power * (1.0 / ((k - 1) * k) + v / (2 * k)
+                          + sum(map(mul, weights, v2_powers)))
+        term += sum(shift_powers) / k
+        out.append(-term if k % 2 else term)
+        weights = [w * (2 * i + k - 1) / (k + 1)
+                   for i, w in enumerate(weights, start=1)]
+        v_power *= v
+    return out
 
 
 def rs_theta(t: float) -> float:
     """Phase theta(t) with e^(i theta) zeta(1/2+it) real for real t."""
-    return (_log_gamma(0.25 + 0.5j * t)).imag - 0.5 * t * math.log(math.pi)
+    return _log_gamma(0.25 + 0.5j * t)[0].imag - 0.5 * t * _LNPI
 
 
 def hardy_z(t: float) -> complex:

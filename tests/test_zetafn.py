@@ -218,7 +218,7 @@ def test_log_gamma_taylor_matches_mpmath_polygamma(monkeypatch):
     monkeypatch.setattr(zetafn, "_chi", recording_chi)
     with mpmath.workdps(30):
         for z in (0.7 - 40.0j, 3.0 + 0.0j, 0.65 + 0.3j, 0.6 - 541.8j):
-            q = zetafn._log_gamma_taylor(z, 20)
+            q = zetafn._log_gamma(z, 20)[1:]
             for k, qk in enumerate(q, start=1):
                 ref = complex(mpmath.psi(k - 1, z) / mpmath.factorial(k))
                 assert abs(qk - ref) * radius ** k < 1e-16, (z, k)
