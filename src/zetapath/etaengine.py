@@ -91,7 +91,10 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 
 class EtaContext:
     """The multiplier cache and the most recent avatar trajectory (kept
-    by treepath.avatar_trajectory).
+    by treepath.avatar_trajectory): what a walk shares from one call to
+    the next.  The walk's functions take a context; the point evaluators
+    (tau, lambda_fn, tau5, sigma, j_fricke, psi_phi, identity_residuals)
+    use the module's own.
 
     Not safe to share across threads; concurrent callers should each own
     a context."""
@@ -212,27 +215,26 @@ def _tau5(z: complex, e1: complex, e5: complex) -> complex:
     return _in_range(z, "tau5", lambda: (e5 / e1) ** 6)
 
 
-def tau(z: complex, ctx: EtaContext | None = None) -> complex:
+def tau(z: complex) -> complex:
     """Degree-4 hauptmodul (eta_3 eta_5 / eta_1 eta_15)^3, with
     eta_m(z) = eta(z/m)."""
-    return _tau_lambda(z, *_etas(z, ctx or _DEFAULT_CTX))[0]
+    return _tau_lambda(z, *_etas(z, _DEFAULT_CTX))[0]
 
 
-def lambda_fn(z: complex, ctx: EtaContext | None = None) -> complex:
+def lambda_fn(z: complex) -> complex:
     """Weight-0 quotient eta_1^-3 eta_3^6 eta_5^-3."""
-    return _tau_lambda(z, *_etas(z, ctx or _DEFAULT_CTX))[1]
+    return _tau_lambda(z, *_etas(z, _DEFAULT_CTX))[1]
 
 
-def tau5(z: complex, ctx: EtaContext | None = None) -> complex:
+def tau5(z: complex) -> complex:
     """Level-5 quotient (eta_5 / eta_1)^6; needs only two of the quartet."""
-    ctx = ctx or _DEFAULT_CTX
-    return _tau5(z, dedekind_eta(z, ctx), dedekind_eta(z / 5, ctx))
+    return _tau5(z, dedekind_eta(z), dedekind_eta(z / 5))
 
 
-def sigma(z: complex, ctx: EtaContext | None = None) -> complex:
+def sigma(z: complex) -> complex:
     """Square function recovered rationally:
     (250 tau^4 lambda^2 - D(tau)) / C(tau)."""
-    return _sigma_from(z, *_tau_lambda(z, *_etas(z, ctx or _DEFAULT_CTX)))
+    return _sigma_from(z, *_tau_lambda(z, *_etas(z, _DEFAULT_CTX)))
 
 
 def _sigma_from(z: complex, t: complex, lam: complex) -> complex:
@@ -244,11 +246,10 @@ def _sigma_from(z: complex, t: complex, lam: complex) -> complex:
         z, "sigma", lambda: (250.0 * t ** 4 * lam ** 2 - _horner(_D_C, t)) / den)
 
 
-def j_fricke(z: complex, ctx: EtaContext | None = None) -> complex:
+def j_fricke(z: complex) -> complex:
     """Klein j-invariant via the level-5 quotient:
     (tau5^2 + 10 tau5 + 5)^3 / tau5."""
-    ctx = ctx or _DEFAULT_CTX
-    t5 = tau5(z, ctx)
+    t5 = tau5(z)
     if abs(t5) < _POLE_TOL * 1e-2:
         raise NearPole(f"level-5 quotient {abs(t5):.3e} too close to zero",
                        z=z)
@@ -344,15 +345,15 @@ def z_eval_from_seed(z: complex, ctx: EtaContext | None = None) -> complex:
     return val
 
 
-def psi_phi(z: complex, branch_value: complex | None = None,
-            ctx: EtaContext | None = None) -> tuple[complex, complex]:
-    """The odd-cubic square root PSI and the cubic-model coordinate PHI.
+def psi_phi(z: complex,
+            branch_value: complex | None = None) -> tuple[complex, complex]:
+    """The odd-cubic square root PSI and the cubic-model coordinate PHI,
+    at the branch value Z given, or without one z_eval_from_seed(z).
 
     PSI = B1(Z)^2 sigma / [3 sqrt5 PHI_golden (Z^2-1)(Z^2-Z+1)(Z^2-3Z+1)],
     PHI = (PSI - Z) / (2 (Z - 1))."""
-    ctx = ctx or _DEFAULT_CTX
-    zv = branch_value if branch_value is not None else z_eval(z, ctx=ctx)
-    return _psi_phi(sigma(z, ctx), zv)
+    zv = branch_value if branch_value is not None else z_eval_from_seed(z)
+    return _psi_phi(sigma(z), zv)
 
 
 def _psi_phi(s: complex, zv: complex) -> tuple[complex, complex]:
@@ -367,7 +368,7 @@ def _psi_phi(s: complex, zv: complex) -> tuple[complex, complex]:
     return psi, phi
 
 
-def identity_residuals(z: complex, ctx: EtaContext | None = None,
+def identity_residuals(z: complex, *,
                        branch_value: complex | None = None) -> dict[str, float]:
     """Scaled residuals of the defining identities at one point.
 
@@ -386,7 +387,7 @@ def identity_residuals(z: complex, ctx: EtaContext | None = None,
     every identity holds on both roots alike.  Near a cusp, where a term
     leaves double range, NearPole is raised instead."""
     try:
-        out = _residuals(z, ctx or _DEFAULT_CTX, branch_value)
+        out = _residuals(z, branch_value)
     except OverflowError:
         raise _out_of_range(z, "an identity residual") from None
     if not all(map(math.isfinite, out.values())):
@@ -394,9 +395,8 @@ def identity_residuals(z: complex, ctx: EtaContext | None = None,
     return out
 
 
-def _residuals(z: complex, ctx: EtaContext,
-               branch_value: complex | None) -> dict[str, float]:
-    e1, e3, e5, e15 = _etas(z, ctx)
+def _residuals(z: complex, branch_value: complex | None) -> dict[str, float]:
+    e1, e3, e5, e15 = _etas(z, _DEFAULT_CTX)
     t, lam = _tau_lambda(z, e1, e3, e5, e15)
     t5 = _tau5(z, e1, e5)
     s = _sigma_from(z, t, lam)

@@ -67,10 +67,13 @@ MAX_M = MAX_ZEROS - 2           # the last start whose zero m + 2 exists
 
 def _zeros_for(first: int, last: int, zeros: ZeroList | None) -> ZeroList:
     """The zeros for traces from zero first..last: `zeros`, or find_zeros
-    through zero last + 2 (at most MAX_ZEROS) to name an overshoot.
-    IndexError without zero first, ValueError without zero last + 1."""
+    through zero last + 2 to name an overshoot.  IndexError without zero
+    first, ValueError without zero last + 1 or, computing, past MAX_M."""
     if zeros is None:
-        zeros = find_zeros(min(last + 2, MAX_ZEROS))
+        if last > MAX_M:
+            raise ValueError(f"m={last} is past {MAX_M}: find_zeros stops "
+                             f"at zero {MAX_ZEROS}")
+        zeros = find_zeros(last + 2)
     zeros.gamma(first)
     if last >= len(zeros):
         raise ValueError(f"m={last} needs at least {last + 1} zeros, "
@@ -111,7 +114,8 @@ def trace(m: int, path: TreePath | None = None,
           table: CosetTable | None = None) -> TraceRecord:
     """Continue zeta(s) = Z_41(z), Z_41 the avatar SHIFT_AVATAR, along the
     path from the m-th zero towards zero m + 1, which the zero list must
-    hold (IndexError without zero m, ValueError without m + 1).
+    hold (IndexError without zero m, ValueError without m + 1, and
+    without a list past m = MAX_M).
 
     Steps through the path's grid k/samples, reading the avatar values
     from avatar_trajectory (shared through ctx with every other trace on
@@ -245,10 +249,8 @@ class ExperimentSummary:
 
 def run_experiment(max_m: int, path: TreePath | None = None,
                    opts: TraceOptions | None = None,
-                   zeros: ZeroList | None = None,
-                   ctx: EtaContext | None = None,
-                   table: CosetTable | None = None) -> ExperimentSummary:
-    """Trace m = 1..max_m sequentially and tally endpoint matches.
+                   zeros: ZeroList | None = None) -> ExperimentSummary:
+    """Trace m = 1..max_m on one EtaContext and tally endpoint matches.
 
     A trace counts as a success when its endpoint matches the (m+1)-st
     zero.  Blocked, StepCollapse and DerivativeSmall abort only their own
@@ -256,14 +258,14 @@ def run_experiment(max_m: int, path: TreePath | None = None,
     """
     t0 = time.perf_counter()
     path = path or build_path(SHIFT_WORD)
-    ctx = ctx or EtaContext()
+    ctx = EtaContext()
     zeros = _zeros_for(1, max(max_m, 0), zeros)
     records: list[TraceRecord] = []
     errors: list[TraceFailure] = []
     for m in range(1, max_m + 1):
         try:
             records.append(trace(m, path=path, opts=opts, zeros=zeros,
-                                 ctx=ctx, table=table))
+                                 ctx=ctx))
         except (Blocked, StepCollapse, DerivativeSmall) as exc:
             errors.append(TraceFailure(m, type(exc).__name__, exc.t, exc.s))
     success = sum(1 for r in records if r.matched_index == r.m + 1)
@@ -275,8 +277,7 @@ def run_experiment(max_m: int, path: TreePath | None = None,
            for name in COUNTERS})
 
 
-def verify_fixing(table: CosetTable | None = None,
-                  ctx: EtaContext | None = None) -> dict:
+def verify_fixing() -> dict:
     """Check that the shift element leaves avatar SHIFT_AVATAR unchanged.
 
     Exact part: the shift element stabilizes its coset, and not the
@@ -285,8 +286,7 @@ def verify_fixing(table: CosetTable | None = None,
     value at z continued from the seed and the value at the shifted point
     hinted by it.
     """
-    table = table or load_table()
-    ctx = ctx or EtaContext()
+    table = load_table()
     rep = table.rep(SHIFT_AVATAR)
     exact = table.verify_stabilizer(SHIFT_AVATAR, SHIFT_ELEMENT)
     control = table.verify_stabilizer(1, SHIFT_ELEMENT)
@@ -295,8 +295,8 @@ def verify_fixing(table: CosetTable | None = None,
     for k in range(_FIXING_POINTS):
         theta = theta_c - 0.02 + 0.04 * k / (_FIXING_POINTS - 1)
         z = cmath.exp(1j * theta)
-        u = z_eval_from_seed(mobius(rep, z), ctx=ctx)
-        v = z_eval(mobius(rep, mobius(SHIFT_ELEMENT, z)), hint=u, ctx=ctx)
+        u = z_eval_from_seed(mobius(rep, z))
+        v = z_eval(mobius(rep, mobius(SHIFT_ELEMENT, z)), hint=u)
         delta = abs(u - v)
         if delta > max_delta:
             max_delta = delta

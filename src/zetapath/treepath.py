@@ -112,15 +112,14 @@ def _vertex_theta(letter: str) -> float:
     return THETA_I if letter == "S" else THETA_OMEGA
 
 
-def build_path(word: str, theta_c: float | None = None,
-               samples: int = 2000) -> TreePath:
+def build_path(word: str, samples: int = 2000) -> TreePath:
     """Edge path from c to word(c): prefix images of the base arc.
 
-    A k-letter word yields k+1 edges; traversal starts at angle theta_c on
-    the base arc, crosses one shared vertex per letter, and ends at
-    theta_c on the final edge.  Raises NotReduced unless the word is
-    reduced alternating (otherwise consecutive edges would meet at the
-    same vertex twice and the path would backtrack), and ValueError
+    A k-letter word yields k+1 edges; traversal starts at c = find_c(),
+    angle theta_c on the base arc, crosses one shared vertex per letter,
+    and ends at theta_c on the final edge.  Raises NotReduced unless the
+    word is reduced alternating (otherwise consecutive edges would meet at
+    the same vertex twice and the path would backtrack), and ValueError
     unless samples >= 1.  A reduced alternating word visits no edge
     twice: prefix_i^-1 prefix_j is then a non-empty reduced alternating
     word, never +-I in PSL(2,Z) = Z/2 * Z/3."""
@@ -128,8 +127,7 @@ def build_path(word: str, theta_c: float | None = None,
         raise ValueError(f"samples must be at least 1, got {samples}")
     if not is_reduced_alternating(word):
         raise NotReduced(f"word must alternate rotation and S letters: {word!r}")
-    if theta_c is None:
-        theta_c = cmath.phase(find_c())
+    theta_c = cmath.phase(find_c())
     letters = list(word)
     k = len(letters)
     prefixes = [IDENTITY]

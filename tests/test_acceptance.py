@@ -124,7 +124,7 @@ def test_modular_functions_meet_tolerances():
 
     rng = random.Random(61)
     for z in band_points(rng, 50):
-        res = identity_residuals(z, ctx)
+        res = identity_residuals(z)
         worst = max(res.values())
         assert worst < 1e-8, f"identity residual {worst:.2e} at {z}"
 
@@ -133,16 +133,16 @@ def test_modular_functions_meet_tolerances():
     from zetapath.etaengine import lambda_fn
     for z in band_points(rng, 4):
         for m in tau_fixing:
-            ref = tau(z, ctx)
-            assert abs(tau(mobius(m, z), ctx) - ref) / (1.0 + abs(ref)) < 1e-9
+            ref = tau(z)
+            assert abs(tau(mobius(m, z)) - ref) / (1.0 + abs(ref)) < 1e-9
         for m in lam_fixing:
-            ref = lambda_fn(z, ctx)
-            assert abs(lambda_fn(mobius(m, z), ctx) - ref) / (1.0 + abs(ref)) < 1e-9
+            ref = lambda_fn(z)
+            assert abs(lambda_fn(mobius(m, z)) - ref) / (1.0 + abs(ref)) < 1e-9
 
-    ji = j_fricke(1j, ctx)
+    ji = j_fricke(1j)
     assert abs(ji - 1728.0) / 1728.0 < 1e-8
     omega = complex(-0.5, math.sqrt(3.0) / 2.0)
-    assert abs(j_fricke(omega, ctx)) < 1e-6
+    assert abs(j_fricke(omega)) < 1e-6
 
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"modular checks took {elapsed:.3f}s"
@@ -158,7 +158,7 @@ def test_arc_point_and_tree_path_hit_targets():
     c = find_c()
     target = 135.0 * (637.0 * math.sqrt(5.0) - 1415.0) / 2.0
     assert abs(exact_j_target()["j_float"] - target) < 1e-10
-    assert abs(j_fricke(c, ctx) - target) < 1e-8
+    assert abs(j_fricke(c) - target) < 1e-8
 
     theta = cmath.phase(c)
     assert math.pi / 2.0 < theta < 2.0 * math.pi / 3.0
@@ -168,8 +168,8 @@ def test_arc_point_and_tree_path_hit_targets():
     assert abs(z_eval_from_seed(zc, ctx)) < 1e-6
 
     z0 = mobius(P41, c)
-    assert abs(tau(z0, ctx) - ALPHA_PRIME) < 1e-8
-    assert abs(sigma(z0, ctx)) < 1e-6
+    assert abs(tau(z0) - ALPHA_PRIME) < 1e-8
+    assert abs(sigma(z0)) < 1e-6
 
     path = build_path(SHIFT_WORD)
     assert len(path.edges) == 18

@@ -273,6 +273,10 @@ def test_identity_residual_panel():
                         "side_constraint", "level5_link", "odd_cubic_square",
                         "cubic_model"):
                 assert res[key] < 1e-8, (key, z, branch, res[key])
+    # branch_value is keyword-only: a second positional argument, such as
+    # a context, is refused rather than read as a branch value
+    with pytest.raises(TypeError):
+        identity_residuals(z, EtaContext())
 
 
 def test_identity_residuals_evaluate_one_eta_quartet(monkeypatch):
@@ -382,10 +386,15 @@ def test_psi_phi_pole_guards():
             psi_phi(z, bad)
 
 
+def test_psi_phi_default_branch_is_the_seed_continuation():
+    z = 0.13 + 1.07j
+    assert psi_phi(z) == psi_phi(z, z_eval_from_seed(z))
+
+
 def test_sigma_pole_guard_follows_the_module_constant(monkeypatch):
     monkeypatch.setattr(etaengine, "_POLE_TOL", 1e12)
     with pytest.raises(NearPole):
-        sigma(0.1 + 1.2j, EtaContext())
+        sigma(0.1 + 1.2j)
 
 
 def test_j_near_pole_at_cusp():
@@ -508,7 +517,7 @@ def test_cusp_panel_is_finite_or_raises_near_pole():
         try:
             v = z_eval_from_seed(z, ctx)
             assert cmath.isfinite(v), z
-            res = identity_residuals(z, ctx, branch_value=v)
+            res = identity_residuals(z, branch_value=v)
             assert all(math.isfinite(r) for r in res.values()), z
             finite += 1
         except NearPole as exc:

@@ -1,10 +1,11 @@
 """Tests for the predictor-corrector continuation and the m-sweep runner."""
 
+import cmath
 import math
 
 import pytest
 
-from zetapath import tracer
+from zetapath import tracer, treepath
 from zetapath.errors import Blocked, DerivativeSmall, StepCollapse
 from zetapath.etaengine import EtaContext
 from zetapath.sl2z import SHIFT_WORD
@@ -181,10 +182,11 @@ def test_trace_halves_off_the_grid_and_still_lands(zeros, monkeypatch):
     assert rec.matched_index == 2
 
 
-def test_trace_rejects_start_off_the_marked_point(zeros):
+def test_trace_rejects_start_off_the_marked_point(zeros, monkeypatch):
     # a path anchored elsewhere on the arc starts with a nonzero avatar
+    monkeypatch.setattr(treepath, "find_c", lambda: cmath.exp(1.7j))
     with pytest.raises(ValueError):
-        trace(1, path=build_path("S", theta_c=1.7), zeros=zeros)
+        trace(1, path=build_path("S"), zeros=zeros)
 
 
 def test_trace_blocked_propagates(zeros):
@@ -345,7 +347,23 @@ def test_default_zeros_are_computed_up_to_the_cap():
     worst = max(abs(a - b) for a, b in zip(deep.ordinates, ref.ordinates))
     assert worst < 1e-9
     assert _zeros_for(199, 199, None).ordinates == deep.ordinates[:201]
-    assert len(_zeros_for(1, 349, None)) == 350
+    assert len(_zeros_for(1, tracer.MAX_M, None)) == 350
+
+
+def test_computed_zeros_stop_at_the_last_start(monkeypatch):
+    # trace 349 would land on zero 350, the last find_zeros certifies,
+    # with no zero 351 to name an overshoot; refused before any zero is
+    # computed
+    def unreached(n):
+        raise AssertionError("find_zeros was called")
+    monkeypatch.setattr(tracer, "find_zeros", unreached)
+    with pytest.raises(ValueError, match="m=349 is past 348"):
+        trace(349)
+    with pytest.raises(ValueError, match="m=349 is past 348"):
+        run_experiment(349)
+    # a caller's own list long enough still serves
+    own = ZeroList(tuple(float(k) for k in range(1, 352)), source="ingested")
+    assert _zeros_for(349, 349, own) is own
 
 
 def test_experiment_beyond_200_zeros_runs(monkeypatch):
