@@ -114,8 +114,8 @@ def trace(m: int, path: TreePath | None = None,
           table: CosetTable | None = None) -> TraceRecord:
     """Continue zeta(s) = Z_41(z), Z_41 the avatar SHIFT_AVATAR, along the
     path from the m-th zero towards zero m + 1, which the zero list must
-    hold (IndexError without zero m, ValueError without m + 1, and
-    without a list past m = MAX_M).
+    hold (IndexError without zero m, ValueError without m + 1 or, with
+    no list given, for m past MAX_M).
 
     Steps through the path's grid k/samples, reading the avatar values
     from avatar_trajectory (shared through ctx with every other trace on
