@@ -96,8 +96,10 @@ class EtaContext:
     (tau, lambda_fn, tau5, sigma, j_fricke, psi_phi, identity_residuals)
     use the module's own.
 
-    Not safe to share across threads; concurrent callers should each own
-    a context."""
+    Concurrent walks should each own a context, since each replaces the
+    trajectory.  The multiplier cache only memoizes a pure function of the
+    matrix entries, so the point evaluators may share the module's context
+    across threads."""
 
     def __init__(self):
         self._multipliers: dict[tuple[int, int, int, int], complex] = {}
