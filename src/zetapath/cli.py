@@ -19,15 +19,22 @@ from .etaengine import (
 )
 from .exactquad import run_symbolic_suite
 from .sl2z import SHIFT_AVATAR, SHIFT_WORD, load_table, mobius
-from .tracer import (
-    COUNTERS, MAX_M, TraceOptions, TraceRecord, run_experiment, trace,
-)
-from .treepath import build_path, find_c
+from .tracer import MAX_M, RESIDUAL_TOL, run_experiment, trace
+from .treepath import POLE_CAP, build_path, find_c
 from .zetafn import find_zeros, load_zeros
 
 
-def _cpx(z: complex) -> dict:
-    return {"re": z.real, "im": z.imag}
+def _complex_json(obj: object) -> dict:
+    # json's hook for values it cannot encode: a complex becomes
+    # {"re", "im"}, anything else is refused as json refuses it
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    raise TypeError(f"Object of type {type(obj).__name__} "
+                    "is not JSON serializable")
+
+
+def _dumps(obj: dict) -> str:
+    return json.dumps(obj, default=_complex_json)
 
 
 def _point(text: str) -> complex:
@@ -40,7 +47,7 @@ def _point(text: str) -> complex:
 
 
 def _emit_json(obj: dict, emit: str | None) -> None:
-    text = json.dumps(obj)
+    text = _dumps(obj)
     if emit:
         Path(emit).write_text(text + "\n")
     else:
@@ -48,7 +55,7 @@ def _emit_json(obj: dict, emit: str | None) -> None:
 
 
 def _fail(exc: Exception) -> int:
-    print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
+    print(_dumps({"error": type(exc).__name__, "message": str(exc)}))
     return 1
 
 
@@ -70,9 +77,9 @@ _PLAIN_FNS = {"eta": dedekind_eta, "tau": tau, "lambda": lambda_fn,
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     z = args.z
-    out: dict = {"fn": args.fn, "z": _cpx(z)}
+    out: dict = {"fn": args.fn, "z": z}
     if args.fn in _PLAIN_FNS:
-        out["value"] = _cpx(_PLAIN_FNS[args.fn](z))
+        out["value"] = _PLAIN_FNS[args.fn](z)
         out["residuals"] = identity_residuals(z)
     else:
         if args.fn == "avatar":
@@ -81,7 +88,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             z = mobius(load_table().rep(args.n), z)
             out["n"] = args.n
         value = z_eval_from_seed(z)
-        out["value"] = _cpx(value)
+        out["value"] = value
         out["residuals"] = identity_residuals(z, branch_value=value)
     _emit_json(out, args.emit)
     return 0
@@ -89,8 +96,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_find_c(args: argparse.Namespace) -> int:
     c = find_c()
-    _emit_json({"theta_c": cmath.phase(c), "c": _cpx(c),
-                "j_c": _cpx(j_fricke(c)),
+    _emit_json({"theta_c": cmath.phase(c), "c": c, "j_c": j_fricke(c),
                 "abs_avatar41_at_c": abs(avatar_eval(SHIFT_AVATAR, c))},
                args.emit)
     return 0
@@ -106,10 +112,10 @@ def _cmd_path(args: argparse.Namespace) -> int:
                 t = k / path.samples
                 z = path.point(t)
                 writer.writerow([f"{t:.9f}", repr(z.real), repr(z.imag)])
-    print(json.dumps({
+    print(_dumps({
         "word": path.word, "edges": len(path.edges), "theta_c": path.theta_c,
         "max_vertex_mismatch": path.max_vertex_mismatch,
-        "start": _cpx(path.start), "endpoint": _cpx(path.endpoint),
+        "start": path.start, "endpoint": path.endpoint,
         "samples": path.samples, "emitted": args.emit}))
     return 0
 
@@ -132,40 +138,29 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
     return code
 
 
-def _record_dict(rec: TraceRecord) -> dict:
-    return {**asdict(rec), "end_s": _cpx(rec.end_s)}
-
-
-def _trace_setup(args: argparse.Namespace):
-    opts = TraceOptions(residual_tol=args.tol_residual,
-                        pole_cap=args.pole_cap)
-    path = build_path(SHIFT_WORD, samples=args.samples)
-    zeros = load_zeros(args.zeros_file) if args.zeros_file else None
-    return opts, path, zeros
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
-    opts, path, zeros = _trace_setup(args)
-    rec = trace(args.m, path=path, opts=opts, zeros=zeros)
-    _emit_json(_record_dict(rec), args.emit)
+    rec = trace(args.m, path=build_path(SHIFT_WORD, samples=args.samples),
+                zeros=load_zeros(args.zeros_file) if args.zeros_file else None,
+                residual_tol=args.tol_residual, pole_cap=args.pole_cap)
+    _emit_json(asdict(rec), args.emit)
     return 0 if rec.matched_index is not None else 1
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    opts, path, zeros = _trace_setup(args)
-    summary = run_experiment(args.max_m, path=path, opts=opts, zeros=zeros)
-    lines = [json.dumps(_record_dict(rec)) for rec in summary.records]
+    summary = run_experiment(
+        args.max_m, path=build_path(SHIFT_WORD, samples=args.samples),
+        zeros=load_zeros(args.zeros_file) if args.zeros_file else None,
+        residual_tol=args.tol_residual, pole_cap=args.pole_cap)
+    lines = [_dumps(asdict(rec)) for rec in summary.records]
     if args.emit:
         Path(args.emit).write_text("".join(line + "\n" for line in lines))
     else:
         for line in lines:
             print(line)
-    print(json.dumps({"summary": {
+    print(_dumps({"summary": {
         "max_m": args.max_m, "success_count": summary.success_count,
-        "errors": [{**e._asdict(), "s": None if e.s is None else _cpx(e.s)}
-                   for e in summary.errors],
-        "max_residual": summary.max_residual,
-        **{name: getattr(summary, name) for name in COUNTERS},
+        "errors": [e._asdict() for e in summary.errors],
+        "max_residual": summary.max_residual, **summary.totals,
         "wall_time": summary.wall_time, "emitted": args.emit}}))
     ok = summary.success_count == args.max_m and not summary.errors
     return 0 if ok else 1
@@ -211,7 +206,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit", help="write the JSON result to this file")
     p.set_defaults(func=_cmd_zeros)
 
-    opts = TraceOptions()    # the defaults of --tol-residual and --pole-cap
     for name, help_text in (("trace", "continue one zero along the path"),
                             ("experiment", "run the m-sweep experiment")):
         p = sub.add_parser(name, help=help_text)
@@ -220,8 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--max-m", type=int, required=True)
         p.add_argument("--samples", type=int, default=2000)
-        p.add_argument("--tol-residual", type=float, default=opts.residual_tol)
-        p.add_argument("--pole-cap", type=float, default=opts.pole_cap)
+        p.add_argument("--tol-residual", type=float, default=RESIDUAL_TOL)
+        p.add_argument("--pole-cap", type=float, default=POLE_CAP)
         p.add_argument("--zeros-file", help="ordinate file instead of "
                                             "computed zeros")
         p.add_argument("--emit", help="write JSON-line records to this file")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
 

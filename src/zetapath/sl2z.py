@@ -197,9 +197,7 @@ class CosetTable:
     def __init__(self, rows: list[CosetRow]):
         self.rows = rows
         self.by_index = {row.n: row for row in rows}
-        self._perm_r = {row.n: row.n_r for row in rows}
-        self._perm_s = {row.n: row.n_s for row in rows}
-        self._perm_r_inv = {v: k for k, v in self._perm_r.items()}
+        self._perm_r_inv = {row.n_r: row.n for row in rows}
         self._by_key: dict[tuple[int, int], int] = {}
         for row in rows:
             self._by_key.setdefault(coset_key(row.rep), row.n)
@@ -223,11 +221,11 @@ class CosetTable:
         validate_word(word)
         for ch in word:
             if ch == "R":
-                n = self._perm_r[n]
+                n = self.by_index[n].n_r
             elif ch == "r":
                 n = self._perm_r_inv[n]
             else:
-                n = self._perm_s[n]
+                n = self.by_index[n].n_s
         return n
 
     def verify_stabilizer(self, n: int, g: GroupElem) -> bool:
@@ -253,11 +251,11 @@ class CosetTable:
                 columns_ok = False
 
         n_all = sorted(self.by_index)
-        r_perm_ok = sorted(self._perm_r.values()) == n_all
-        s_perm_ok = sorted(self._perm_s.values()) == n_all
-        r_order_ok = all(
-            self._perm_r[self._perm_r[self._perm_r[n]]] == n for n in n_all)
-        s_involution_ok = all(self._perm_s[self._perm_s[n]] == n for n in n_all)
+        r_perm_ok = sorted(row.n_r for row in self.rows) == n_all
+        s_perm_ok = sorted(row.n_s for row in self.rows) == n_all
+        # R^3 = S^2 = -I, and K contains -I
+        r_order_ok = all(self.avatar_apply(n, "RRR") == n for n in n_all)
+        s_involution_ok = all(self.avatar_apply(n, "SS") == n for n in n_all)
 
         keys = Counter(coset_key(row.rep) for row in self.rows)
         distinct_ok = len(keys) == len(self.rows)

@@ -32,14 +32,7 @@ _MATCH_TOL = 1e-6          # endpoint distance to the matched zero
 _DOMINANCE = 10.0          # runner-up zero at least this many times farther
 _DERIVATIVE_MIN = 1e-6     # |zeta'| floor, below it DerivativeSmall
 _FIXING_POINTS = 10        # arc points verify_fixing compares
-
-
-@dataclass(frozen=True)
-class TraceOptions:
-    """The tolerances the CLI sets: --tol-residual and --pole-cap."""
-
-    residual_tol: float = 1e-10
-    pole_cap: float = POLE_CAP
+RESIDUAL_TOL = 1e-10       # default |zeta(s) - w| a Newton step must reach
 
 
 @dataclass(frozen=True)
@@ -68,7 +61,11 @@ MAX_M = MAX_ZEROS - 2           # the last start whose zero m + 2 exists
 def _zeros_for(first: int, last: int, zeros: ZeroList | None) -> ZeroList:
     """The zeros for traces from zero first..last: `zeros`, or find_zeros
     through zero last + 2 to name an overshoot.  IndexError without zero
-    first, ValueError without zero last + 1 or, computing, past MAX_M."""
+    first, ValueError without zero last + 1 or, computing, past MAX_M; a
+    first below 1 and a last past MAX_M are refused before any zero is
+    computed."""
+    if first < 1:
+        raise IndexError(f"zero index {first} is below 1")
     if zeros is None:
         if last > MAX_M:
             raise ValueError(f"m={last} is past {MAX_M}: find_zeros stops "
@@ -108,10 +105,10 @@ def _zeta_checked(s: complex, disc: ZetaDisc,
     return val, der
 
 
-def trace(m: int, path: TreePath | None = None,
-          opts: TraceOptions | None = None, zeros: ZeroList | None = None,
-          ctx: EtaContext | None = None,
-          table: CosetTable | None = None) -> TraceRecord:
+def trace(m: int, path: TreePath | None = None, zeros: ZeroList | None = None,
+          ctx: EtaContext | None = None, table: CosetTable | None = None, *,
+          residual_tol: float = RESIDUAL_TOL,
+          pole_cap: float = POLE_CAP) -> TraceRecord:
     """Continue zeta(s) = Z_41(z), Z_41 the avatar SHIFT_AVATAR, along the
     path from the m-th zero towards zero m + 1, which the zero list must
     hold (IndexError without zero m, ValueError without m + 1 or, with
@@ -138,7 +135,6 @@ def trace(m: int, path: TreePath | None = None,
     equation) and zeta_centres (the expansions it built).
     """
     t_start = time.perf_counter()
-    opts = opts or TraceOptions()
     path = path or build_path(SHIFT_WORD)
     table = table or load_table()
     ctx = ctx or EtaContext()
@@ -169,10 +165,10 @@ def trace(m: int, path: TreePath | None = None,
         t_next, w_next = t_grid, traj[k]
         full_step = True
         while True:
-            if abs(w_next) > opts.pole_cap:
+            if abs(w_next) > pole_cap:
                 raise Blocked(f"avatar {SHIFT_AVATAR} modulus "
                               f"{abs(w_next):.3e} exceeds the pole cap "
-                              f"{opts.pole_cap:.1e} at t={t_next:.6f}",
+                              f"{pole_cap:.1e} at t={t_next:.6f}",
                               t=t_next, s=s)
             s_lin = s_ref + (w_next - w) / der_s
             s_try = s_lin
@@ -183,10 +179,10 @@ def trace(m: int, path: TreePath | None = None,
             for _ in range(_NEWTON_MAX + 1):
                 val, der = _zeta_checked(s_try, disc, t_next)
                 resid = abs(val - w_next)
-                if resid < opts.residual_tol:
+                if resid < residual_tol:
                     break
                 s_try = s_try - (val - w_next) / der
-            if resid < opts.residual_tol and abs(s_try - s) <= _DS_MAX:
+            if resid < residual_tol and abs(s_try - s) <= _DS_MAX:
                 s_ref = s_try - (val - w_next) / der
                 if full_step:
                     errs = errs[-2:] + [s_ref - s_lin]
@@ -233,23 +229,20 @@ class TraceFailure(NamedTuple):
 @dataclass(frozen=True)
 class ExperimentSummary:
     """Aggregated m-sweep results; per-m failures recorded, not fatal.
-    The COUNTERS fields sum those of the records."""
+    totals maps each name in COUNTERS to its sum over the records."""
 
     records: tuple[TraceRecord, ...]
     errors: tuple[TraceFailure, ...]
     success_count: int
     max_residual: float
     wall_time: float
-    steps: int
-    halvings: int
-    zeta_evals: int
-    zeta_reflected: int
-    zeta_centres: int
+    totals: dict[str, int]
 
 
 def run_experiment(max_m: int, path: TreePath | None = None,
-                   opts: TraceOptions | None = None,
-                   zeros: ZeroList | None = None) -> ExperimentSummary:
+                   zeros: ZeroList | None = None, *,
+                   residual_tol: float = RESIDUAL_TOL,
+                   pole_cap: float = POLE_CAP) -> ExperimentSummary:
     """Trace m = 1..max_m on one EtaContext and tally endpoint matches.
 
     A trace counts as a success when its endpoint matches the (m+1)-st
@@ -264,8 +257,9 @@ def run_experiment(max_m: int, path: TreePath | None = None,
     errors: list[TraceFailure] = []
     for m in range(1, max_m + 1):
         try:
-            records.append(trace(m, path=path, opts=opts, zeros=zeros,
-                                 ctx=ctx))
+            records.append(trace(m, path=path, zeros=zeros, ctx=ctx,
+                                 residual_tol=residual_tol,
+                                 pole_cap=pole_cap))
         except (Blocked, StepCollapse, DerivativeSmall) as exc:
             errors.append(TraceFailure(m, type(exc).__name__, exc.t, exc.s))
     success = sum(1 for r in records if r.matched_index == r.m + 1)
@@ -273,8 +267,8 @@ def run_experiment(max_m: int, path: TreePath | None = None,
         records=tuple(records), errors=tuple(errors), success_count=success,
         max_residual=max((r.max_residual for r in records), default=0.0),
         wall_time=time.perf_counter() - t0,
-        **{name: sum(getattr(r, name) for r in records)
-           for name in COUNTERS})
+        totals={name: sum(getattr(r, name) for r in records)
+                for name in COUNTERS})
 
 
 def verify_fixing() -> dict:

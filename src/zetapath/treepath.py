@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -119,10 +120,11 @@ def build_path(word: str, samples: int = 2000) -> TreePath:
     angle theta_c on the base arc, crosses one shared vertex per letter,
     and ends at theta_c on the final edge.  Raises NotReduced unless the
     word is reduced alternating (otherwise consecutive edges would meet at
-    the same vertex twice and the path would backtrack), and ValueError
-    unless samples >= 1.  A reduced alternating word visits no edge
-    twice: prefix_i^-1 prefix_j is then a non-empty reduced alternating
-    word, never +-I in PSL(2,Z) = Z/2 * Z/3."""
+    the same vertex twice and the path would backtrack), TypeError unless
+    samples is an integer, and ValueError unless samples >= 1.  A reduced
+    alternating word visits no edge twice: prefix_i^-1 prefix_j is then a
+    non-empty reduced alternating word, never +-I in PSL(2,Z) = Z/2 * Z/3."""
+    samples = operator.index(samples)
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if not is_reduced_alternating(word):

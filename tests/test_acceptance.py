@@ -20,7 +20,7 @@ from zetapath.etaengine import (EtaContext, dedekind_eta, identity_residuals,
                                 j_fricke, sigma, tau)
 from zetapath.exactquad import exact_j_target, run_symbolic_suite
 from zetapath.sl2z import GroupElem, coset_key, load_table, mobius
-from zetapath.tracer import SHIFT_WORD, TraceOptions, run_experiment, trace
+from zetapath.tracer import SHIFT_WORD, run_experiment, trace
 from zetapath.treepath import build_path, find_c, pole_scan
 from zetapath.zetafn import find_zeros, reference_zeros, zeta
 
@@ -245,7 +245,7 @@ def test_deep_sweep_on_computed_zeros_lands_every_start():
     assert summary.success_count == 309
     assert all(r.matched_index == r.m + 1 for r in summary.records)
     print(f"deep sweep: 309/309 in {summary.wall_time:.1f}s, "
-          f"{summary.zeta_evals} zeta evaluations")
+          f"{summary.totals['zeta_evals']} zeta evaluations")
 
 
 def test_results_stable_under_density_doubling_and_reruns():

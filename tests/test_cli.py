@@ -105,6 +105,23 @@ def test_find_c(capsys):
     assert abs(out["j_c"]["im"]) < 1e-6
 
 
+@pytest.mark.parametrize("argv", [
+    ["find-c"],
+    ["eval", "--fn", "Z", "--z=0.0,1.0"],
+])
+def test_emit_writes_the_printed_line(capsys, tmp_path, argv):
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    target = tmp_path / "out.json"
+    assert main([*argv, "--emit", str(target)]) == 0
+    assert capsys.readouterr().out == ""
+    assert target.read_text() == printed
+    # complex values are written as {"re", "im"} objects
+    out = json.loads(printed)
+    value = out["c"] if argv == ["find-c"] else out["value"]
+    assert list(value) == ["re", "im"]
+
+
 def test_path_default_word(capsys, tmp_path):
     target = tmp_path / "path.csv"
     assert main(["path", "--samples", "120", "--emit", str(target)]) == 0
@@ -238,9 +255,8 @@ def test_experiment_bounds(capsys, monkeypatch):
     def stub(max_m, **_):
         asked.append(max_m)
         return ExperimentSummary(records=(), errors=(), success_count=max_m,
-                                 max_residual=0.0, wall_time=0.0, steps=0,
-                                 halvings=0, zeta_evals=0, zeta_reflected=0,
-                                 zeta_centres=0)
+                                 max_residual=0.0, wall_time=0.0,
+                                 totals=dict.fromkeys(COUNTERS, 0))
     monkeypatch.setattr(cli, "run_experiment", stub)
     assert main(["experiment", "--max-m", str(MAX_ZEROS - 2)]) == 0
     assert asked == [MAX_ZEROS - 2]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,30 @@ def test_table_verification_report(table):
     assert rep["rows"] == 96
     assert rep["enumeration_count"] == 96
     assert rep["sign_flipped_rows"] == []
+
+
+def _altered(table, n, **changes):
+    return CosetTable([replace(row, **changes) if row.n == n else row
+                       for row in table.rows])
+
+
+def test_verify_reports_broken_rows(table):
+    # a negated rep names the same coset: flagged, still ok
+    flipped = _altered(table, 2, rep=-table.rep(2)).verify()
+    assert flipped["sign_flipped_rows"] == [2]
+    assert flipped["ok"]
+    # swapped words evaluate to neither rep nor its negative
+    two, three = table.by_index[2], table.by_index[3]
+    swapped = _altered(_altered(table, 2, word=three.word), 3,
+                       word=two.word).verify()
+    assert not swapped["words_match_reps"]
+    assert not swapped["ok"]
+    # an R column pointing at the wrong coset
+    wrong = table.by_index[2].n_s
+    assert wrong != table.by_index[2].n_r
+    broken = _altered(table, 2, n_r=wrong).verify()
+    assert not broken["generator_columns_ok"]
+    assert not broken["ok"]
 
 
 def test_coset_index(table):

@@ -69,3 +69,25 @@ def test_every_top_level_name_is_used():
               if not (name.startswith("__") and name.endswith("__"))
               and name not in used]
     assert unused == []
+
+
+def _imported_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (a.asname or a.name for a in node.names)
+
+
+def test_every_import_is_read():
+    # a name a module imports and never reads is dead weight, and after a
+    # refactor often a stale one
+    unused = []
+    for src in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(src.read_text(), str(src))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        unused += [f"{src.stem}.{name}" for name in _imported_names(tree)
+                   if name not in read]
+    assert unused == []

@@ -10,7 +10,7 @@ from zetapath.errors import Blocked, DerivativeSmall, StepCollapse
 from zetapath.etaengine import EtaContext
 from zetapath.sl2z import SHIFT_WORD
 from zetapath.tracer import (
-    TraceOptions, TraceRecord, _match, _zeros_for, run_experiment, trace,
+    RESIDUAL_TOL, TraceRecord, _match, _zeros_for, run_experiment, trace,
     verify_fixing,
 )
 from zetapath.treepath import build_path
@@ -80,7 +80,7 @@ def test_deep_trace_makes_about_one_zeta_evaluation_per_step():
     assert rec.steps == 3000
     # the start derivative is counted too
     assert rec.steps < rec.zeta_evals < 1.5 * rec.steps
-    assert rec.max_residual < TraceOptions().residual_tol
+    assert rec.max_residual < RESIDUAL_TOL
     # one disc serves runs of evaluations: it is re-centred only when s
     # moves out of it or across the reflection line
     assert 0 < rec.zeta_centres < rec.zeta_evals / 20
@@ -192,24 +192,22 @@ def test_trace_rejects_start_off_the_marked_point(zeros, monkeypatch):
 def test_trace_blocked_propagates(zeros):
     # a cap low enough to trip before the residual target becomes
     # unreachable surfaces the avatar pole as Blocked
-    opts = TraceOptions(pole_cap=100.0)
     with pytest.raises(Blocked) as exc:
-        trace(1, path=build_path(BAD_WORD), opts=opts, zeros=zeros)
+        trace(1, path=build_path(BAD_WORD), zeros=zeros, pole_cap=100.0)
     assert exc.value.t is not None
 
 
 def test_trace_blocked_at_the_same_t_on_a_filled_trajectory(zeros):
     path = build_path(BAD_WORD)
-    opts = TraceOptions(pole_cap=100.0)
     with pytest.raises(Blocked) as cold:
-        trace(1, path=path, opts=opts, zeros=zeros, ctx=EtaContext())
+        trace(1, path=path, zeros=zeros, ctx=EtaContext(), pole_cap=100.0)
     shared = EtaContext()
     # the default cap walks the trajectory past the lower cap before the
     # step collapses
     with pytest.raises(StepCollapse):
         trace(1, path=path, zeros=zeros, ctx=shared)
     with pytest.raises(Blocked) as warm:
-        trace(1, path=path, opts=opts, zeros=zeros, ctx=shared)
+        trace(1, path=path, zeros=zeros, ctx=shared, pole_cap=100.0)
     assert warm.value.t == cold.value.t
 
 
@@ -224,7 +222,7 @@ def test_trace_pole_path_collapses_at_default_cap(zeros):
 def test_trace_step_collapse(zeros, monkeypatch):
     # an unattainable residual target forces halving to the floor
     with pytest.raises(StepCollapse) as tight:
-        trace(1, opts=TraceOptions(residual_tol=1e-18), zeros=zeros)
+        trace(1, zeros=zeros, residual_tol=1e-18)
     # a step floor above half a grid step collapses at the first halving
     monkeypatch.setattr(tracer, "_DS_MAX", 1e-6)
     monkeypatch.setattr(tracer, "_DT_MIN", 1e-3)
@@ -288,9 +286,9 @@ def test_experiment_small_sweep(zeros):
                for r in summary.records)
     for name in ("steps", "halvings", "zeta_evals", "zeta_reflected",
                  "zeta_centres"):
-        assert getattr(summary, name) == sum(getattr(r, name)
-                                             for r in summary.records)
-    assert 0 < summary.zeta_reflected < summary.zeta_evals
+        assert summary.totals[name] == sum(getattr(r, name)
+                                           for r in summary.records)
+    assert 0 < summary.totals["zeta_reflected"] < summary.totals["zeta_evals"]
 
 
 def test_experiment_empty():
@@ -299,14 +297,12 @@ def test_experiment_empty():
     assert summary.errors == ()
     assert summary.success_count == 0
     assert summary.max_residual == 0.0
-    assert summary.steps == summary.zeta_evals == summary.zeta_reflected == 0
-    assert summary.zeta_centres == 0
+    assert summary.totals == dict.fromkeys(tracer.COUNTERS, 0)
 
 
 def test_experiment_records_failures(zeros):
-    opts = TraceOptions(pole_cap=100.0)
-    summary = run_experiment(2, path=build_path(BAD_WORD), opts=opts,
-                             zeros=zeros)
+    summary = run_experiment(2, path=build_path(BAD_WORD), zeros=zeros,
+                             pole_cap=100.0)
     assert summary.success_count == 0
     assert summary.records == ()
     assert [e.m for e in summary.errors] == [1, 2]
@@ -353,7 +349,7 @@ def test_default_zeros_are_computed_up_to_the_cap():
 def test_computed_zeros_stop_at_the_last_start(monkeypatch):
     # trace 349 would land on zero 350, the last find_zeros certifies,
     # with no zero 351 to name an overshoot; refused before any zero is
-    # computed
+    # computed, as is a start below 1
     def unreached(n):
         raise AssertionError("find_zeros was called")
     monkeypatch.setattr(tracer, "find_zeros", unreached)
@@ -364,6 +360,11 @@ def test_computed_zeros_stop_at_the_last_start(monkeypatch):
     # a caller's own list long enough still serves
     own = ZeroList(tuple(float(k) for k in range(1, 352)), source="ingested")
     assert _zeros_for(349, 349, own) is own
+    # there is no zero 0 or below: refused with the IndexError of a
+    # missing zero, not find_zeros' error for a count m + 2 below 1
+    for m in (-5, -1, 0):
+        with pytest.raises(IndexError, match=f"zero index {m} is below 1"):
+            trace(m)
 
 
 def test_experiment_beyond_200_zeros_runs(monkeypatch):

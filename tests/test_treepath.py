@@ -131,6 +131,16 @@ def test_path_samples_attribute():
     assert build_path("S", samples=777).samples == 777
 
 
+def test_path_samples_must_be_a_positive_integer():
+    # a float count is refused when the path is built, not later by the
+    # range() of a walk over it; an integral float is no exception
+    for samples in (1.7, 2.0):
+        with pytest.raises(TypeError):
+            build_path("S", samples)
+    with pytest.raises(ValueError):
+        build_path("S", 0)
+
+
 def _reduced_alternating_words(max_len):
     words = [""]
     for word in words:
