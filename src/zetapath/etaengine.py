@@ -3,9 +3,9 @@ genus-one branch function they generate.
 
 Points live in the open upper half-plane, represented as built-in complex
 numbers and validated at entry.  Eta is evaluated by reducing the argument
-to the standard fundamental domain (where the pentagonal-number series
-needs only a handful of terms), then unwinding the transformation with the
-exact multiplier system computed from Dedekind sums.
+to the standard fundamental domain, where |q| <= exp(-pi sqrt3) leaves the
+pentagonal-number series a fixed five-term polynomial, then unwinding the
+transformation with the exact multiplier system from Dedekind sums.
 
 The branch function Z satisfies a quadratic over the degree-4/degree-6
 quotient field, so each evaluation yields a reciprocal root pair {W, 1/W}.
@@ -43,7 +43,6 @@ _RHS_SCALE_F = math.sqrt((5.0 + 2.0 * math.sqrt(5.0)) / 3.0)
 _PSI_CONST_F = complex(PSI_DENOM_CONST)            # 3 sqrt5 * golden ratio
 _PSI_POLY_C = PSI_DENOM_POLY.float_coeffs()
 
-_SERIES_EPS = 1e-17        # pentagonal-series truncation, below binary64 ulp
 _SEED_STEPS = 48           # hinted steps on the segment from the seed at i
 # Past this |tau| the branch quadratic is divided through by tau^3.
 _TAU_DIVIDE = 2.0 ** 64
@@ -81,6 +80,8 @@ def chordal(u: complex, v: complex) -> float:
 
 def dedekind_sum(h: int, k: int) -> Fraction:
     """s(h, k) for k > 0, gcd(h, k) = 1, via the reciprocity law."""
+    if k <= 0:
+        raise ValueError(f"dedekind_sum needs k > 0, got k = {k}")
     h %= k
     if h == 0:
         return Fraction(0)
@@ -107,12 +108,14 @@ class EtaContext:
 
     def multiplier(self, m: GroupElem) -> complex:
         """Multiplier eps(m) with eta(m z) = eps(m) (cz+d)^(1/2) eta(z),
-        for m normalized to c > 0 (or c = 0, d > 0)."""
+        for m normalized to c > 0 (or c = 0, d > 0); ValueError otherwise."""
         key = m.entries()
         cached = self._multipliers.get(key)
         if cached is not None:
             return cached
         a, b, c, d = key
+        if c < 0 or (c == 0 and d <= 0):
+            raise ValueError(f"multiplier needs c > 0 or c = 0, d > 0: {m}")
         if c == 0:
             phase = Fraction(b, 12)
         else:
@@ -152,17 +155,12 @@ def _reduce(z: complex) -> tuple[complex, int, int, int, int]:
 
 
 def _eta_series(w: complex) -> complex:
-    """Pentagonal-number series; w should be fundamental-domain reduced."""
+    """eta(w) for Im w >= sqrt(3)/2, as _reduce leaves it: |q| < 0.0044, so
+    the pentagonal series is 1 - q - q^2 + q^5 + q^7 in double precision."""
     q = cmath.exp(2j * math.pi * w)
-    total = 1 + 0j
-    sign = 1
-    for k in range(1, 100):
-        sign = -sign
-        q1 = q ** (k * (3 * k - 1) // 2)
-        q2 = q ** (k * (3 * k + 1) // 2)
-        total += sign * (q1 + q2)
-        if abs(q1) < _SERIES_EPS:
-            break
+    q2 = q * q
+    q4 = q2 * q2
+    total = 1 - (q + q2) + (q4 * q + (q * q2) * q4)
     return cmath.exp(1j * math.pi * w / 12.0) * total
 
 

@@ -253,14 +253,16 @@ class CosetTable:
         n_all = sorted(self.by_index)
         r_perm_ok = sorted(row.n_r for row in self.rows) == n_all
         s_perm_ok = sorted(row.n_s for row in self.rows) == n_all
-        # R^3 = S^2 = -I, and K contains -I
-        r_order_ok = all(self.avatar_apply(n, "RRR") == n for n in n_all)
-        s_involution_ok = all(self.avatar_apply(n, "SS") == n for n in n_all)
+        # R^3 = S^2 = -I, and K contains -I; chase a column only if it permutes
+        r_order_ok = r_perm_ok and all(
+            self.avatar_apply(n, "RRR") == n for n in n_all)
+        s_involution_ok = s_perm_ok and all(
+            self.avatar_apply(n, "SS") == n for n in n_all)
 
         keys = Counter(coset_key(row.rep) for row in self.rows)
         distinct_ok = len(keys) == len(self.rows)
 
-        word_chase_ok = all(
+        word_chase_ok = r_perm_ok and s_perm_ok and all(
             self.avatar_apply(1, row.word) == row.n for row in self.rows)
 
         reps = coset_enumerate()

@@ -17,7 +17,9 @@ from zetapath.etaengine import (
     z_root_pair,
 )
 from zetapath.exactquad import ALPHA_P, exact_j_target
-from zetapath.sl2z import IDENTITY, R, S, SHIFT_ELEMENT, GroupElem, load_table, mobius
+from zetapath.sl2z import (
+    IDENTITY, R, S, SHIFT_ELEMENT, T, GroupElem, load_table, mobius,
+)
 
 # CM point on the unit circle with Re = -1/4 and its translate by the
 # (4,1;-1,0) coset representative; the degree-4 quotient takes the exact
@@ -155,6 +157,64 @@ def test_dedekind_sum_against_brute_force():
         done += 1
 
 
+def test_dedekind_sum_refuses_a_non_positive_modulus():
+    # the reciprocity recursion holds for k > 0 only: at k = -3 it would
+    # give -1/18, and at k = 0 divide by zero
+    for k in (-3, -1, 0):
+        with pytest.raises(ValueError):
+            dedekind_sum(1, k)
+
+
+def test_multiplier_refuses_an_unnormalized_matrix():
+    ctx = EtaContext()
+    # -T acts as T, but the relation eta(m z) = eps(m) (cz+d)^(1/2) eta(z)
+    # with cz + d = -1 needs eps(-T) = exp(-5i pi/12), not T's exp(i pi/12)
+    for m in (-T, GroupElem(-1, 0, 0, -1), -S, GroupElem(-2, -1, -1, -1)):
+        with pytest.raises(ValueError):
+            ctx.multiplier(m)
+    assert ctx._multipliers == {}
+    assert ctx.multiplier(T) == cmath.exp(1j * math.pi / 12.0)
+    assert abs(ctx.multiplier(S) - cmath.exp(-0.25j * math.pi)) < 1e-15
+
+
+def _eta_series_loop(w):
+    """Reference: the pentagonal series summed pair by pair until a term
+    drops below 1e-17, and the number of pairs summed."""
+    q = cmath.exp(2j * math.pi * w)
+    total = 1 + 0j
+    sign = 1
+    for k in range(1, 100):
+        sign = -sign
+        q1 = q ** (k * (3 * k - 1) // 2)
+        q2 = q ** (k * (3 * k + 1) // 2)
+        total += sign * (q1 + q2)
+        if abs(q1) < 1e-17:
+            break
+    return cmath.exp(1j * math.pi * w / 12.0) * total, k
+
+
+def test_eta_series_matches_the_adaptive_loop_bitwise():
+    corner = math.sqrt(3.0) / 2.0
+    panel = [cmath.exp(1j * th) for th in (math.pi / 3.0, 0.4 * math.pi,
+                                           math.pi / 2.0, 2.0 * math.pi / 3.0)]
+    for y in (corner, 1.0, 1.2, 1.25, 6.2, 6.25, 50.0, 300.0):
+        panel += [complex(x, y) for x in (0.0, -0.0, 0.5, -0.5, 0.25, -0.1)]
+    rng = random.Random(18)
+    while len(panel) < 6000:
+        w = complex(rng.uniform(-0.5, 0.5),
+                    corner * (300.0 / corner) ** rng.random() ** 2)
+        if abs(w) >= 1.0:
+            panel.append(w)
+    pairs = set()
+    for w in panel:
+        old, k = _eta_series_loop(w)
+        new = etaengine._eta_series(w)
+        assert ((new.real.hex(), new.imag.hex())
+                == (old.real.hex(), old.imag.hex())), w
+        pairs.add(k)
+    assert pairs == {1, 2, 3}
+
+
 def test_reduction_properties():
     rng = random.Random(99)
     for _ in range(30):
@@ -217,6 +277,25 @@ def test_warm_trajectory_walk_builds_no_group_element(monkeypatch):
     assert again is not first
     assert [again[k] for k in range(201)] == cold
     assert built == []
+
+
+def test_eta_matches_mpmath_along_a_shift_walk():
+    # every 7th point of the traced avatar's 3000-sample walk, at the four
+    # arguments _etas reduces (Im z/15 reaches 1.5e-4 there)
+    mpmath = pytest.importorskip("mpmath")
+    from zetapath.sl2z import SHIFT_WORD
+    from zetapath.tracer import SHIFT_AVATAR
+    from zetapath.treepath import build_path
+    path = build_path(SHIFT_WORD, samples=3000)
+    rep = load_table().rep(SHIFT_AVATAR)
+    worst = 0.0
+    with mpmath.workdps(30):
+        for k in range(0, path.samples + 1, 7):
+            z = mobius(rep, path.point(k / path.samples))
+            for w in (z, z / 3, z / 5, z / 15):
+                ref = complex(mpmath.eta(w))
+                worst = max(worst, abs(dedekind_eta(w) - ref) / abs(ref))
+    assert worst <= 1e-12
 
 
 TAU_INVARIANCE = [GroupElem(1, 0, 1, 1), GroupElem(2, 15, 1, 8)]

@@ -221,6 +221,18 @@ def test_verify_reports_broken_rows(table):
     assert not broken["ok"]
 
 
+@pytest.mark.parametrize("column", ["n_r", "n_s"])
+def test_verify_reports_a_column_naming_no_row(table, column):
+    report = _altered(table, 2, **{column: 999}).verify()
+    assert not report["generator_columns_ok"]
+    assert not report[f"{column[-1]}_permutation_ok"]
+    assert not report["word_chase_from_identity_ok"]
+    assert not report["ok"]
+    # the other generator's check still runs on its intact column
+    other = {"n_r": "s_permutation_involution", "n_s": "r_permutation_order3"}
+    assert report[other[column]]
+
+
 def test_coset_index(table):
     assert table.coset_index(IDENTITY) == 1
     assert table.coset_index(R) == 24
