@@ -80,8 +80,8 @@ def chordal(u: complex, v: complex) -> float:
 
 def dedekind_sum(h: int, k: int) -> Fraction:
     """s(h, k) for k > 0, gcd(h, k) = 1, via the reciprocity law."""
-    if k <= 0:
-        raise ValueError(f"dedekind_sum needs k > 0, got k = {k}")
+    if k <= 0 or math.gcd(h, k) != 1:
+        raise ValueError(f"dedekind_sum needs k > 0, gcd(h, k) = 1: {h}, {k}")
     h %= k
     if h == 0:
         return Fraction(0)
@@ -144,7 +144,7 @@ def _reduce(z: complex) -> tuple[complex, int, int, int, int]:
     for _ in range(10000):
         n = round(w.real)
         if n:
-            w = complex(w.real - n, w.imag)
+            w -= n                            # Im w - 0.0 is Im w exactly
             a, b = a - n * c, b - n * d       # (1, -n; 0, 1) * m
         if abs(w) < 1.0 - 1e-15:
             w = -1.0 / w
@@ -205,9 +205,19 @@ def _in_range(z: complex, what: str, compute) -> complex:
 
 def _tau_lambda(z: complex, e1: complex, e3: complex, e5: complex,
                 e15: complex) -> tuple[complex, complex]:
-    """tau and lambda from the eta quartet _etas(z)."""
-    return (_in_range(z, "tau", lambda: ((e3 * e5) / (e1 * e15)) ** 3),
-            _in_range(z, "lambda", lambda: e3 ** 6 / (e1 ** 3 * e5 ** 3)))
+    """tau and lambda from the eta quartet _etas(z); NearPole at z names
+    the first of them to leave double range."""
+    what = "tau"
+    try:
+        t = ((e3 * e5) / (e1 * e15)) ** 3
+        if cmath.isfinite(t):
+            what = "lambda"
+            lam = e3 ** 6 / (e1 ** 3 * e5 ** 3)
+            if cmath.isfinite(lam):
+                return t, lam
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise _out_of_range(z, what)
 
 
 def _tau5(z: complex, e1: complex, e5: complex) -> complex:

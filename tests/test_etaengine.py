@@ -165,6 +165,14 @@ def test_dedekind_sum_refuses_a_non_positive_modulus():
             dedekind_sum(1, k)
 
 
+def test_dedekind_sum_refuses_non_coprime_arguments():
+    # the reciprocity law assumes gcd(h, k) = 1: without the check (2, 4)
+    # gave -1/32 and (2, 6) 5/144, where the sawtooth sums are 0 and 1/18
+    for h, k in ((2, 4), (2, 6), (0, 3), (-9, 12)):
+        with pytest.raises(ValueError):
+            dedekind_sum(h, k)
+
+
 def test_multiplier_refuses_an_unnormalized_matrix():
     ctx = EtaContext()
     # -T acts as T, but the relation eta(m z) = eps(m) (cz+d)^(1/2) eta(z)
@@ -228,6 +236,67 @@ def test_reduction_properties():
         assert abs(q) <= math.exp(-math.pi * math.sqrt(3.0)) + 1e-12
 
 
+def _reduce_rebuilt(z):
+    """Reference: _reduce as it rebuilt w with complex() at each
+    translation."""
+    w = z
+    a, b, c, d = 1, 0, 0, 1
+    for _ in range(10000):
+        n = round(w.real)
+        if n:
+            w = complex(w.real - n, w.imag)
+            a, b = a - n * c, b - n * d
+        if abs(w) < 1.0 - 1e-15:
+            w = -1.0 / w
+            a, b, c, d = -c, -d, a, b
+        else:
+            return w, a, b, c, d
+    raise AssertionError(z)
+
+
+def _shift_walk_arguments(step=7):
+    """The four arguments _etas reduces at every step-th point of the
+    traced avatar's 3000-sample walk (Im z/15 reaches 1.5e-4 there)."""
+    from zetapath.sl2z import SHIFT_WORD
+    from zetapath.tracer import SHIFT_AVATAR
+    from zetapath.treepath import build_path
+    path = build_path(SHIFT_WORD, samples=3000)
+    rep = load_table().rep(SHIFT_AVATAR)
+    for k in range(0, path.samples + 1, step):
+        z = mobius(rep, path.point(k / path.samples))
+        yield from (z, z / 3, z / 5, z / 15)
+
+
+def test_reduce_matches_the_rebuilding_loop_bitwise():
+    # edges: Re exactly +-1/2 and -0.0 (before and after a translation),
+    # |w| = 1, |Re z| near 1e6 and Im z down to 1e-4
+    panel = [complex(x, y) for x in (0.5, -0.5, -0.0, 0.0, 2.5, -3.5, 7.0)
+             for y in (1e-4, 0.5, math.sqrt(3.0) / 2.0, 1.0, 3.0)]
+    panel += [cmath.exp(1j * th) for th in (math.pi / 3.0, math.pi / 2.0,
+                                           2.0 * math.pi / 3.0, 1.3)]
+    panel += [0.6 + 0.8j, -0.6 + 0.8j, 3.6 + 0.8j, 0.8 + 0.6j, 1j, 4 + 1j]
+    panel += [complex(x, y) for x in (1e6 + 0.3, -1e6 - 0.49, 999999.5,
+                                      -1e6 + 0.5)
+              for y in (1e-4, 0.03, 1.0)]
+    rng = random.Random(19)
+    for _ in range(3000):
+        panel.append(complex(rng.uniform(-8.0, 8.0),
+                             10.0 ** rng.uniform(-4.0, 0.5)))
+    for _ in range(200):
+        panel.append(complex(rng.choice((-1.0, 1.0)) * 1e6
+                             + rng.uniform(-1.0, 1.0),
+                             10.0 ** rng.uniform(-4.0, 0.5)))
+    panel += _shift_walk_arguments()
+    signed_zeros = 0
+    for z in panel:
+        w, *m = etaengine._reduce(z)
+        w_ref, *m_ref = _reduce_rebuilt(z)
+        assert ((w.real.hex(), w.imag.hex(), m)
+                == (w_ref.real.hex(), w_ref.imag.hex(), m_ref)), z
+        signed_zeros += math.copysign(1.0, w.real) < 0 and w.real == 0
+    assert signed_zeros > 0
+
+
 # (z, float.hex of eta(z)) frozen from the GroupElem-based unwinding; the
 # comments give the reducing matrix.  Identity, translations, c > 0, and
 # c < 0, where the matrix is negated before the multiplier is looked up.
@@ -280,21 +349,12 @@ def test_warm_trajectory_walk_builds_no_group_element(monkeypatch):
 
 
 def test_eta_matches_mpmath_along_a_shift_walk():
-    # every 7th point of the traced avatar's 3000-sample walk, at the four
-    # arguments _etas reduces (Im z/15 reaches 1.5e-4 there)
     mpmath = pytest.importorskip("mpmath")
-    from zetapath.sl2z import SHIFT_WORD
-    from zetapath.tracer import SHIFT_AVATAR
-    from zetapath.treepath import build_path
-    path = build_path(SHIFT_WORD, samples=3000)
-    rep = load_table().rep(SHIFT_AVATAR)
     worst = 0.0
     with mpmath.workdps(30):
-        for k in range(0, path.samples + 1, 7):
-            z = mobius(rep, path.point(k / path.samples))
-            for w in (z, z / 3, z / 5, z / 15):
-                ref = complex(mpmath.eta(w))
-                worst = max(worst, abs(dedekind_eta(w) - ref) / abs(ref))
+        for w in _shift_walk_arguments():
+            ref = complex(mpmath.eta(w))
+            worst = max(worst, abs(dedekind_eta(w) - ref) / abs(ref))
     assert worst <= 1e-12
 
 
@@ -664,6 +724,22 @@ def test_quotients_out_of_double_range_raise_near_pole():
         with pytest.raises(NearPole) as err:
             fn(z)
         assert err.value.z is not None
+
+
+@pytest.mark.parametrize("what, quartet", [
+    ("tau", (0j, 1 + 0j, 1 + 0j, 1 + 0j)),                  # e1 = 0
+    ("tau", (1 + 0j, 1e160 + 0j, 1 + 0j, 1 + 0j)),          # overflow
+    ("tau", (1 + 0j, complex(math.nan, 0.0), 1 + 0j, 1 + 0j)),  # NaN
+    ("lambda", (1 + 0j, 1e60 + 0j, 1e-60 + 0j, 1 + 0j)),    # overflow
+    ("lambda", (1e-10 + 0j, 1e50 + 0j, 1 + 0j, 1e60 + 0j)),  # inf quotient
+])
+def test_tau_lambda_out_of_range_names_the_quotient(what, quartet):
+    z = 0.3 + 0.01j
+    with pytest.raises(NearPole, match=f"^{what} leaves") as err:
+        etaengine._tau_lambda(z, *quartet)
+    assert err.value.z == z
+    assert err.value.__cause__ is None
+    assert err.value.__suppress_context__ or err.value.__context__ is None
 
 
 def test_seed_walk_near_pole_carries_the_requested_point():
