@@ -127,6 +127,8 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
     code = 0
     if args.check:
         ref = load_zeros(args.check)
+        if not ref.ordinates:
+            raise ValueError(f"{args.check} has no ordinates to compare")
         compared = min(len(zl), len(ref))
         worst = max(abs(a - b) for a, b in
                     zip(zl.ordinates[:compared], ref.ordinates[:compared]))
@@ -143,7 +145,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 zeros=load_zeros(args.zeros_file) if args.zeros_file else None,
                 residual_tol=args.tol_residual, pole_cap=args.pole_cap)
     _emit_json(asdict(rec), args.emit)
-    return 0 if rec.matched_index is not None else 1
+    return 0 if rec.landed else 1
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:

@@ -9,16 +9,19 @@ of the zero list; the m-sweep experiment records which one.
 from __future__ import annotations
 
 import cmath
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import Blocked, DerivativeSmall, StepCollapse
+from .errors import Blocked, DerivativeSmall, PathWalkError, StepCollapse
 from .etaengine import EtaContext, avatar_eval, z_eval, z_eval_from_seed
 from .sl2z import (
     SHIFT_AVATAR, SHIFT_ELEMENT, SHIFT_WORD, CosetTable, load_table, mobius,
 )
-from .treepath import POLE_CAP, TreePath, avatar_trajectory, build_path, find_c
+from .treepath import (
+    POLE_CAP, TreePath, avatar_trajectory, build_path, check_pole_cap, find_c,
+)
 from .zetafn import (
     MAX_ZEROS, ZeroList, ZetaDisc, find_zeros, zeta_with_prime,
 )
@@ -52,6 +55,12 @@ class TraceRecord:
     zeta_reflected: int
     zeta_centres: int
 
+    @property
+    def landed(self) -> bool:
+        """Whether the endpoint matched zero m + 1, the one the shift
+        word should carry zero m to."""
+        return self.matched_index == self.m + 1
+
 
 COUNTERS = ("steps", "halvings", "zeta_evals", "zeta_reflected",
             "zeta_centres")     # the record counts a sweep sums
@@ -76,6 +85,13 @@ def _zeros_for(first: int, last: int, zeros: ZeroList | None) -> ZeroList:
         raise ValueError(f"m={last} needs at least {last + 1} zeros, "
                          f"only {len(zeros)} available")
     return zeros
+
+
+def _check_tolerances(residual_tol: float, pole_cap: float) -> None:
+    check_pole_cap(pole_cap)
+    if not (math.isfinite(residual_tol) and residual_tol > 0.0):
+        raise ValueError(f"residual_tol must be finite and > 0 "
+                         f"(got {residual_tol!r})")
 
 
 def _match(s: complex, zeros: ZeroList) -> int | None:
@@ -123,18 +139,24 @@ def trace(m: int, path: TreePath | None = None, zeros: ZeroList | None = None,
     The prediction starts from the Newton-refined point
     s - (zeta(s) - w)/zeta'(s) of the last accepted step; the reported s
     and every check stay on the verified point.  The step is halved, off
-    the grid, when Newton needs more than _NEWTON_MAX updates or moves s
-    by more than _DS_MAX, and the next step aims at the grid point again;
-    a halving empties the error history.  A step below _DT_MIN raises
-    StepCollapse, any evaluation with |zeta'| < _DERIVATIVE_MIN
-    DerivativeSmall (_zeta_checked), and an avatar modulus above pole_cap
-    Blocked.  The endpoint is matched against the zero list (_MATCH_TOL,
-    _DOMINANCE).  Every zeta_with_prime call, the start derivative
+    the grid, when Newton needs more than _NEWTON_MAX updates or when the
+    predicted point or a Newton point lies farther than _DS_MAX from s,
+    which halves before zeta is evaluated there; the next step aims at
+    the grid point again, and a halving empties the error history.  A
+    step below _DT_MIN raises StepCollapse, any evaluation with
+    |zeta'| < _DERIVATIVE_MIN DerivativeSmall (_zeta_checked), and an
+    avatar modulus above pole_cap Blocked; all three are PathWalkErrors.
+    A pole_cap that is NaN or <= 0 and a residual_tol that is not finite
+    and > 0 raise ValueError before any zero is computed.  The endpoint
+    is matched against the zero list (_MATCH_TOL, _DOMINANCE), and the
+    record's landed property says whether it matched zero m + 1.  Every
+    zeta_with_prime call, the start derivative
     included, goes through one ZetaDisc, and the record reads its counts
     from it: zeta_evals, zeta_reflected (those through the functional
     equation) and zeta_centres (the expansions it built).
     """
     t_start = time.perf_counter()
+    _check_tolerances(residual_tol, pole_cap)
     path = path or build_path(SHIFT_WORD)
     table = table or load_table()
     ctx = ctx or EtaContext()
@@ -176,13 +198,18 @@ def trace(m: int, path: TreePath | None = None, zeros: ZeroList | None = None,
                 # the error is smooth in k: extrapolate the quadratic
                 # through the last three
                 s_try += 3.0 * errs[2] - 3.0 * errs[1] + errs[0]
+            resid = math.inf
             for _ in range(_NEWTON_MAX + 1):
+                # a point past the step bound (or NaN) halves the step
+                # before zeta is evaluated there, far from the strip
+                if not abs(s_try - s) <= _DS_MAX:
+                    break
                 val, der = _zeta_checked(s_try, disc, t_next)
                 resid = abs(val - w_next)
                 if resid < residual_tol:
                     break
                 s_try = s_try - (val - w_next) / der
-            if resid < residual_tol and abs(s_try - s) <= _DS_MAX:
+            if resid < residual_tol:
                 s_ref = s_try - (val - w_next) / der
                 if full_step:
                     errs = errs[-2:] + [s_ref - s_lin]
@@ -245,11 +272,13 @@ def run_experiment(max_m: int, path: TreePath | None = None,
                    pole_cap: float = POLE_CAP) -> ExperimentSummary:
     """Trace m = 1..max_m on one EtaContext and tally endpoint matches.
 
-    A trace counts as a success when its endpoint matches the (m+1)-st
-    zero.  Blocked, StepCollapse and DerivativeSmall abort only their own
-    m and are recorded as TraceFailure entries.
+    A trace counts as a success when it landed (TraceRecord.landed).  A
+    PathWalkError aborts only its own m and is recorded as a TraceFailure
+    entry.  The tolerances are checked, as trace checks them, before any
+    zero is computed.
     """
     t0 = time.perf_counter()
+    _check_tolerances(residual_tol, pole_cap)
     path = path or build_path(SHIFT_WORD)
     ctx = EtaContext()
     zeros = _zeros_for(1, max(max_m, 0), zeros)
@@ -260,9 +289,9 @@ def run_experiment(max_m: int, path: TreePath | None = None,
             records.append(trace(m, path=path, zeros=zeros, ctx=ctx,
                                  residual_tol=residual_tol,
                                  pole_cap=pole_cap))
-        except (Blocked, StepCollapse, DerivativeSmall) as exc:
+        except PathWalkError as exc:
             errors.append(TraceFailure(m, type(exc).__name__, exc.t, exc.s))
-    success = sum(1 for r in records if r.matched_index == r.m + 1)
+    success = sum(1 for r in records if r.landed)
     return ExperimentSummary(
         records=tuple(records), errors=tuple(errors), success_count=success,
         max_residual=max((r.max_residual for r in records), default=0.0),

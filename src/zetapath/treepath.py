@@ -190,13 +190,22 @@ def avatar_trajectory(path: TreePath, n: int, ctx: EtaContext | None = None,
     return traj
 
 
+def check_pole_cap(pole_cap: float) -> None:
+    """ValueError unless pole_cap > 0; inf means no cap.  NaN is refused:
+    it fails every comparison, so it would switch the cap off."""
+    if not pole_cap > 0.0:
+        raise ValueError(f"pole_cap must be > 0 (got {pole_cap!r})")
+
+
 def pole_scan(path: TreePath, n: int, pole_cap: float = POLE_CAP,
               ctx: EtaContext | None = None, table=None) -> float:
     """Maximum |Z_n| along the path grid, walked with branch continuity.
 
     Reads avatar_trajectory(path, n); raises Blocked (with the offending
     parameter) at the first grid point after the start whose modulus
-    exceeds pole_cap."""
+    exceeds pole_cap, and ValueError (check_pole_cap) before walking for
+    a pole_cap that is NaN or <= 0."""
+    check_pole_cap(pole_cap)
     traj = avatar_trajectory(path, n, ctx=ctx, table=table)
     peak = abs(traj[0])
     for k in range(1, traj.count + 1):

@@ -371,8 +371,11 @@ class ZetaDisc:
             em.append(em[-1] * (-ln_nc / k))
         # G = (u - 1) main + N^(-u) H, H = (u - 1)(1/2 + N P_N) + N
         w0 = c - 1.0
+        # a weight that underflows to 0 (Re c past about 250) leaves P_N
+        # nothing to add above _DISC_TOL, so it forms no orders there
+        weight = tail * growth
         h = [n_cut * p for p in _correction_taylor(
-            n_cut, c, order, _DISC_TOL / (tail * growth))]
+            n_cut, c, order, _DISC_TOL / weight if weight else math.inf)]
         h[0] += 0.5
         big_h = [w0 * a + prev for a, prev in zip(h + [0j], [0j] + h)]
         big_h[0] += n_cut

@@ -24,48 +24,10 @@ from zetapath.tracer import SHIFT_WORD, run_experiment, trace
 from zetapath.treepath import build_path, find_c, pole_scan
 from zetapath.zetafn import find_zeros, reference_zeros, zeta
 
+from oracles import band_points, eta_q_product, random_element, sign_normalize
+
 P41 = GroupElem(4, 1, -1, 0)
 ALPHA_PRIME = (-1.0 + math.sqrt(5.0)) / 2.0
-
-
-def eta_q_product(z, terms=2000):
-    """Independent oracle: plain q-product, no reduction, no multiplier."""
-    q = cmath.exp(2j * math.pi * z)
-    prod = 1.0 + 0j
-    qn = 1.0 + 0j
-    for _ in range(terms):
-        qn *= q
-        prod *= 1.0 - qn
-        if abs(qn) < 1e-19:
-            break
-    return cmath.exp(1j * math.pi * z / 12.0) * prod
-
-
-def band_points(rng, count):
-    pts = []
-    while len(pts) < count:
-        z = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.88, 1.6))
-        if abs(z) >= 1.0:
-            pts.append(z)
-    return pts
-
-
-def random_element(rng, bound=50):
-    while True:
-        m = GroupElem(1, 0, 0, 1)
-        for _ in range(rng.randrange(2, 10)):
-            if rng.random() < 0.5:
-                m = m * GroupElem(1, rng.randrange(-3, 4), 0, 1)
-            else:
-                m = m * GroupElem(0, -1, 1, 0)
-        if max(abs(e) for e in m.entries()) <= bound and m.c != 0:
-            return m
-
-
-def sign_normalize(m):
-    if m.c < 0 or (m.c == 0 and m.d < 0):
-        return -m
-    return m
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ from importlib.resources import files
 
 import pytest
 
-from zetapath import cli
+from zetapath import cli, tracer
 from zetapath.cli import main
 from zetapath.tracer import (
     COUNTERS, ExperimentSummary, TraceFailure, TraceRecord,
@@ -187,6 +187,15 @@ def test_zeros_check_rejects_non_finite_ordinates(capsys, tmp_path):
     assert out["message"].startswith("line 2:")
 
 
+def test_zeros_check_needs_ordinates(capsys, tmp_path):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("# no ordinates here\n")
+    assert main(["zeros", "--count", "3", "--check", str(empty)]) == 1
+    out = _json_out(capsys)
+    assert out["error"] == "ValueError"
+    assert out["message"] == f"{empty} has no ordinates to compare"
+
+
 def test_zeros_count_bounds(capsys):
     assert main(["zeros", "--count", "0"]) == 1
     assert _json_out(capsys)["error"] == "ValueError"
@@ -203,6 +212,25 @@ def test_trace(capsys):
     assert 0 < out["zeta_centres"] < out["zeta_evals"]
     assert out["max_residual"] < 1e-8
     assert abs(out["end_s"]["re"] - 0.5) < 1e-6
+
+
+def test_trace_exits_1_unless_it_lands_on_the_next_zero(capsys):
+    # on a two-sample grid the walk returns to zero 1: matched, not landed
+    assert main(["trace", "--m", "1", "--samples", "2"]) == 1
+    assert _json_out(capsys)["matched_index"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--pole-cap", "nan"],
+    ["trace", "--pole-cap", "0"],
+    ["trace", "--tol-residual", "inf"],
+    ["experiment", "--max-m", "1", "--pole-cap", "nan"],
+    ["experiment", "--max-m", "1", "--tol-residual", "-1"],
+])
+def test_walk_tolerances_rejected(capsys, monkeypatch, argv):
+    monkeypatch.setattr(tracer, "find_zeros", None)  # refused first
+    assert main(argv) == 1
+    assert _json_out(capsys)["error"] == "ValueError"
 
 
 def test_experiment(capsys):
@@ -231,6 +259,15 @@ def test_experiment_errors_are_json_records(capsys):
         assert e["kind"] == "Blocked"
         assert 0.0 < e["t"] < 1.0
         assert set(e["s"]) == {"re", "im"}
+
+
+def test_experiment_on_a_coarse_grid_prints_json_lines(capsys):
+    code = main(["experiment", "--max-m", "3", "--samples", "8"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    records = [json.loads(line) for line in lines[:-1]]
+    summary = json.loads(lines[-1])["summary"]
+    assert len(records) + len(summary["errors"]) == 3
+    assert code == (0 if summary["success_count"] == 3 else 1)
 
 
 def test_experiment_emit(capsys, tmp_path):

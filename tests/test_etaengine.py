@@ -18,8 +18,10 @@ from zetapath.etaengine import (
 )
 from zetapath.exactquad import ALPHA_P, exact_j_target
 from zetapath.sl2z import (
-    IDENTITY, R, S, SHIFT_ELEMENT, T, GroupElem, load_table, mobius,
+    R, S, SHIFT_ELEMENT, T, GroupElem, load_table, mobius,
 )
+
+from oracles import band_points, eta_q_product, random_element, sign_normalize
 
 # CM point on the unit circle with Re = -1/4 and its translate by the
 # (4,1;-1,0) coset representative; the degree-4 quotient takes the exact
@@ -28,19 +30,6 @@ C_POINT = complex(-0.25, math.sqrt(15.0) / 4.0)
 Z0_POINT = complex(-15.0 / 4.0, math.sqrt(15.0) / 4.0)
 
 J_TARGET = 632.8328625472187
-
-
-def eta_q_product(z, terms=2000):
-    """Independent oracle: plain q-product, no reduction, no multiplier."""
-    q = cmath.exp(2j * math.pi * z)
-    prod = 1.0 + 0j
-    qn = 1.0 + 0j
-    for _ in range(terms):
-        qn *= q
-        prod *= 1.0 - qn
-        if abs(qn) < 1e-19:
-            break
-    return cmath.exp(1j * math.pi * z / 12.0) * prod
 
 
 def dedekind_sum_brute(h, k):
@@ -54,33 +43,6 @@ def dedekind_sum_brute(h, k):
         saw_b = bfrac - Fraction(1, 2) if bfrac else Fraction(0)
         total += saw_a * saw_b
     return total
-
-
-def band_points(rng, count, im_hi=1.6):
-    pts = []
-    while len(pts) < count:
-        z = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.88, im_hi))
-        if abs(z) >= 1.0:
-            pts.append(z)
-    return pts
-
-
-def random_element(rng, bound=50):
-    while True:
-        m = IDENTITY
-        for _ in range(rng.randrange(2, 10)):
-            if rng.random() < 0.5:
-                m = m * GroupElem(1, rng.randrange(-3, 4), 0, 1)
-            else:
-                m = m * S
-        if max(abs(e) for e in m.entries()) <= bound and m.c != 0:
-            return m
-
-
-def sign_normalize(m):
-    if m.c < 0 or (m.c == 0 and m.d < 0):
-        return -m
-    return m
 
 
 def test_eta_against_q_product_oracle():

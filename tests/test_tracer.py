@@ -6,7 +6,9 @@ import math
 import pytest
 
 from zetapath import tracer, treepath
-from zetapath.errors import Blocked, DerivativeSmall, StepCollapse
+from zetapath.errors import (
+    Blocked, DerivativeSmall, PathWalkError, StepCollapse,
+)
 from zetapath.etaengine import EtaContext
 from zetapath.sl2z import SHIFT_WORD
 from zetapath.tracer import (
@@ -18,7 +20,7 @@ from zetapath.zetafn import (
     ZeroList, find_zeros, reference_zeros, reflects, zeta_with_prime,
 )
 
-BAD_WORD = "RSRSrSRSR"  # endpoint sits in the index-41 pole fiber
+from oracles import BAD_WORD
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +266,42 @@ def test_trace_derivative_guard_mid_walk(zeros, monkeypatch):
     assert exc.value.s == seen[-1][0]
     assert seen[-1][1] < floor
     assert all(d >= floor for _, d in seen[:-1])
+
+
+@pytest.mark.parametrize("samples", [8, 13, 20])
+def test_trace_on_a_coarse_grid_lands_or_raises_a_walk_error(samples):
+    # a coarse grid predicts points far from the strip; they halve the
+    # step before zeta is evaluated there, where it would overflow
+    path = build_path(SHIFT_WORD, samples=samples)
+    zeros = find_zeros(22)
+    for m in (1, 5, 20):
+        try:
+            rec = trace(m, path=path, zeros=zeros)
+        except PathWalkError:
+            continue
+        assert rec.landed, (m, rec.matched_index)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"pole_cap": math.nan}, {"pole_cap": 0.0}, {"pole_cap": -1.0},
+    {"residual_tol": math.nan}, {"residual_tol": math.inf},
+    {"residual_tol": 0.0}, {"residual_tol": -1e-10},
+])
+def test_walk_tolerances_are_refused_before_any_zero(kwargs, monkeypatch):
+    # NaN fails every comparison, so it would switch the test it sets off
+    def unreached(*args, **kw):
+        raise AssertionError("a zero or an avatar was computed")
+    for name in ("find_zeros", "avatar_trajectory", "avatar_eval"):
+        monkeypatch.setattr(tracer, name, unreached)
+    for run in (trace, run_experiment):
+        with pytest.raises(ValueError):
+            run(1, **kwargs)
+
+
+def test_infinite_pole_cap_means_no_cap(zeros):
+    rec = trace(1, zeros=zeros, pole_cap=math.inf)
+    assert rec.landed
+    assert rec.end_s == trace(1, zeros=zeros).end_s
 
 
 def test_match_rules():

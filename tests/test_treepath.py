@@ -19,9 +19,7 @@ from zetapath.treepath import (
     pole_scan, verify_local_intersections,
 )
 
-# Path whose endpoint lands in the index-41 pole fiber; found by scanning
-# short alternating words.  One letter off the shift word's 9-th prefix.
-BAD_WORD = "RSRSrSRSR"
+from oracles import BAD_WORD
 
 
 # ---------------------------------------------------------------- marked point
@@ -213,6 +211,20 @@ def test_pole_scan_cap_adjustable():
     path = build_path(BAD_WORD)
     peak = pole_scan(path, 41, pole_cap=1e16)
     assert peak > 1e6
+
+
+@pytest.mark.parametrize("cap", [math.nan, 0.0, -1.0])
+def test_pole_scan_refuses_a_cap_before_walking(cap, monkeypatch):
+    # a NaN cap fails every comparison and would switch the cap off
+    monkeypatch.setattr(treepath, "avatar_trajectory", None)
+    with pytest.raises(ValueError):
+        pole_scan(build_path(SHIFT_WORD), 41, pole_cap=cap)
+
+
+def test_pole_scan_infinite_cap_means_no_cap():
+    path = build_path(BAD_WORD)
+    assert pole_scan(path, 41, pole_cap=math.inf) == pole_scan(
+        path, 41, pole_cap=1e300)
 
 
 def test_pole_scan_same_peak_cold_and_warm():

@@ -360,6 +360,16 @@ def test_disc_agrees_with_the_direct_evaluation_at_low_height():
         assert abs(der - ref_der) < 2e-12 * max(1.0, abs(ref_der)), (s0, s)
 
 
+def test_disc_agrees_with_the_direct_evaluation_far_right():
+    # past Re c ~ 250 the weight |N^(1-c)| e^(R ln N) that P_N's tolerance
+    # is divided by underflows to 0, and P_N forms no orders there
+    for s in (260 + 14j, 300 + 14j, 1000 + 14j, 260 + 500j):
+        val, der = zeta_with_prime(s, ZetaDisc())
+        ref_val, ref_der = zeta_with_prime(s)
+        assert abs(val - ref_val) < 2e-12 * max(1.0, abs(ref_val)), s
+        assert abs(der - ref_der) < 2e-12 * max(1.0, abs(ref_der)), s
+
+
 def test_disc_evaluates_without_the_euler_maclaurin_finish(monkeypatch):
     # the disc expands the whole approximant and log Gamma: once it is
     # centred, an evaluation in it runs neither _zeta_em nor _chi
