@@ -11,7 +11,8 @@ class NonClosure(ZetaPathError):
 
 class NearPole(ZetaPathError):
     """An evaluation was requested too close to a pole of the function, or
-    so near a cusp that a value leaves double range; carries the point z
+    where a value leaves double range (near a cusp of the eta quotients,
+    or far left of the critical strip for zeta); carries the point z
     where the evaluation knows it."""
 
     def __init__(self, message: str, z: complex | None = None):

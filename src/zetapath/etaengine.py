@@ -14,6 +14,13 @@ roots satisfy the side constraint B1(Z) tau + B0(Z) = 0 alike.  The branch
 is fixed by continuity alone: a hint (a value of the same branch at a
 nearby point) selects the chordally nearest root, and a cold start
 continues from the seed at i, the root there with positive imaginary part.
+
+Path walks need Z only at P_m e^(i theta), theta on the base arc from i
+to omega, for the 96 coset representatives P_m: SL(2,Z) permutes the
+avatars, so every edge of every path is one of these 96 arcs.  The
+quadratic's a and b are analytic there, and arc_root_pair reads them
+from a Chebyshev table of coset m (_ARC_NODES first-kind nodes in
+theta), built from the eta quartet the first time m is met.
 """
 
 from __future__ import annotations
@@ -42,6 +49,18 @@ _CUBE27_F = 27.0 / (5.0 * math.sqrt(5.0))          # 3^3 * 5^(-3/2)
 _RHS_SCALE_F = math.sqrt((5.0 + 2.0 * math.sqrt(5.0)) / 3.0)
 _PSI_CONST_F = complex(PSI_DENOM_CONST)            # 3 sqrt5 * golden ratio
 _PSI_POLY_C = PSI_DENOM_POLY.float_coeffs()
+
+# The base arc, as angles on the unit circle: from i to omega.
+THETA_I = math.pi / 2.0
+THETA_OMEGA = 2.0 * math.pi / 3.0
+_ARC_MID = 0.5 * (THETA_OMEGA + THETA_I)
+_ARC_HALF = 0.5 * (THETA_OMEGA - THETA_I)
+# Chebyshev nodes per coset table, the fewest whose last two
+# coefficients fall to rounding (below 1e-13 of the largest) on every
+# coset of the shift path; 20 leave 3.8e-12 there, 22 leave 1.4e-13.
+_ARC_NODES = 24
+# The coset tables of arc_root_pair, per coset index, built when first met.
+_ARC_TABLES: dict[int, tuple[complex, complex, tuple]] = {}
 
 _SEED_STEPS = 48           # hinted steps on the segment from the seed at i
 # Past this |tau| the branch quadratic is divided through by tau^3.
@@ -93,9 +112,10 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 class EtaContext:
     """The multiplier cache and the most recent avatar trajectory (kept
     by treepath.avatar_trajectory): what a walk shares from one call to
-    the next.  The walk's functions take a context; the point evaluators
-    (tau, lambda_fn, tau5, sigma, j_fricke, psi_phi, identity_residuals)
-    use the module's own.
+    the next.  The walk's functions take a context, which its seed
+    continuation from i uses; the point evaluators (tau, lambda_fn, tau5,
+    sigma, j_fricke, psi_phi, identity_residuals, avatar_eval) and the
+    coset tables use the module's own.
 
     Concurrent walks should each own a context, since each replaces the
     trajectory.  The multiplier cache only memoizes a pure function of the
@@ -284,10 +304,14 @@ def z_root_pair(z: complex, ctx: EtaContext | None = None) -> RootPair:
     Rh = sqrt((5 + 2 sqrt5)/3) (tau - BETA)(tau^2 + GAMMA tau + DELTA).
 
     The coefficient symmetry a = c makes the roots a reciprocal pair."""
-    return _root_pair(z, *_tau_lambda(z, *_etas(z, ctx or _DEFAULT_CTX)))
+    t, lam = _tau_lambda(z, *_etas(z, ctx or _DEFAULT_CTX))
+    return _roots(*_quad_coeffs(z, t, lam))
 
 
-def _root_pair(z: complex, t: complex, lam: complex) -> RootPair:
+def _quad_coeffs(z: complex, t: complex,
+                 lam: complex) -> tuple[complex, complex]:
+    """The branch quadratic's a and b at z, from tau and lambda there;
+    NearPole at z where its discriminant leaves double range."""
     # The roots depend only on p = b/a, through W + 1/W = -p.  Near a cusp
     # tau grows without bound and a, b with tau^3, so there the quadratic
     # is divided through by tau^3 before b*b can overflow; in the working
@@ -302,22 +326,24 @@ def _root_pair(z: complex, t: complex, lam: complex) -> RootPair:
               * (1.0 + (_GAMMA_F + _DELTA_F * u) * u))
     a = big_l - rh
     b = rh - 3.0 * big_l
-    disc = b * b - 4.0 * a * a
-    if not cmath.isfinite(disc):
+    if not cmath.isfinite(b * b - 4.0 * a * a):
         raise _out_of_range(z, "the branch quadratic")
+    return a, b
+
+
+def _roots(a: complex, b: complex) -> RootPair:
+    """Both roots of a Z^2 + b Z + a, a reciprocal pair, each formed
+    without cancellation."""
     if a == 0:
-        r1, r2 = 0j, complex(math.inf, 0.0)
+        return RootPair(0j, complex(math.inf, 0.0), a, b)
+    sq = cmath.sqrt(b * b - 4.0 * a * a)
+    if abs(b + sq) >= abs(b - sq):
+        q = -(b + sq) / 2.0
     else:
-        sq = cmath.sqrt(disc)
-        if abs(b + sq) >= abs(b - sq):
-            q = -(b + sq) / 2.0
-        else:
-            q = -(b - sq) / 2.0
-        if q == 0:  # b = 0 and a = c: a (Z^2 + 1) = 0, roots are +-i
-            r1, r2 = 1j, -1j
-        else:
-            r1, r2 = q / a, a / q
-    return RootPair(r1, r2, a, b)
+        q = -(b - sq) / 2.0
+    if q == 0:  # b = 0 and a = c: a (Z^2 + 1) = 0, roots are +-i
+        return RootPair(1j, -1j, a, b)
+    return RootPair(q / a, a / q, a, b)
 
 
 def _nearest(pair: RootPair, v: complex) -> complex:
@@ -420,7 +446,7 @@ def _residuals(z: complex, branch_value: complex | None) -> dict[str, float]:
     rhs = _horner(_C_C, t) * s + _horner(_D_C, t)
     out["weight_relation"] = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
-    pair = _root_pair(z, t, lam)
+    pair = _roots(*_quad_coeffs(z, t, lam))
     if branch_value is not None:
         zv = _nearest(pair, branch_value)
     else:
@@ -450,13 +476,59 @@ def _residuals(z: complex, branch_value: complex | None) -> dict[str, float]:
     return out
 
 
-def avatar_eval(n: int, z: complex, hint: complex | None = None,
-                ctx: EtaContext | None = None, table=None) -> complex:
+def avatar_eval(n: int, z: complex, hint: complex | None = None) -> complex:
     """Avatar value Z_n(z) = Z(P_n z), P_n the row-n coset representative.
 
     The hint, a branch value of the same avatar at a nearby point, selects
     the root as in z_eval; without one the value is continued from the
     seed at i."""
-    ctx = ctx or _DEFAULT_CTX
-    table = table or load_table()
-    return z_eval(mobius(table.rep(n), z), hint=hint, ctx=ctx)
+    return z_eval(mobius(load_table().rep(n), z), hint=hint)
+
+
+def _arc_table(m: int) -> tuple[complex, complex, tuple]:
+    """Coset m's Chebyshev table on the base arc: (a_0, b_0, the pairs
+    (a_j, b_j) for j = _ARC_NODES - 1 down to 1), the series of the branch
+    quadratic's a and b at P_m e^(i theta) in x = (theta - mid) / half.
+    Interpolated at the _ARC_NODES first-kind nodes; built when m is
+    first met and kept in _ARC_TABLES."""
+    table = _ARC_TABLES.get(m)
+    if table is not None:
+        return table
+    rep = load_table().rep(m)
+    count = _ARC_NODES
+    angles = [math.pi * (k + 0.5) / count for k in range(count)]
+    nodes = []
+    for phi in angles:
+        theta = _ARC_MID + _ARC_HALF * math.cos(phi)
+        z = mobius(rep, cmath.exp(1j * theta))
+        t, lam = _tau_lambda(z, *_etas(z, _DEFAULT_CTX))
+        nodes.append(_quad_coeffs(z, t, lam))
+    series = []
+    for j in range(count):
+        weights = [(2.0 - (j == 0)) / count * math.cos(j * phi)
+                   for phi in angles]
+        series.append((sum(w * a for w, (a, _) in zip(weights, nodes)),
+                       sum(w * b for w, (_, b) in zip(weights, nodes))))
+    table = _ARC_TABLES[m] = (*series[0], tuple(reversed(series[1:])))
+    return table
+
+
+def arc_root_pair(m: int, theta: float) -> RootPair:
+    """Both roots of Z at P_m e^(i theta), P_m the row-m representative
+    of the packaged coset table and theta on the base arc [THETA_I,
+    THETA_OMEGA], with a and b read from coset m's Chebyshev table (one
+    Clenshaw pass for both).  Any element of the coset would serve for
+    P_m: the roots depend only on b/a, which K fixes."""
+    a0, b0, tail = _arc_table(m)
+    x = (theta - _ARC_MID) / _ARC_HALF
+    x2 = 2.0 * x
+    a1 = a2 = b1 = b2 = 0j
+    for aj, bj in tail:
+        a1, a2 = aj + x2 * a1 - a2, a1
+        b1, b2 = bj + x2 * b1 - b2, b1
+    return _roots(a0 + x * a1 - a2, b0 + x * b1 - b2)
+
+
+def arc_eval(m: int, theta: float, hint: complex) -> complex:
+    """The root of arc_root_pair(m, theta) chordally nearest the hint."""
+    return _nearest(arc_root_pair(m, theta), hint)

@@ -152,7 +152,11 @@ def coset_key(g: GroupElem) -> tuple[int, int]:
     multiplication by those keeps the first row; two elements with the
     same first row up to sign differ by such a matrix on the left (the
     determinant fixes the rest).  There are 96 keys."""
-    a, b = g.a % LEVEL, g.b % LEVEL
+    return _row_key(g.a, g.b)
+
+
+def _row_key(a: int, b: int) -> tuple[int, int]:
+    a, b = a % LEVEL, b % LEVEL
     return min((a, b), (-a % LEVEL, -b % LEVEL))
 
 
@@ -210,9 +214,14 @@ class CosetTable:
 
     def coset_index(self, g: GroupElem) -> int:
         """Index n with K g = K P_n; raises NonClosure if g matches no row."""
-        n = self._by_key.get(coset_key(g))
+        return self.row_index(g.a, g.b)
+
+    def row_index(self, a: int, b: int) -> int:
+        """coset_index of the elements whose first row is (a, b), read
+        from the two integers alone."""
+        n = self._by_key.get(_row_key(a, b))
         if n is None:
-            raise NonClosure(f"no coset row matches {g}")
+            raise NonClosure(f"no coset row matches first row ({a}, {b})")
         return n
 
     def avatar_apply(self, n: int, word: str) -> int:

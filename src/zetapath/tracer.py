@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import Blocked, DerivativeSmall, PathWalkError, StepCollapse
-from .etaengine import EtaContext, avatar_eval, z_eval, z_eval_from_seed
+# perfbench's install_probes wraps avatar_eval and z_eval_from_seed here.
+from .etaengine import EtaContext, avatar_eval, z_eval_from_seed
 from .sl2z import (
     SHIFT_AVATAR, SHIFT_ELEMENT, SHIFT_WORD, CosetTable, load_table, mobius,
 )
@@ -141,11 +142,13 @@ def trace(m: int, path: TreePath | None = None, zeros: ZeroList | None = None,
     and every check stay on the verified point.  The step is halved, off
     the grid, when Newton needs more than _NEWTON_MAX updates or when the
     predicted point or a Newton point lies farther than _DS_MAX from s,
-    which halves before zeta is evaluated there; the next step aims at
-    the grid point again, and a halving empties the error history.  A
-    step below _DT_MIN raises StepCollapse, any evaluation with
-    |zeta'| < _DERIVATIVE_MIN DerivativeSmall (_zeta_checked), and an
-    avatar modulus above pole_cap Blocked; all three are PathWalkErrors.
+    which halves before zeta is evaluated there; the avatar at the
+    halved point comes from the same trajectory (its at method), the
+    next step aims at the grid point again, and a halving empties the
+    error history.  A step below _DT_MIN raises StepCollapse, any
+    evaluation with |zeta'| < _DERIVATIVE_MIN DerivativeSmall
+    (_zeta_checked), and an avatar modulus above pole_cap Blocked; all
+    three are PathWalkErrors.
     A pole_cap that is NaN or <= 0 and a residual_tol that is not finite
     and > 0 raise ValueError before any zero is computed.  The endpoint
     is matched against the zero list (_MATCH_TOL, _DOMINANCE), and the
@@ -232,8 +235,7 @@ def trace(m: int, path: TreePath | None = None, zeros: ZeroList | None = None,
                                    f"{_DT_MIN:.1e} at t={t:.6f}",
                                    t=t, s=s)
             t_next = t + dt
-            w_next = avatar_eval(SHIFT_AVATAR, path.point(t_next), w,
-                                 ctx=ctx, table=table)
+            w_next = traj.at(t_next, w)
     return TraceRecord(m=m, gamma_start=gamma, end_s=s,
                        matched_index=_match(s, zeros), steps=steps,
                        max_residual=max_residual, max_abs_avatar=max_avatar,
@@ -319,7 +321,7 @@ def verify_fixing() -> dict:
         theta = theta_c - 0.02 + 0.04 * k / (_FIXING_POINTS - 1)
         z = cmath.exp(1j * theta)
         u = z_eval_from_seed(mobius(rep, z))
-        v = z_eval(mobius(rep, mobius(SHIFT_ELEMENT, z)), hint=u)
+        v = avatar_eval(SHIFT_AVATAR, mobius(SHIFT_ELEMENT, z), u)
         delta = abs(u - v)
         if delta > max_delta:
             max_delta = delta

@@ -6,6 +6,11 @@ point i (angle pi/2) and the cube-rotation fixed point omega (angle
 word determines the unique edge path from the marked point c on the base
 arc to its image under the word, and avatars are evaluated along that
 path with branch continuity.
+
+Avatar n at g x, x on the base arc, is avatar m = coset_index(P_n g) at
+x itself, so a walk names one coset per edge and reads every value
+after its seed from that coset's table on the base arc
+(etaengine.arc_eval): no point off the base arc is evaluated.
 """
 
 from __future__ import annotations
@@ -17,16 +22,20 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import Blocked, NotReduced
-from .etaengine import EtaContext, avatar_eval, j_fricke, z_eval_from_seed
+from . import etaengine
+from .etaengine import (
+    THETA_I, THETA_OMEGA, EtaContext, arc_eval, j_fricke, z_eval_from_seed,
+)
 from .exactquad import exact_j_target
 from .sl2z import (
     _LETTERS, IDENTITY, R, S, GroupElem, is_reduced_alternating, load_table,
     mobius, word_eval,
 )
 
-THETA_I = math.pi / 2.0
-THETA_OMEGA = 2.0 * math.pi / 3.0
 OMEGA = cmath.exp(2j * math.pi / 3.0)
+# Nothing here calls it: perfbench's install_probes wraps it, as it wraps
+# z_eval_from_seed, by name on this module.
+avatar_eval = etaengine.avatar_eval
 
 _BISECT_THETA_TOL = 1e-13
 _ARC_POINTS = 160          # samples per arc in verify_local_intersections
@@ -65,18 +74,22 @@ class TreePath:
     max_vertex_mismatch: float
     samples: int = 2000
 
-    def point(self, t: float) -> complex:
-        """Path point for global parameter t in [0, 1]; edge j covers
-        [j/k, (j+1)/k] with theta affine inside each edge."""
+    def locate(self, t: float) -> tuple[int, float]:
+        """(j, theta): edge j holds global parameter t in [0, 1], at angle
+        theta of the base arc; edge j covers [j/k, (j+1)/k] with theta
+        affine inside it."""
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"path parameter {t} outside [0, 1]")
         k = len(self.edges)
         u = t * k
         j = min(int(u), k - 1)
-        frac = u - j
         e = self.edges[j]
-        theta = e.theta_from + (e.theta_to - e.theta_from) * frac
-        return e.point_at(theta)
+        return j, e.theta_from + (e.theta_to - e.theta_from) * (u - j)
+
+    def point(self, t: float) -> complex:
+        """Path point for global parameter t in [0, 1] (see locate)."""
+        j, theta = self.locate(t)
+        return self.edges[j].point_at(theta)
 
     @property
     def start(self) -> complex:
@@ -154,24 +167,35 @@ class AvatarTrajectory:
     trajectory[k] evaluates every grid point up to k not yet reached, each
     hinted by the value before it, and keeps them; the value at k = 0 is
     seeded by continuation from i.  A caller that stops at a pole has
-    therefore evaluated nothing past the point it rejected."""
+    therefore evaluated nothing past the point it rejected.
+
+    Every value after the seed comes from at(t, hint), which reads edge
+    j's coset table at the edge's base-arc angle; cosets[j] is
+    coset_index(P_n g_j), named once per edge from the first row of
+    P_n g_j."""
 
     def __init__(self, path: TreePath, n: int, ctx: EtaContext,
                  table) -> None:
         rep = table.rep(n)
         self.key = (path, n, rep)
         self.count = path.samples
-        self._n, self._path, self._ctx, self._table = n, path, ctx, table
+        self._path = path
+        self.cosets = tuple(
+            table.row_index(rep.a * e.g.a + rep.b * e.g.c,
+                            rep.a * e.g.b + rep.b * e.g.d)
+            for e in path.edges)
         self._values = [z_eval_from_seed(mobius(rep, path.point(0.0)),
                                          ctx=ctx)]
+
+    def at(self, t: float, hint: complex) -> complex:
+        """The avatar at path parameter t, the root nearest the hint."""
+        j, theta = self._path.locate(t)
+        return arc_eval(self.cosets[j], theta, hint)
 
     def __getitem__(self, k: int) -> complex:
         values = self._values
         while len(values) <= k:
-            t = len(values) / self.count
-            values.append(avatar_eval(self._n, self._path.point(t),
-                                      values[-1], ctx=self._ctx,
-                                      table=self._table))
+            values.append(self.at(len(values) / self.count, values[-1]))
         return values[k]
 
 

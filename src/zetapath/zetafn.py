@@ -27,7 +27,9 @@ from itertools import accumulate
 from operator import add, mul
 from pathlib import Path
 
-from .errors import MissedZero, MonotonicityError, ParseError, PoleAtOne
+from .errors import (
+    MissedZero, MonotonicityError, NearPole, ParseError, PoleAtOne,
+)
 
 
 def _bernoulli_even(count: int) -> tuple[Fraction, ...]:
@@ -225,8 +227,25 @@ def _chi(s: complex, order: int = 0) -> tuple[complex, complex, list]:
     else:
         log_sin = cmath.log(cmath.sin(x))
     log_gamma = _log_gamma(1.0 - s, order)
-    chi = cmath.exp(s * _LN2PI - _LNPI + log_sin + log_gamma[0])
+    try:
+        chi = cmath.exp(s * _LN2PI - _LNPI + log_sin + log_gamma[0])
+    except OverflowError:
+        raise _out_of_range(s) from None
     return chi, cot, log_gamma[1:]
+
+
+def _out_of_range(s: complex) -> NearPole:
+    return NearPole(f"zeta leaves double range at s = {s}", z=s)
+
+
+def _in_range(s: complex, val: complex,
+              der: complex) -> tuple[complex, complex]:
+    """(val, der), or NearPole at s where either is not finite, as left
+    of Re s = -254.19 at Im s = 14, where |zeta| passes the largest
+    double."""
+    if cmath.isfinite(val) and cmath.isfinite(der):
+        return val, der
+    raise _out_of_range(s)
 
 
 def reflects(s: complex) -> bool:
@@ -243,10 +262,10 @@ def _zeta_eval(s: complex, want_prime: bool) -> tuple[complex, complex]:
         return _zeta_em(s, want_prime)
     val, der = _zeta_em(1.0 - s, want_prime)
     if not want_prime:
-        return _chi(s)[0] * val, 0j
+        return _in_range(s, _chi(s)[0] * val, 0j)
     chi, cot, (q1,) = _chi(s, 1)
     log_chi_prime = _LN2PI + 0.5 * math.pi * cot - q1
-    return chi * val, chi * (log_chi_prime * val - der)
+    return _in_range(s, chi * val, chi * (log_chi_prime * val - der))
 
 
 class ZetaDisc:
@@ -323,7 +342,7 @@ class ZetaDisc:
         ratio = cos_h - tan_c * sin_h
         chi = chi0 * cmath.exp(q) * ratio
         log_chi_prime = dq - 0.5 * math.pi * (sin_h + tan_c * cos_h) / ratio
-        return chi * val, -chi * (log_chi_prime * val + der)
+        return _in_range(s, chi * val, -chi * (log_chi_prime * val + der))
 
     def _centre(self, s: complex, side: bool) -> None:
         """Centre the disc on s: expand G about c = s (or 1 - s where s

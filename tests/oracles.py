@@ -3,6 +3,7 @@
 import cmath
 import math
 
+from zetapath.exactquad import BETA, DELTA, GAMMA
 from zetapath.sl2z import IDENTITY, S, GroupElem
 
 # Path whose endpoint lands in the index-41 pole fiber; found by scanning
@@ -48,3 +49,25 @@ def sign_normalize(m):
     if m.c < 0 or (m.c == 0 and m.d < 0):
         return -m
     return m
+
+
+def mp_root_pair(mpmath, z):
+    """Independent oracle: both roots of the branch quadratic at z, from
+    mpmath.eta at the unreduced arguments z, z/3, z/5 and z/15, at the
+    caller's working precision (mpmath's eta sums the q-product with no
+    reduction and no multiplier)."""
+    z = mpmath.mpc(z)
+    e1, e3, e5, e15 = (mpmath.eta(z / k) for k in (1, 3, 5, 15))
+    t = ((e3 * e5) / (e1 * e15)) ** 3
+    lam = e3 ** 6 / (e1 ** 3 * e5 ** 3)
+    root5 = mpmath.sqrt(5)
+
+    def quad(x):
+        return mpmath.mpf(x.a.numerator) / x.a.denominator + \
+            mpmath.mpf(x.b.numerator) / x.b.denominator * root5
+    big_l = t * t * lam + 27 / (5 * root5) * t ** 3 / lam
+    rh = (mpmath.sqrt((5 + 2 * root5) / 3) * (t - quad(BETA))
+          * (t * t + quad(GAMMA) * t + quad(DELTA)))
+    a, b = big_l - rh, rh - 3 * big_l
+    sq = mpmath.sqrt(b * b - 4 * a * a)
+    return complex((-b + sq) / (2 * a)), complex((-b - sq) / (2 * a))

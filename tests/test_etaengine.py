@@ -217,8 +217,9 @@ def _reduce_rebuilt(z):
 
 
 def _shift_walk_arguments(step=7):
-    """The four arguments _etas reduces at every step-th point of the
-    traced avatar's 3000-sample walk (Im z/15 reaches 1.5e-4 there)."""
+    """The four eta arguments at every step-th unreduced point P_41 g x
+    of the traced avatar's 3000-sample walk (Im z/15 reaches 1.5e-4
+    there), which the walk evaluated before it read coset tables."""
     from zetapath.sl2z import SHIFT_WORD
     from zetapath.tracer import SHIFT_AVATAR
     from zetapath.treepath import build_path
@@ -660,7 +661,8 @@ def test_root_pair_degenerate_branches(monkeypatch):
     for name in ("_CUBE27_F", "_BETA_F", "_GAMMA_F", "_DELTA_F"):
         monkeypatch.setattr(etaengine, name, 0.0)
     monkeypatch.setattr(etaengine, "_RHS_SCALE_F", 3.0 * 2.0 ** -600)
-    pair = etaengine._root_pair(1j, 1 + 0j, 2.0 ** -600 + 0j)
+    pair = etaengine._roots(*etaengine._quad_coeffs(
+        1j, 1 + 0j, 2.0 ** -600 + 0j))
     assert pair.quad_a != 0 and pair.quad_b == 0
     assert {pair.first, pair.second} == {1j, -1j}
     for r in (pair.first, pair.second):
@@ -669,7 +671,7 @@ def test_root_pair_degenerate_branches(monkeypatch):
     assert etaengine._nearest(pair, 0.2 - 0.9j) == -1j
     # a == 0: the roots are 0 and inf
     monkeypatch.setattr(etaengine, "_RHS_SCALE_F", 0.0)
-    pair = etaengine._root_pair(1j, 0j, 1 + 0j)
+    pair = etaengine._roots(*etaengine._quad_coeffs(1j, 0j, 1 + 0j))
     assert pair.quad_a == 0
     assert pair.first == 0 and cmath.isinf(pair.second)
     for r in (pair.first, pair.second):

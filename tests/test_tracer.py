@@ -92,14 +92,14 @@ def test_deep_trace_makes_about_one_zeta_evaluation_per_step():
 # steps, halvings, zeta_evals, zeta_reflected and zeta_centres, per
 # (m, samples): a refactor that keeps every bit keeps these.
 TRACE_HEX = {
-    (1, 2000): (("0x1.00000000002eap-1", "0x1.505a463c7bd4cp+4",
-                 "0x1.b746577c62931p-34", "0x1.98f97b7ea9012p+5"),
+    (1, 2000): (("0x1.0000000000183p-1", "0x1.505a463c7bd55p+4",
+                 "0x1.b72e4a316d432p-34", "0x1.98f97b7ea8b6bp+5"),
                 (2000, 0, 2576, 1644, 106)),
-    (2, 2000): (("0x1.00000000001ffp-1", "0x1.902c78ff7a3a4p+4",
-                 "0x1.b4645922e1750p-34", "0x1.98f97b7ea9012p+5"),
+    (2, 2000): (("0x1.0000000000145p-1", "0x1.902c78ff7a3b2p+4",
+                 "0x1.b48a1edf7b2e6p-34", "0x1.98f97b7ea8b6bp+5"),
                 (2000, 0, 2600, 1814, 77)),
-    (250, 3000): (("0x1.0000000000192p-1", "0x1.d8cc96b5ecb0fp+8",
-                   "0x1.b3dc1b5f06fcbp-34", "0x1.98f97b7ea9012p+5"),
+    (250, 3000): (("0x1.ffffffffffe31p-2", "0x1.d8cc96b5ecb0cp+8",
+                   "0x1.aa118ba6399d0p-34", "0x1.98f97b7ea8b6bp+5"),
                   (3000, 0, 3505, 1077, 30)),
 }
 

@@ -3,12 +3,16 @@ from words, avatar pole scans along paths, and local intersection checks."""
 
 import cmath
 import math
+import random
 
 import pytest
 
-from zetapath import treepath
+from zetapath import etaengine, treepath
 from zetapath.errors import Blocked, NotReduced
-from zetapath.etaengine import EtaContext, j_fricke, z_eval_from_seed
+from zetapath.etaengine import (
+    EtaContext, arc_root_pair, chordal, j_fricke, z_eval_from_seed,
+    z_root_pair,
+)
 from zetapath.exactquad import exact_j_target
 from zetapath.sl2z import (
     IDENTITY, R, S, SHIFT_AVATAR, SHIFT_ELEMENT, SHIFT_WORD,
@@ -19,7 +23,7 @@ from zetapath.treepath import (
     pole_scan, verify_local_intersections,
 )
 
-from oracles import BAD_WORD
+from oracles import BAD_WORD, mp_root_pair
 
 
 # ---------------------------------------------------------------- marked point
@@ -274,18 +278,76 @@ def test_trajectory_keeps_one_entry_per_context():
 
 def test_trajectory_walks_lazily(monkeypatch):
     calls = []
-    evaluate = treepath.avatar_eval
+    evaluate = treepath.AvatarTrajectory.at
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return evaluate(*args, **kwargs)
-    monkeypatch.setattr(treepath, "avatar_eval", counted)
+    def counted(self, t, hint):
+        calls.append(t)
+        return evaluate(self, t, hint)
+    monkeypatch.setattr(treepath.AvatarTrajectory, "at", counted)
     path = build_path(SHIFT_WORD)
     traj = avatar_trajectory(path, 41, ctx=EtaContext())
     assert abs(traj[0]) < 1e-10 and calls == []
     traj[10]
     traj[3]
-    assert calls == [path.point(k / 2000) for k in range(1, 11)]
+    assert calls == [k / 2000 for k in range(1, 11)]
+
+
+def _setwise_chordal(pair, ref):
+    u, v = pair.first, pair.second
+    return min(max(chordal(u, ref[0]), chordal(v, ref[1])),
+               max(chordal(u, ref[1]), chordal(v, ref[0])))
+
+
+@pytest.mark.parametrize("word", [SHIFT_WORD, BAD_WORD])
+def test_each_edge_reads_the_coset_table_of_its_product(word):
+    # avatar 41 at g x is coset m = coset_index(P_41 g) at x itself
+    table = load_table()
+    rep = table.rep(SHIFT_AVATAR)
+    path = build_path(word)
+    traj = avatar_trajectory(path, SHIFT_AVATAR, ctx=EtaContext())
+    assert traj.cosets == tuple(table.coset_index(rep * e.g)
+                                for e in path.edges)
+    worst = 0.0
+    for m, e in zip(traj.cosets, path.edges):
+        for k in range(9):
+            theta = e.theta_from + (e.theta_to - e.theta_from) * k / 8
+            ref = z_root_pair(mobius(rep * e.g, cmath.exp(1j * theta)))
+            worst = max(worst, _setwise_chordal(arc_root_pair(m, theta),
+                                                (ref.first, ref.second)))
+    assert worst <= 1e-11
+
+
+def test_coset_tables_resolve_to_rounding():
+    # the last two Chebyshev coefficients of a and b on every coset the
+    # shift path visits; with 20 nodes they reach 3.8e-12 of the largest
+    table = load_table()
+    rep = table.rep(SHIFT_AVATAR)
+    cosets = {table.coset_index(rep * e.g)
+              for e in build_path(SHIFT_WORD).edges}
+    assert len(cosets) == 17
+    for m in cosets:
+        a0, b0, tail = etaengine._arc_table(m)
+        series = [(a0, b0), *reversed(tail)]
+        assert len(series) == etaengine._ARC_NODES
+        largest = max(max(abs(a), abs(b)) for a, b in series)
+        for a, b in series[-2:]:
+            assert max(abs(a), abs(b)) < 1e-13 * largest, m
+
+
+def test_walk_matches_mpmath_eta_at_the_unreduced_points():
+    # the direct eta quartet at these points was up to 1.3e-13 off (every
+    # 25th point of the walk); the coset tables measured 1.6e-14 at these
+    # twelve and 3.8e-14 at every 25th
+    mpmath = pytest.importorskip("mpmath")
+    path = build_path(SHIFT_WORD, samples=3000)
+    traj = avatar_trajectory(path, SHIFT_AVATAR, ctx=EtaContext())
+    rep = load_table().rep(SHIFT_AVATAR)
+    worst = 0.0
+    with mpmath.workdps(30):
+        for k in sorted(random.Random(21).sample(range(1, 3001), 12)):
+            ref = mp_root_pair(mpmath, mobius(rep, path.point(k / 3000)))
+            worst = max(worst, min(chordal(traj[k], r) for r in ref))
+    assert worst <= 5e-14
 
 
 # ---------------------------------------------------------- local intersections

@@ -1,6 +1,7 @@
 """Zeta evaluator tests: classical values, frozen high-precision spot
 checks, zero finding against the packaged reference table, file parsing."""
 
+import cmath
 import math
 import os
 import random
@@ -12,7 +13,9 @@ from pathlib import Path
 import pytest
 
 from zetapath import zetafn
-from zetapath.errors import MissedZero, MonotonicityError, ParseError, PoleAtOne
+from zetapath.errors import (
+    MissedZero, MonotonicityError, NearPole, ParseError, PoleAtOne,
+)
 from zetapath.zetafn import (
     ZeroList, ZetaDisc, find_zeros, hardy_z, load_zeros, reference_zeros,
     reflects, rs_theta, zeta, zeta_with_prime,
@@ -558,6 +561,21 @@ def test_pole_guard():
         zeta(1.0)
     with pytest.raises(PoleAtOne):
         zeta_with_prime(1.0 + 1e-14j)[1]
+
+
+def test_far_left_values_out_of_double_range_raise_near_pole():
+    # |zeta(-200 + 14i)| ~ 6.3e223; past Re s ~ -254 it leaves double
+    # range, and every entry point names the point instead of returning
+    # inf or raising a bare OverflowError
+    entries = (zeta, lambda s: zeta_with_prime(s)[0],
+               lambda s: zeta_with_prime(s, ZetaDisc())[0])
+    for evaluate in entries:
+        value = evaluate(-200 + 14j)
+        assert cmath.isfinite(value) and 6e223 < abs(value) < 7e223
+        for s in (-259 + 14j, -300 + 14j):
+            with pytest.raises(NearPole) as err:
+                evaluate(s)
+            assert err.value.z == s
 
 
 def test_hardy_function_is_real_on_samples():
