@@ -18,9 +18,11 @@ continues from the seed at i, the root there with positive imaginary part.
 Path walks need Z only at P_m e^(i theta), theta on the base arc from i
 to omega, for the 96 coset representatives P_m: SL(2,Z) permutes the
 avatars, so every edge of every path is one of these 96 arcs.  The
-quadratic's a and b are analytic there, and arc_root_pair reads them
-from a Chebyshev table of coset m (_ARC_NODES first-kind nodes in
-theta), built from the eta quartet the first time m is met.
+quadratic's a and b are analytic there, and arc_eval reads them from
+coset m's table, _ARC_PANELS equal panels in theta of _ARC_NODES
+first-kind Chebyshev nodes each, then picks the root nearest its hint.
+A table is built the first time m is met, from eta quartets whose
+reductions are composed with P_m in integers (_matrix_eta).
 """
 
 from __future__ import annotations
@@ -53,14 +55,19 @@ _PSI_POLY_C = PSI_DENOM_POLY.float_coeffs()
 # The base arc, as angles on the unit circle: from i to omega.
 THETA_I = math.pi / 2.0
 THETA_OMEGA = 2.0 * math.pi / 3.0
-_ARC_MID = 0.5 * (THETA_OMEGA + THETA_I)
-_ARC_HALF = 0.5 * (THETA_OMEGA - THETA_I)
-# Chebyshev nodes per coset table, the fewest whose last two
-# coefficients fall to rounding (below 1e-13 of the largest) on every
-# coset of the shift path; 20 leave 3.8e-12 there, 22 leave 1.4e-13.
-_ARC_NODES = 24
-# The coset tables of arc_root_pair, per coset index, built when first met.
-_ARC_TABLES: dict[int, tuple[complex, complex, tuple]] = {}
+# Each coset table cuts the base arc into _ARC_PANELS equal panels in
+# theta, each a Chebyshev series on _ARC_NODES first-kind nodes.  8 x 12
+# is the cheapest cut measured whose last two coefficients fall below
+# 1e-13 of each panel's largest on every coset of the shift path: 8 x 11
+# leave 1.9e-12 and 4 x 14 leave 1.2e-13, and 4 x 16, which pass, run
+# 15 Clenshaw steps a point to 11.
+_ARC_PANELS = 8
+_ARC_NODES = 12
+_PANEL_WIDTH = (THETA_OMEGA - THETA_I) / _ARC_PANELS
+# The coset tables of arc_eval, per coset index, built when first met:
+# per panel (a_0, b_0, the pairs (a_j, b_j) for j = _ARC_NODES - 1 down
+# to 1).
+_ARC_TABLES: dict[int, tuple[tuple[complex, complex, tuple], ...]] = {}
 
 _SEED_STEPS = 48           # hinted steps on the segment from the seed at i
 # Past this |tau| the branch quadratic is divided through by tau^3.
@@ -207,6 +214,24 @@ def _etas(z: complex, ctx: EtaContext) -> tuple[complex, complex, complex, compl
             dedekind_eta(z / 5, ctx), dedekind_eta(z / 15, ctx))
 
 
+def _matrix_eta(na: int, nb: int, nc: int, nd: int, x: complex) -> complex:
+    """eta(u) at u = (na x + nb) / (nc x + nd), for integers of positive
+    determinant and x on the base arc.  The matrix gamma that reduces u
+    is composed with N in integers, so the reduced point and the factor
+    c u + d are formed from x itself: where Im u is small, c z + d in
+    dedekind_eta loses digits to cancellation."""
+    _, a, b, c, d = _reduce((na * x + nb) / (nc * x + nd))
+    if c < 0 or (c == 0 and d < 0):
+        a, b, c, d = -a, -b, -c, -d
+    gc, gd = c * na + d * nc, c * nb + d * nd
+    val = _eta_series(((a * na + b * nc) * x + a * nb + b * nd)
+                      / (gc * x + gd))
+    mult = _DEFAULT_CTX._multipliers.get((a, b, c, d))
+    if mult is None:
+        mult = _DEFAULT_CTX.multiplier(GroupElem(a, b, c, d))
+    return val / (mult * cmath.sqrt((gc * x + gd) / (nc * x + nd)))
+
+
 def _out_of_range(z: complex, what: str) -> NearPole:
     return NearPole(f"{what} leaves double range at z = {z} (near a cusp)",
                     z=z)
@@ -336,14 +361,19 @@ def _roots(a: complex, b: complex) -> RootPair:
     without cancellation."""
     if a == 0:
         return RootPair(0j, complex(math.inf, 0.0), a, b)
-    sq = cmath.sqrt(b * b - 4.0 * a * a)
-    if abs(b + sq) >= abs(b - sq):
-        q = -(b + sq) / 2.0
-    else:
-        q = -(b - sq) / 2.0
+    q = _root_q(a, b)
     if q == 0:  # b = 0 and a = c: a (Z^2 + 1) = 0, roots are +-i
         return RootPair(1j, -1j, a, b)
     return RootPair(q / a, a / q, a, b)
+
+
+def _root_q(a: complex, b: complex) -> complex:
+    """q = -(b +- sqrt(b^2 - 4 a^2)) / 2 with the sign that avoids
+    cancellation: the roots of a Z^2 + b Z + a are q / a and a / q."""
+    sq = cmath.sqrt(b * b - 4.0 * a * a)
+    if abs(b + sq) >= abs(b - sq):
+        return -(b + sq) / 2.0
+    return -(b - sq) / 2.0
 
 
 def _nearest(pair: RootPair, v: complex) -> complex:
@@ -485,11 +515,12 @@ def avatar_eval(n: int, z: complex, hint: complex | None = None) -> complex:
     return z_eval(mobius(load_table().rep(n), z), hint=hint)
 
 
-def _arc_table(m: int) -> tuple[complex, complex, tuple]:
-    """Coset m's Chebyshev table on the base arc: (a_0, b_0, the pairs
-    (a_j, b_j) for j = _ARC_NODES - 1 down to 1), the series of the branch
-    quadratic's a and b at P_m e^(i theta) in x = (theta - mid) / half.
-    Interpolated at the _ARC_NODES first-kind nodes; built when m is
+def _arc_table(m: int) -> tuple[tuple[complex, complex, tuple], ...]:
+    """Coset m's panels on the base arc: panel p, theta in THETA_I +
+    [p, p + 1] * _PANEL_WIDTH, holds the Chebyshev series of the branch
+    quadratic's a and b at P_m e^(i theta) in x = 2 u - 2 p - 1, u =
+    (theta - THETA_I) / _PANEL_WIDTH, interpolated at the _ARC_NODES
+    first-kind nodes; see _ARC_TABLES for the layout.  Built when m is
     first met and kept in _ARC_TABLES."""
     table = _ARC_TABLES.get(m)
     if table is not None:
@@ -497,38 +528,63 @@ def _arc_table(m: int) -> tuple[complex, complex, tuple]:
     rep = load_table().rep(m)
     count = _ARC_NODES
     angles = [math.pi * (k + 0.5) / count for k in range(count)]
-    nodes = []
-    for phi in angles:
-        theta = _ARC_MID + _ARC_HALF * math.cos(phi)
-        z = mobius(rep, cmath.exp(1j * theta))
-        t, lam = _tau_lambda(z, *_etas(z, _DEFAULT_CTX))
-        nodes.append(_quad_coeffs(z, t, lam))
-    series = []
-    for j in range(count):
-        weights = [(2.0 - (j == 0)) / count * math.cos(j * phi)
-                   for phi in angles]
-        series.append((sum(w * a for w, (a, _) in zip(weights, nodes)),
-                       sum(w * b for w, (_, b) in zip(weights, nodes))))
-    table = _ARC_TABLES[m] = (*series[0], tuple(reversed(series[1:])))
+    weights = [[(2.0 - (j == 0)) / count * math.cos(j * phi)
+                for phi in angles] for j in range(count)]
+    panels = []
+    for p in range(_ARC_PANELS):
+        nodes = []
+        for phi in angles:
+            theta = THETA_I + (p + 0.5 + 0.5 * math.cos(phi)) * _PANEL_WIDTH
+            x = cmath.exp(1j * theta)
+            z = mobius(rep, x)
+            etas = [_matrix_eta(rep.a, rep.b, k * rep.c, k * rep.d, x)
+                    for k in (1, 3, 5, 15)]
+            nodes.append(_quad_coeffs(z, *_tau_lambda(z, *etas)))
+        series = [(sum(w * a for w, (a, _) in zip(row, nodes)),
+                   sum(w * b for w, (_, b) in zip(row, nodes)))
+                  for row in weights]
+        panels.append((*series[0], tuple(reversed(series[1:]))))
+    table = _ARC_TABLES[m] = tuple(panels)
     return table
 
 
-def arc_root_pair(m: int, theta: float) -> RootPair:
-    """Both roots of Z at P_m e^(i theta), P_m the row-m representative
-    of the packaged coset table and theta on the base arc [THETA_I,
-    THETA_OMEGA], with a and b read from coset m's Chebyshev table (one
-    Clenshaw pass for both).  Any element of the coset would serve for
-    P_m: the roots depend only on b/a, which K fixes."""
-    a0, b0, tail = _arc_table(m)
-    x = (theta - _ARC_MID) / _ARC_HALF
+def _arc_coeffs(m: int, theta: float) -> tuple[complex, complex]:
+    """The branch quadratic's a and b at P_m e^(i theta), from the panel
+    of coset m's table that holds theta (one Clenshaw pass for both)."""
+    u = (theta - THETA_I) / _PANEL_WIDTH
+    p = min(int(u), _ARC_PANELS - 1)
+    a0, b0, tail = (_ARC_TABLES.get(m) or _arc_table(m))[p]
+    x = 2.0 * (u - p) - 1.0
     x2 = 2.0 * x
     a1 = a2 = b1 = b2 = 0j
     for aj, bj in tail:
         a1, a2 = aj + x2 * a1 - a2, a1
         b1, b2 = bj + x2 * b1 - b2, b1
-    return _roots(a0 + x * a1 - a2, b0 + x * b1 - b2)
+    return a0 + x * a1 - a2, b0 + x * b1 - b2
+
+
+def arc_root_pair(m: int, theta: float) -> RootPair:
+    """Both roots of Z at P_m e^(i theta), P_m the row-m representative
+    of the packaged coset table and theta on the base arc [THETA_I,
+    THETA_OMEGA], with a and b read from coset m's table.  Any element
+    of the coset would serve for P_m: the roots depend only on b/a,
+    which K fixes."""
+    return _roots(*_arc_coeffs(m, theta))
 
 
 def arc_eval(m: int, theta: float, hint: complex) -> complex:
-    """The root of arc_root_pair(m, theta) chordally nearest the hint."""
-    return _nearest(arc_root_pair(m, theta), hint)
+    """The root of arc_root_pair(m, theta) chordally nearest the hint,
+    the first on a tie."""
+    a, b = _arc_coeffs(m, theta)
+    q = _root_q(a, b)
+    if a and q:
+        # chordal(r, hint) ranks r as |r - hint|^2 / (1 + |r|^2) does:
+        # cross-multiplied, with the hint's factor cancelled
+        r1 = q / a
+        r2 = a / q
+        d1 = abs(r1 - hint) ** 2 * (1.0 + abs(r2) ** 2)
+        d2 = abs(r2 - hint) ** 2 * (1.0 + abs(r1) ** 2)
+        if d1 + d2 < math.inf:
+            return r1 if d1 <= d2 else r2
+    # a root at 0, infinity or +-i, or a value that is not finite
+    return _nearest(_roots(a, b), hint)

@@ -164,10 +164,12 @@ class AvatarTrajectory:
     """Avatar n at the grid points k/count of a path, count = path.samples,
     walked lazily.
 
-    trajectory[k] evaluates every grid point up to k not yet reached, each
-    hinted by the value before it, and keeps them; the value at k = 0 is
-    seeded by continuation from i.  A caller that stops at a pole has
-    therefore evaluated nothing past the point it rejected.
+    trajectory[k], k in 0..count, evaluates every grid point up to k not
+    yet reached, each hinted by the value before it, and keeps them; the
+    value at k = 0 is seeded by continuation from i.  A caller that stops
+    at a pole has therefore evaluated nothing past the point it rejected.
+    Any other k raises IndexError: a negative k does not count from the
+    end, which would name whichever point was walked last.
 
     Every value after the seed comes from at(t, hint), which reads edge
     j's coset table at the edge's base-arc angle; cosets[j] is
@@ -193,6 +195,8 @@ class AvatarTrajectory:
         return arc_eval(self.cosets[j], theta, hint)
 
     def __getitem__(self, k: int) -> complex:
+        if not 0 <= k <= self.count:
+            raise IndexError(f"grid index {k} outside 0..{self.count}")
         values = self._values
         while len(values) <= k:
             values.append(self.at(len(values) / self.count, values[-1]))

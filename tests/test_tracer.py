@@ -90,17 +90,21 @@ def test_deep_trace_makes_about_one_zeta_evaluation_per_step():
 
 # float.hex of end_s (re, im), max_residual and max_abs_avatar, then
 # steps, halvings, zeta_evals, zeta_reflected and zeta_centres, per
-# (m, samples): a refactor that keeps every bit keeps these.
+# (m, samples): a refactor that keeps every bit keeps these.  The counts
+# hinge on Newton residuals that land near RESIDUAL_TOL (in trace(250)
+# the predicted point of the step to t = 1729/3000 misses by 0.99e-10),
+# so a walk value moved by ~1e-13 can flip zeta_evals and
+# zeta_reflected.
 TRACE_HEX = {
-    (1, 2000): (("0x1.0000000000183p-1", "0x1.505a463c7bd55p+4",
-                 "0x1.b72e4a316d432p-34", "0x1.98f97b7ea8b6bp+5"),
+    (1, 2000): (("0x1.0000000000181p-1", "0x1.505a463c7bd55p+4",
+                 "0x1.b746ace96d359p-34", "0x1.98f97b7ea8f97p+5"),
                 (2000, 0, 2576, 1644, 106)),
-    (2, 2000): (("0x1.0000000000145p-1", "0x1.902c78ff7a3b2p+4",
-                 "0x1.b48a1edf7b2e6p-34", "0x1.98f97b7ea8b6bp+5"),
+    (2, 2000): (("0x1.000000000014ap-1", "0x1.902c78ff7a3afp+4",
+                 "0x1.b4bc98345bc63p-34", "0x1.98f97b7ea8f97p+5"),
                 (2000, 0, 2600, 1814, 77)),
-    (250, 3000): (("0x1.ffffffffffe31p-2", "0x1.d8cc96b5ecb0cp+8",
-                   "0x1.aa118ba6399d0p-34", "0x1.98f97b7ea8b6bp+5"),
-                  (3000, 0, 3505, 1077, 30)),
+    (250, 3000): (("0x1.ffffffffffe23p-2", "0x1.d8cc96b5ecb0cp+8",
+                   "0x1.b51c1df837b58p-34", "0x1.98f97b7ea8f97p+5"),
+                  (3000, 0, 3504, 1076, 30)),
 }
 
 

@@ -10,8 +10,8 @@ import pytest
 from zetapath import etaengine, treepath
 from zetapath.errors import Blocked, NotReduced
 from zetapath.etaengine import (
-    EtaContext, arc_root_pair, chordal, j_fricke, z_eval_from_seed,
-    z_root_pair,
+    EtaContext, _nearest, _roots, arc_eval, arc_root_pair, chordal, j_fricke,
+    z_eval_from_seed, z_root_pair,
 )
 from zetapath.exactquad import exact_j_target
 from zetapath.sl2z import (
@@ -292,6 +292,42 @@ def test_trajectory_walks_lazily(monkeypatch):
     assert calls == [k / 2000 for k in range(1, 11)]
 
 
+def test_trajectory_refuses_indices_off_the_grid():
+    # a negative index named whichever point was walked last, and
+    # count + 1 reached the path's own parameter check
+    traj = avatar_trajectory(build_path(SHIFT_WORD, samples=20), 41,
+                             ctx=EtaContext())
+    for k in (-1, 21):
+        with pytest.raises(IndexError):
+            traj[k]
+    traj[10]
+    with pytest.raises(IndexError):
+        traj[-1]
+    traj[20]                  # count itself is on the grid
+
+
+def _panel(theta):
+    return min(int((theta - THETA_I) / etaengine._PANEL_WIDTH),
+               etaengine._ARC_PANELS - 1)
+
+
+def test_off_grid_reads_repeat_the_grid_bitwise():
+    # a halved trace step reads at(t, hint); at a grid point, hinted by
+    # the point before, it gives the grid's own value on both sides of
+    # every panel and edge boundary
+    path = build_path(SHIFT_WORD, samples=3000)
+    traj = avatar_trajectory(path, SHIFT_AVATAR, ctx=EtaContext())
+    cells = []
+    for k in range(traj.count + 1):
+        j, theta = path.locate(k / traj.count)
+        cells.append((j, _panel(theta)))
+    crossings = [k for k in range(1, len(cells)) if cells[k] != cells[k - 1]]
+    assert sum(cells[k][0] != cells[k - 1][0] for k in crossings) == 17
+    assert len(crossings) > 17
+    for k in sorted({k + d for k in crossings for d in (-1, 0)} - {0}):
+        assert traj.at(k / traj.count, traj[k - 1]) == traj[k], k
+
+
 def _setwise_chordal(pair, ref):
     u, v = pair.first, pair.second
     return min(max(chordal(u, ref[0]), chordal(v, ref[1])),
@@ -317,27 +353,72 @@ def test_each_edge_reads_the_coset_table_of_its_product(word):
     assert worst <= 1e-11
 
 
-def test_coset_tables_resolve_to_rounding():
-    # the last two Chebyshev coefficients of a and b on every coset the
-    # shift path visits; with 20 nodes they reach 3.8e-12 of the largest
+def _shift_cosets():
     table = load_table()
     rep = table.rep(SHIFT_AVATAR)
-    cosets = {table.coset_index(rep * e.g)
-              for e in build_path(SHIFT_WORD).edges}
+    return {table.coset_index(rep * e.g)
+            for e in build_path(SHIFT_WORD).edges}
+
+
+def _largest(series):
+    return max(max(abs(a), abs(b)) for a, b in series)
+
+
+def test_coset_tables_resolve_to_rounding():
+    # the last two Chebyshev coefficients of a and b in every panel of
+    # every coset the shift path visits; with 11 nodes a panel leaves
+    # 1.9e-12 of its largest
+    cosets = _shift_cosets()
     assert len(cosets) == 17
     for m in cosets:
-        a0, b0, tail = etaengine._arc_table(m)
-        series = [(a0, b0), *reversed(tail)]
-        assert len(series) == etaengine._ARC_NODES
-        largest = max(max(abs(a), abs(b)) for a, b in series)
-        for a, b in series[-2:]:
-            assert max(abs(a), abs(b)) < 1e-13 * largest, m
+        panels = etaengine._arc_table(m)
+        assert len(panels) == etaengine._ARC_PANELS
+        for a0, b0, tail in panels:
+            series = [(a0, b0), *reversed(tail)]
+            assert len(series) == etaengine._ARC_NODES
+            assert _largest(series[-2:]) < 1e-13 * _largest(series), m
+
+
+def test_coset_table_panels_meet_at_their_boundaries():
+    # T_j(1) = 1 and T_j(-1) = (-1)^j: a panel's end values are sums of
+    # its coefficients
+    for m in _shift_cosets():
+        series = [[(a0, b0), *reversed(tail)]
+                  for a0, b0, tail in etaengine._arc_table(m)]
+        largest = max(map(_largest, series))
+        for left, right in zip(series, series[1:]):
+            for i in (0, 1):
+                end = sum(c[i] for c in left)
+                start = sum((-1) ** j * c[i] for j, c in enumerate(right))
+                assert abs(end - start) < 1e-13 * largest, m
+
+
+@pytest.mark.parametrize("a, b, hint", [
+    (1 + 0j, -2.5 + 0j, 1j),        # roots 2 and 1/2 tie at i: the first
+    (0j, 1 + 0j, 0.1 + 0j),         # a = 0: roots 0 and infinity
+    (1e-200 + 0j, 0j, 0.5j),        # q underflows to 0: roots +-i
+    (1 + 0j, 3 + 0j, complex(math.inf, 0.0)),
+    (1 + 0j, 3 + 0j, complex(math.nan, 0.0)),
+])
+def test_arc_eval_chooses_the_nearest_root(monkeypatch, a, b, hint):
+    monkeypatch.setattr(etaengine, "_arc_coeffs", lambda m, theta: (a, b))
+    assert arc_eval(41, 2.0, hint) == _nearest(_roots(a, b), hint)
+
+
+def test_arc_eval_agrees_with_the_chordal_rule_on_the_arc():
+    rng = random.Random(22)
+    for m in sorted(_shift_cosets()):
+        for _ in range(20):
+            theta = rng.uniform(THETA_I, THETA_OMEGA)
+            hint = complex(rng.gauss(0.0, 3.0), rng.gauss(0.0, 3.0))
+            assert arc_eval(m, theta, hint) == _nearest(
+                arc_root_pair(m, theta), hint)
 
 
 def test_walk_matches_mpmath_eta_at_the_unreduced_points():
     # the direct eta quartet at these points was up to 1.3e-13 off (every
     # 25th point of the walk); the coset tables measured 1.6e-14 at these
-    # twelve and 3.8e-14 at every 25th
+    # twelve and 4.0e-14 at every 25th
     mpmath = pytest.importorskip("mpmath")
     path = build_path(SHIFT_WORD, samples=3000)
     traj = avatar_trajectory(path, SHIFT_AVATAR, ctx=EtaContext())
