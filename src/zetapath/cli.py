@@ -8,6 +8,7 @@ import argparse
 import cmath
 import csv
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -240,6 +241,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader has gone: print nothing more, not even at exit's flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ZetaPathError, ValueError, LookupError, OSError) as exc:
         return _fail(exc)
 

@@ -93,15 +93,16 @@ def _require_upper(z: complex) -> complex:
 
 def chordal(u: complex, v: complex) -> float:
     """Distance on the Riemann sphere, normalized to max 1 (e.g. 0 vs inf)."""
+    # hypot(1, x) is sqrt(1 + x^2), which overflows for x above 1.3e154
     u_inf = cmath.isinf(u)
     v_inf = cmath.isinf(v)
     if u_inf and v_inf:
         return 0.0
     if u_inf:
-        return 1.0 / math.sqrt(1.0 + abs(v) ** 2)
+        return 1.0 / math.hypot(1.0, abs(v))
     if v_inf:
-        return 1.0 / math.sqrt(1.0 + abs(u) ** 2)
-    return abs(u - v) / math.sqrt((1.0 + abs(u) ** 2) * (1.0 + abs(v) ** 2))
+        return 1.0 / math.hypot(1.0, abs(u))
+    return abs(u - v) / math.hypot(1.0, abs(u)) / math.hypot(1.0, abs(v))
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:
@@ -119,10 +120,10 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 class EtaContext:
     """The multiplier cache and the most recent avatar trajectory (kept
     by treepath.avatar_trajectory): what a walk shares from one call to
-    the next.  The walk's functions take a context, which its seed
-    continuation from i uses; the point evaluators (tau, lambda_fn, tau5,
-    sigma, j_fricke, psi_phi, identity_residuals, avatar_eval) and the
-    coset tables use the module's own.
+    the next.  Below treepath only z_eval_from_seed, the walk's seed
+    continuation from i, reads one; the other evaluators (tau, lambda_fn,
+    tau5, sigma, j_fricke, psi_phi, identity_residuals, z_root_pair,
+    z_eval, avatar_eval) and the coset tables use the module's own.
 
     Concurrent walks should each own a context, since each replaces the
     trajectory.  The multiplier cache only memoizes a pure function of the
@@ -135,12 +136,9 @@ class EtaContext:
 
     def multiplier(self, m: GroupElem) -> complex:
         """Multiplier eps(m) with eta(m z) = eps(m) (cz+d)^(1/2) eta(z),
-        for m normalized to c > 0 (or c = 0, d > 0); ValueError otherwise."""
-        key = m.entries()
-        cached = self._multipliers.get(key)
-        if cached is not None:
-            return cached
-        a, b, c, d = key
+        for m normalized to c > 0 (or c = 0, d > 0); ValueError otherwise.
+        Stored in the cache, which its callers read first."""
+        a, b, c, d = m.entries()
         if c < 0 or (c == 0 and d <= 0):
             raise ValueError(f"multiplier needs c > 0 or c = 0, d > 0: {m}")
         if c == 0:
@@ -149,7 +147,7 @@ class EtaContext:
             phase = Fraction(a + d, 12 * c) - dedekind_sum(d, c) - Fraction(1, 4)
         phase %= 2
         val = cmath.exp(1j * math.pi * float(phase))
-        self._multipliers[key] = val
+        self._multipliers[a, b, c, d] = val
         return val
 
 
@@ -201,9 +199,8 @@ def dedekind_eta(z: complex, ctx: EtaContext | None = None) -> complex:
         return val
     if c < 0 or (c == 0 and d < 0):
         a, b, c, d = -a, -b, -c, -d
-    mult = ctx._multipliers.get((a, b, c, d))
-    if mult is None:
-        mult = ctx.multiplier(GroupElem(a, b, c, d))
+    mult = (ctx._multipliers.get((a, b, c, d))
+            or ctx.multiplier(GroupElem(a, b, c, d)))
     # eta(w) = eta(m z) = eps(m) (c z + d)^(1/2) eta(z); principal root is
     # continuous here since c > 0 keeps cz + d in the upper half-plane.
     return val / (mult * cmath.sqrt(c * z + d))
@@ -226,9 +223,8 @@ def _matrix_eta(na: int, nb: int, nc: int, nd: int, x: complex) -> complex:
     gc, gd = c * na + d * nc, c * nb + d * nd
     val = _eta_series(((a * na + b * nc) * x + a * nb + b * nd)
                       / (gc * x + gd))
-    mult = _DEFAULT_CTX._multipliers.get((a, b, c, d))
-    if mult is None:
-        mult = _DEFAULT_CTX.multiplier(GroupElem(a, b, c, d))
+    mult = (_DEFAULT_CTX._multipliers.get((a, b, c, d))
+            or _DEFAULT_CTX.multiplier(GroupElem(a, b, c, d)))
     return val / (mult * cmath.sqrt((gc * x + gd) / (nc * x + nd)))
 
 
@@ -322,14 +318,18 @@ class RootPair:
     quad_b: complex
 
 
-def z_root_pair(z: complex, ctx: EtaContext | None = None) -> RootPair:
+def z_root_pair(z: complex) -> RootPair:
     """Solve the defining quadratic
     (L - Rh) Z^2 - (3L - Rh) Z + (L - Rh) = 0, where
     L = tau^2 lambda + 27 * 5^(-3/2) tau^3 / lambda and
     Rh = sqrt((5 + 2 sqrt5)/3) (tau - BETA)(tau^2 + GAMMA tau + DELTA).
 
     The coefficient symmetry a = c makes the roots a reciprocal pair."""
-    t, lam = _tau_lambda(z, *_etas(z, ctx or _DEFAULT_CTX))
+    return _root_pair(z, _DEFAULT_CTX)
+
+
+def _root_pair(z: complex, ctx: EtaContext) -> RootPair:
+    t, lam = _tau_lambda(z, *_etas(z, ctx))
     return _roots(*_quad_coeffs(z, t, lam))
 
 
@@ -383,13 +383,12 @@ def _nearest(pair: RootPair, v: complex) -> complex:
     return pair.second
 
 
-def z_eval(z: complex, hint: complex | None = None,
-           ctx: EtaContext | None = None) -> complex:
+def z_eval(z: complex, hint: complex | None = None) -> complex:
     """One branch value Z(z): the root chordally nearest the hint (branch
     continuity), or with no hint z_eval_from_seed(z)."""
     if hint is None:
-        return z_eval_from_seed(z, ctx)
-    return _nearest(z_root_pair(z, ctx), hint)
+        return z_eval_from_seed(z)
+    return _nearest(z_root_pair(z), hint)
 
 
 def z_eval_from_seed(z: complex, ctx: EtaContext | None = None) -> complex:
@@ -399,12 +398,12 @@ def z_eval_from_seed(z: complex, ctx: EtaContext | None = None) -> complex:
     this one.  A NearPole on the way carries z itself."""
     ctx = ctx or _DEFAULT_CTX
     z = _require_upper(z)
-    seed = z_root_pair(1j, ctx)
+    seed = _root_pair(1j, ctx)
     val = seed.first if seed.first.imag > 0 else seed.second
     try:
         for k in range(1, _SEED_STEPS + 1):
             w = 1j + (z - 1j) * (k / _SEED_STEPS)
-            val = z_eval(w, hint=val, ctx=ctx)
+            val = _nearest(_root_pair(w, ctx), val)
     except NearPole as exc:
         raise NearPole(f"{exc}, continuing the seed to z = {z}",
                        z=z) from exc
@@ -419,17 +418,20 @@ def psi_phi(z: complex,
     PSI = B1(Z)^2 sigma / [3 sqrt5 PHI_golden (Z^2-1)(Z^2-Z+1)(Z^2-3Z+1)],
     PHI = (PSI - Z) / (2 (Z - 1))."""
     zv = branch_value if branch_value is not None else z_eval_from_seed(z)
-    return _psi_phi(sigma(z), zv)
+    return _psi_phi(z, sigma(z), zv)
 
 
-def _psi_phi(s: complex, zv: complex) -> tuple[complex, complex]:
+def _psi_phi(z: complex, s: complex,
+             zv: complex) -> tuple[complex, complex]:
+    """PSI and PHI from sigma and Z at z, the point a NearPole carries."""
     b1 = _horner(_B1_C, zv)
     den = _PSI_CONST_F * _horner(_PSI_POLY_C, zv)
     if abs(den) < _POLE_TOL:
-        raise NearPole(f"normalizer {abs(den):.3e} below tolerance at Z={zv}")
+        raise NearPole(f"normalizer {abs(den):.3e} below tolerance at Z={zv}",
+                       z=z)
     psi = b1 * b1 * s / den
     if abs(zv - 1.0) < _POLE_TOL:
-        raise NearPole("PHI undefined this close to Z = 1")
+        raise NearPole("PHI undefined this close to Z = 1", z=z)
     phi = (psi - zv) / (2.0 * (zv - 1.0))
     return psi, phi
 
@@ -496,7 +498,7 @@ def _residuals(z: complex, branch_value: complex | None) -> dict[str, float]:
     link_scale = abs(t5) * 2.0 * abs(t) + abs(t) ** 4 + abs(t * t * s) + 1.0
     out["level5_link"] = abs(link) / (1.0 + link_scale)
 
-    psi, phi = _psi_phi(s, zv)
+    psi, phi = _psi_phi(z, s, zv)
     cubic = ((zv * 4.0 - 7.0) * zv + 4.0) * zv
     out["odd_cubic_square"] = (abs(psi * psi - cubic)
                                / (1.0 + abs(psi) ** 2 + abs(cubic)))
@@ -520,11 +522,8 @@ def _arc_table(m: int) -> tuple[tuple[complex, complex, tuple], ...]:
     [p, p + 1] * _PANEL_WIDTH, holds the Chebyshev series of the branch
     quadratic's a and b at P_m e^(i theta) in x = 2 u - 2 p - 1, u =
     (theta - THETA_I) / _PANEL_WIDTH, interpolated at the _ARC_NODES
-    first-kind nodes; see _ARC_TABLES for the layout.  Built when m is
-    first met and kept in _ARC_TABLES."""
-    table = _ARC_TABLES.get(m)
-    if table is not None:
-        return table
+    first-kind nodes; see _ARC_TABLES for the layout.  Built and kept in
+    _ARC_TABLES, which _arc_coeffs reads first."""
     rep = load_table().rep(m)
     count = _ARC_NODES
     angles = [math.pi * (k + 0.5) / count for k in range(count)]
@@ -550,7 +549,12 @@ def _arc_table(m: int) -> tuple[tuple[complex, complex, tuple], ...]:
 
 def _arc_coeffs(m: int, theta: float) -> tuple[complex, complex]:
     """The branch quadratic's a and b at P_m e^(i theta), from the panel
-    of coset m's table that holds theta (one Clenshaw pass for both)."""
+    of coset m's table that holds theta (one Clenshaw pass for both);
+    ValueError for theta off the base arc [THETA_I, THETA_OMEGA], NaN
+    included."""
+    if not THETA_I <= theta <= THETA_OMEGA:
+        raise ValueError(f"angle {theta} off the base arc "
+                         f"[{THETA_I}, {THETA_OMEGA}]")
     u = (theta - THETA_I) / _PANEL_WIDTH
     p = min(int(u), _ARC_PANELS - 1)
     a0, b0, tail = (_ARC_TABLES.get(m) or _arc_table(m))[p]
@@ -563,27 +567,23 @@ def _arc_coeffs(m: int, theta: float) -> tuple[complex, complex]:
     return a0 + x * a1 - a2, b0 + x * b1 - b2
 
 
-def arc_root_pair(m: int, theta: float) -> RootPair:
-    """Both roots of Z at P_m e^(i theta), P_m the row-m representative
-    of the packaged coset table and theta on the base arc [THETA_I,
-    THETA_OMEGA], with a and b read from coset m's table.  Any element
-    of the coset would serve for P_m: the roots depend only on b/a,
-    which K fixes."""
-    return _roots(*_arc_coeffs(m, theta))
-
-
 def arc_eval(m: int, theta: float, hint: complex) -> complex:
-    """The root of arc_root_pair(m, theta) chordally nearest the hint,
-    the first on a tie."""
+    """The root of Z at P_m e^(i theta) from _arc_coeffs(m, theta)
+    chordally nearest the hint, the first on a tie."""
     a, b = _arc_coeffs(m, theta)
     q = _root_q(a, b)
     if a and q:
         # chordal(r, hint) ranks r as |r - hint|^2 / (1 + |r|^2) does:
-        # cross-multiplied, with the hint's factor cancelled
+        # cross-multiplied, with the hint's factor cancelled; squared by
+        # products, which give inf where ** 2 would raise OverflowError
         r1 = q / a
         r2 = a / q
-        d1 = abs(r1 - hint) ** 2 * (1.0 + abs(r2) ** 2)
-        d2 = abs(r2 - hint) ** 2 * (1.0 + abs(r1) ** 2)
+        e1 = abs(r1 - hint)
+        e2 = abs(r2 - hint)
+        s1 = abs(r1)
+        s2 = abs(r2)
+        d1 = e1 * e1 * (1.0 + s2 * s2)
+        d2 = e2 * e2 * (1.0 + s1 * s1)
         if d1 + d2 < math.inf:
             return r1 if d1 <= d2 else r2
     # a root at 0, infinity or +-i, or a value that is not finite

@@ -161,8 +161,6 @@ def trace(m: int, path: TreePath | None = None, zeros: ZeroList | None = None,
     t_start = time.perf_counter()
     _check_tolerances(residual_tol, pole_cap)
     path = path or build_path(SHIFT_WORD)
-    table = table or load_table()
-    ctx = ctx or EtaContext()
     zeros = _zeros_for(m, m, zeros)
     gamma = zeros.gamma(m)
     s = complex(0.5, gamma)

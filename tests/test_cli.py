@@ -2,8 +2,12 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +19,7 @@ from zetapath.tracer import (
 from zetapath.zetafn import MAX_ZEROS
 
 ZEROS_FILE = str(files("zetapath").joinpath("data/zeta_zeros.txt"))
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _json_out(capsys):
@@ -314,3 +319,18 @@ def test_experiment_zeros_file(capsys):
                  "--zeros-file", ZEROS_FILE]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert json.loads(lines[-1])["summary"]["success_count"] == 1
+
+
+def test_a_closed_pipe_ends_the_cli_quietly():
+    # the CSV is larger than a pipe's 64 KiB buffer, so the writer meets
+    # the closed pipe while it still has rows to write
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "zetapath.cli", "path", "--samples", "5000",
+         "--emit", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.stdout.read(10) == b"t,re_z,im_"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err, err

@@ -11,7 +11,7 @@ import pytest
 from zetapath import etaengine
 from zetapath.errors import NearPole
 from zetapath.etaengine import (
-    EtaContext, avatar_eval, chordal, dedekind_eta,
+    EtaContext, _nearest, _roots, avatar_eval, chordal, dedekind_eta,
     dedekind_sum, identity_residuals, j_fricke, lambda_fn, psi_phi,
     reduce_to_fundamental, sigma, tau, tau5, z_eval, z_eval_from_seed,
     z_root_pair,
@@ -513,8 +513,9 @@ def test_psi_phi_vanishes_toward_branch_zero():
 def test_psi_phi_pole_guards():
     z = 0.1 + 1.2j
     for bad in (1.0, cmath.exp(1j * math.pi / 3.0), (3.0 + math.sqrt(5.0)) / 2.0):
-        with pytest.raises(NearPole):
+        with pytest.raises(NearPole) as err:
             psi_phi(z, bad)
+        assert err.value.z == z
 
 
 def test_psi_phi_default_branch_is_the_seed_continuation():
@@ -539,6 +540,13 @@ def test_chordal_metric():
     assert chordal(inf, inf) == 0.0
     assert chordal(2.0 + 1j, 2.0 + 1j) == 0.0
     assert abs(chordal(0.0, 1.0) - 1.0 / math.sqrt(2.0)) < 1e-15
+    # moduli above about 1.3e154, whose squares overflow
+    assert abs(chordal(1e200 + 0j, 0j) - 1.0) < 1e-15
+    assert chordal(1e200 + 0j, inf) < 1e-199
+    assert chordal(inf, 1e200 + 0j) < 1e-199
+    assert abs(chordal(1e160 + 0j, 1 + 0j) - math.sqrt(0.5)) < 1e-15
+    # roots -1e170 and about -1e-170: the small one is nearer 0.5
+    assert _nearest(_roots(1e-170 + 0j, 1 + 0j), 0.5 + 0j) == -1e-170
 
 
 def test_avatar_row_one_matches_plain_eval():

@@ -10,7 +10,7 @@ import pytest
 from zetapath import etaengine, treepath
 from zetapath.errors import Blocked, NotReduced
 from zetapath.etaengine import (
-    EtaContext, _nearest, _roots, arc_eval, arc_root_pair, chordal, j_fricke,
+    EtaContext, _arc_coeffs, _nearest, _roots, arc_eval, chordal, j_fricke,
     z_eval_from_seed, z_root_pair,
 )
 from zetapath.exactquad import exact_j_target
@@ -348,7 +348,7 @@ def test_each_edge_reads_the_coset_table_of_its_product(word):
         for k in range(9):
             theta = e.theta_from + (e.theta_to - e.theta_from) * k / 8
             ref = z_root_pair(mobius(rep * e.g, cmath.exp(1j * theta)))
-            worst = max(worst, _setwise_chordal(arc_root_pair(m, theta),
+            worst = max(worst, _setwise_chordal(_roots(*_arc_coeffs(m, theta)),
                                                 (ref.first, ref.second)))
     assert worst <= 1e-11
 
@@ -399,6 +399,7 @@ def test_coset_table_panels_meet_at_their_boundaries():
     (1e-200 + 0j, 0j, 0.5j),        # q underflows to 0: roots +-i
     (1 + 0j, 3 + 0j, complex(math.inf, 0.0)),
     (1 + 0j, 3 + 0j, complex(math.nan, 0.0)),
+    (1 + 0j, 3 + 0j, 1e200 + 0j),   # |r - hint| ** 2 would overflow
 ])
 def test_arc_eval_chooses_the_nearest_root(monkeypatch, a, b, hint):
     monkeypatch.setattr(etaengine, "_arc_coeffs", lambda m, theta: (a, b))
@@ -412,7 +413,27 @@ def test_arc_eval_agrees_with_the_chordal_rule_on_the_arc():
             theta = rng.uniform(THETA_I, THETA_OMEGA)
             hint = complex(rng.gauss(0.0, 3.0), rng.gauss(0.0, 3.0))
             assert arc_eval(m, theta, hint) == _nearest(
-                arc_root_pair(m, theta), hint)
+                _roots(*_arc_coeffs(m, theta)), hint)
+
+
+@pytest.mark.parametrize("theta", [
+    3.0,                        # past omega: would extrapolate the last panel
+    THETA_I - 0.3,              # before i: would read panel -1
+    math.nan,
+    math.inf,
+    math.nextafter(THETA_I, 0.0),
+    math.nextafter(THETA_OMEGA, 4.0),
+])
+def test_arc_eval_refuses_angles_off_the_base_arc(theta):
+    with pytest.raises(ValueError, match="off the base arc"):
+        arc_eval(41, theta, 1j)
+
+
+def test_arc_eval_accepts_both_ends_of_the_base_arc():
+    for theta in (THETA_I, THETA_OMEGA):
+        a, b = _arc_coeffs(41, theta)
+        assert cmath.isfinite(a) and cmath.isfinite(b)
+        assert arc_eval(41, theta, 1j) == _nearest(_roots(a, b), 1j)
 
 
 def test_walk_matches_mpmath_eta_at_the_unreduced_points():
