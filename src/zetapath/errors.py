@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the double-range guard."""
+
+import cmath
 
 
 class ZetaPathError(Exception):
@@ -18,6 +20,23 @@ class NearPole(ZetaPathError):
     def __init__(self, message: str, z: complex | None = None):
         super().__init__(message)
         self.z = z
+
+
+def out_of_range(what: str, z: complex) -> NearPole:
+    """The NearPole at z for `what` leaving double range."""
+    return NearPole(f"{what} leaves double range at {z}", z=z)
+
+
+def within_range(what: str, z: complex, compute):
+    """compute(), or out_of_range(what, z) where it overflows, divides by
+    zero or is not finite."""
+    try:
+        value = compute()
+        if cmath.isfinite(value):
+            return value
+    except (OverflowError, ZeroDivisionError):
+        pass
+    raise out_of_range(what, z)
 
 
 class PoleAtOne(ZetaPathError):

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NearPole
+from .errors import NearPole, out_of_range, within_range
 from .exactquad import (
     B0_POLY, B1_POLY, BETA, C_POLY, D_POLY, GAMMA, DELTA,
     PSI_DENOM_CONST, PSI_DENOM_POLY,
@@ -102,7 +102,18 @@ def chordal(u: complex, v: complex) -> float:
         return 1.0 / math.hypot(1.0, abs(v))
     if v_inf:
         return 1.0 / math.hypot(1.0, abs(u))
-    return abs(u - v) / math.hypot(1.0, abs(u)) / math.hypot(1.0, abs(v))
+    try:
+        d = abs(u - v) / math.hypot(1.0, abs(u)) / math.hypot(1.0, abs(v))
+        if d < math.inf:
+            return d
+    except OverflowError:
+        pass
+    # |u - v|, |u| or |v| passes the largest double; in quarters none
+    # does, and dividing by the larger factor first keeps each quotient
+    # at most 8
+    u, v = 0.25 * u, 0.25 * v
+    hu, hv = math.hypot(0.25, abs(u)), math.hypot(0.25, abs(v))
+    return abs(u - v) / max(hu, hv) / min(hu, hv) / 4.0
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:
@@ -228,42 +239,27 @@ def _matrix_eta(na: int, nb: int, nc: int, nd: int, x: complex) -> complex:
     return val / (mult * cmath.sqrt((gc * x + gd) / (nc * x + nd)))
 
 
-def _out_of_range(z: complex, what: str) -> NearPole:
-    return NearPole(f"{what} leaves double range at z = {z} (near a cusp)",
-                    z=z)
-
-
-def _in_range(z: complex, what: str, compute) -> complex:
-    """compute(), or NearPole at z if the value leaves double range."""
-    try:
-        value = compute()
-    except (OverflowError, ZeroDivisionError):
-        raise _out_of_range(z, what) from None
-    if not cmath.isfinite(value):
-        raise _out_of_range(z, what)
+def _off_pole(what: str, value: complex, z: complex,
+              scale: float = 1.0) -> complex:
+    """value, or NearPole at z where |value| is below _POLE_TOL * scale,
+    _POLE_TOL read as it stands at the call."""
+    if abs(value) < _POLE_TOL * scale:
+        raise NearPole(f"{what} of modulus {abs(value):.3e} is below the "
+                       f"pole tolerance at {z}", z=z)
     return value
 
 
 def _tau_lambda(z: complex, e1: complex, e3: complex, e5: complex,
                 e15: complex) -> tuple[complex, complex]:
     """tau and lambda from the eta quartet _etas(z); NearPole at z names
-    the first of them to leave double range."""
-    what = "tau"
-    try:
-        t = ((e3 * e5) / (e1 * e15)) ** 3
-        if cmath.isfinite(t):
-            what = "lambda"
-            lam = e3 ** 6 / (e1 ** 3 * e5 ** 3)
-            if cmath.isfinite(lam):
-                return t, lam
-    except (OverflowError, ZeroDivisionError):
-        pass
-    raise _out_of_range(z, what)
+    the first of them out of double range."""
+    t = within_range("tau", z, lambda: ((e3 * e5) / (e1 * e15)) ** 3)
+    return t, within_range("lambda", z, lambda: e3 ** 6 / (e1 ** 3 * e5 ** 3))
 
 
 def _tau5(z: complex, e1: complex, e5: complex) -> complex:
     """tau5 from eta(z) and eta(z/5)."""
-    return _in_range(z, "tau5", lambda: (e5 / e1) ** 6)
+    return within_range("tau5", z, lambda: (e5 / e1) ** 6)
 
 
 def tau(z: complex) -> complex:
@@ -289,22 +285,16 @@ def sigma(z: complex) -> complex:
 
 
 def _sigma_from(z: complex, t: complex, lam: complex) -> complex:
-    den = _horner(_C_C, t)
-    if abs(den) < _POLE_TOL:
-        raise NearPole(f"degree-4 denominator {abs(den):.3e} below tolerance",
-                       z=z)
-    return _in_range(
-        z, "sigma", lambda: (250.0 * t ** 4 * lam ** 2 - _horner(_D_C, t)) / den)
+    den = _off_pole("degree-4 denominator", _horner(_C_C, t), z)
+    return within_range(
+        "sigma", z, lambda: (250.0 * t ** 4 * lam ** 2 - _horner(_D_C, t)) / den)
 
 
 def j_fricke(z: complex) -> complex:
     """Klein j-invariant via the level-5 quotient:
     (tau5^2 + 10 tau5 + 5)^3 / tau5."""
-    t5 = tau5(z)
-    if abs(t5) < _POLE_TOL * 1e-2:
-        raise NearPole(f"level-5 quotient {abs(t5):.3e} too close to zero",
-                       z=z)
-    return _in_range(z, "j", lambda: (t5 * t5 + 10.0 * t5 + 5.0) ** 3 / t5)
+    t5 = _off_pole("level-5 quotient", tau5(z), z, 1e-2)
+    return within_range("j", z, lambda: (t5 * t5 + 10.0 * t5 + 5.0) ** 3 / t5)
 
 
 @dataclass
@@ -336,7 +326,7 @@ def _root_pair(z: complex, ctx: EtaContext) -> RootPair:
 def _quad_coeffs(z: complex, t: complex,
                  lam: complex) -> tuple[complex, complex]:
     """The branch quadratic's a and b at z, from tau and lambda there;
-    NearPole at z where its discriminant leaves double range."""
+    NearPole at z where its discriminant is out of double range."""
     # The roots depend only on p = b/a, through W + 1/W = -p.  Near a cusp
     # tau grows without bound and a, b with tau^3, so there the quadratic
     # is divided through by tau^3 before b*b can overflow; in the working
@@ -352,7 +342,7 @@ def _quad_coeffs(z: complex, t: complex,
     a = big_l - rh
     b = rh - 3.0 * big_l
     if not cmath.isfinite(b * b - 4.0 * a * a):
-        raise _out_of_range(z, "the branch quadratic")
+        raise out_of_range("the branch quadratic", z)
     return a, b
 
 
@@ -425,14 +415,9 @@ def _psi_phi(z: complex, s: complex,
              zv: complex) -> tuple[complex, complex]:
     """PSI and PHI from sigma and Z at z, the point a NearPole carries."""
     b1 = _horner(_B1_C, zv)
-    den = _PSI_CONST_F * _horner(_PSI_POLY_C, zv)
-    if abs(den) < _POLE_TOL:
-        raise NearPole(f"normalizer {abs(den):.3e} below tolerance at Z={zv}",
-                       z=z)
+    den = _off_pole("normalizer", _PSI_CONST_F * _horner(_PSI_POLY_C, zv), z)
     psi = b1 * b1 * s / den
-    if abs(zv - 1.0) < _POLE_TOL:
-        raise NearPole("PHI undefined this close to Z = 1", z=z)
-    phi = (psi - zv) / (2.0 * (zv - 1.0))
+    phi = (psi - zv) / (2.0 * _off_pole("Z - 1", zv - 1.0, z))
     return psi, phi
 
 
@@ -453,13 +438,13 @@ def identity_residuals(z: complex, *,
     the smaller in modulus (the first on a tie).  Either root serves:
     Z -> 1/Z fixes tau, lambda and sigma, and B0, B1 are palindromic, so
     every identity holds on both roots alike.  Near a cusp, where a term
-    leaves double range, NearPole is raised instead."""
+    is out of double range, NearPole is raised instead."""
     try:
         out = _residuals(z, branch_value)
     except OverflowError:
-        raise _out_of_range(z, "an identity residual") from None
+        raise out_of_range("an identity residual", z) from None
     if not all(map(math.isfinite, out.values())):
-        raise _out_of_range(z, "an identity residual")
+        raise out_of_range("an identity residual", z)
     return out
 
 

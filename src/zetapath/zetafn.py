@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -28,7 +29,8 @@ from operator import add, mul
 from pathlib import Path
 
 from .errors import (
-    MissedZero, MonotonicityError, NearPole, ParseError, PoleAtOne,
+    MissedZero, MonotonicityError, ParseError, PoleAtOne, out_of_range,
+    within_range,
 )
 
 
@@ -64,6 +66,11 @@ _EM_POLYS: dict[int, tuple[float, ...]] = {}
 _LN: tuple[float, ...] = (0.0,)     # ln n, index n; grown by _logs
 
 _POLE_TOL = 1e-12
+# zeta refuses |Im s| above this.  The main sum runs N = 1.8 |Im s| / 2 pi
+# + 10 terms and _LN keeps as many logarithms, so a height asks for
+# memory in proportion: N = 28,657 here, 2.9e7 (about 1 GB) at 1e8.  The
+# bound stays well past the |Im s| <= 1500 that traces to zero 1000 need.
+_MAX_HEIGHT = 1e5
 _BISECT_TOL = 1e-10
 # Rounds of added points before a Rosser block that falls short of sign
 # changes raises MissedZero.
@@ -77,6 +84,14 @@ _DISC_RADIUS = 0.1
 _DISC_TOL = 1e-17
 _LNPI = math.log(math.pi)
 _LN2PI = math.log(2.0 * math.pi)
+
+
+def _check_height(s: complex) -> None:
+    """ValueError naming s unless it is finite with |Im s| <= _MAX_HEIGHT:
+    checked before any truncation point is formed or table grows."""
+    if not (abs(s.imag) <= _MAX_HEIGHT and cmath.isfinite(s)):
+        raise ValueError(f"zeta needs s finite with |Im s| <= "
+                         f"{_MAX_HEIGHT:g}, got {s}")
 
 
 def _term_count(s: complex) -> int:
@@ -227,15 +242,9 @@ def _chi(s: complex, order: int = 0) -> tuple[complex, complex, list]:
     else:
         log_sin = cmath.log(cmath.sin(x))
     log_gamma = _log_gamma(1.0 - s, order)
-    try:
-        chi = cmath.exp(s * _LN2PI - _LNPI + log_sin + log_gamma[0])
-    except OverflowError:
-        raise _out_of_range(s) from None
+    chi = within_range("zeta", s, lambda: cmath.exp(
+        s * _LN2PI - _LNPI + log_sin + log_gamma[0]))
     return chi, cot, log_gamma[1:]
-
-
-def _out_of_range(s: complex) -> NearPole:
-    return NearPole(f"zeta leaves double range at s = {s}", z=s)
 
 
 def _in_range(s: complex, val: complex,
@@ -245,7 +254,7 @@ def _in_range(s: complex, val: complex,
     double."""
     if cmath.isfinite(val) and cmath.isfinite(der):
         return val, der
-    raise _out_of_range(s)
+    raise out_of_range("zeta", s)
 
 
 def reflects(s: complex) -> bool:
@@ -258,6 +267,7 @@ def reflects(s: complex) -> bool:
 def _zeta_eval(s: complex, want_prime: bool) -> tuple[complex, complex]:
     """(zeta(s), zeta'(s) or 0): _zeta_em at s, or where s reflects at
     1 - s times chi(s), with (log chi)'(s) on the derivative path."""
+    _check_height(s)
     if not reflects(s):
         return _zeta_em(s, want_prime)
     val, der = _zeta_em(1.0 - s, want_prime)
@@ -347,6 +357,7 @@ class ZetaDisc:
     def _centre(self, s: complex, side: bool) -> None:
         """Centre the disc on s: expand G about c = s (or 1 - s where s
         reflects), and there take chi(s), tan(pi c / 2) and Q."""
+        _check_height(s)
         c = 1.0 - s if side else s
         n_cut = _term_count(complex(0.0, abs(c.imag) + _DISC_RADIUS))
         lns = _logs(n_cut)[1:n_cut]
@@ -418,7 +429,11 @@ def zeta(s: complex) -> complex:
     0.2504015140262077+649.9581856853617i and 1.01e-12 at
     -0.15679293990864085+592.5804965981979i, both reflected (through the
     reflection factor), and the derivative by 1.19e-12 at
-    0.5868658594052902+465.7628128314928i, direct."""
+    0.5868658594052902+465.7628128314928i, direct.
+
+    Refused: ValueError for s not finite or |Im s| > _MAX_HEIGHT = 1e5,
+    PoleAtOne within 1e-12 of s = 1, NearPole where the value is out
+    of double range (left of Re s = -254 at Im s = 14)."""
     return _zeta_eval(complex(s), False)[0]
 
 
@@ -431,7 +446,8 @@ def zeta_with_prime(s: complex,
     re-centred on s first when s lies outside it, which replaces the
     whole Euler-Maclaurin pass and, where s reflects, the reflection
     factor but for a ratio of sines.  The values agree with the disc-less
-    ones to rounding, not bitwise."""
+    ones to rounding, not bitwise.  Refuses what zeta refuses, with the
+    same errors."""
     s = complex(s)
     if disc is None:
         return _zeta_eval(s, True)
@@ -489,7 +505,8 @@ def rs_theta(t: float) -> float:
 
 
 def hardy_z(t: float) -> complex:
-    """Rotated critical-line value; imaginary part is numerical residue."""
+    """Rotated critical-line value; imaginary part is numerical residue.
+    ValueError, from zeta, for t not finite or |t| > _MAX_HEIGHT."""
     return cmath.exp(1j * rs_theta(t)) * zeta(0.5 + 1j * t)
 
 
@@ -614,7 +631,9 @@ def find_zeros(count: int) -> ZeroList:
     (and at least 2), must satisfy Rosser's rule; then N(g_n) = n + 1
     exactly and every zero below g_n is one of the sign changes found.
     Each wanted sign change is refined by the Illinois secant to a
-    1e-10 bracket, and each zero must be simple (|zeta'| > 1e-3)."""
+    1e-10 bracket, and each zero must be simple (|zeta'| > 1e-3).
+    TypeError for a count that is not an integer, before any search."""
+    count = operator.index(count)
     if not 1 <= count <= MAX_ZEROS:
         raise ValueError(f"count must be in 1..{MAX_ZEROS}, got {count}")
     brackets: list[tuple[float, float, float, float]] = []

@@ -516,6 +516,11 @@ def test_psi_phi_pole_guards():
         with pytest.raises(NearPole) as err:
             psi_phi(z, bad)
         assert err.value.z == z
+    # at |Z - 1| = 1e-11 the normalizer, about 2.2e-10, passes
+    with pytest.raises(NearPole) as err:
+        psi_phi(z, 1.0 + 1e-11)
+    assert str(err.value) == (f"Z - 1 of modulus 1.000e-11 is below the "
+                              f"pole tolerance at {z}")
 
 
 def test_psi_phi_default_branch_is_the_seed_continuation():
@@ -524,9 +529,16 @@ def test_psi_phi_default_branch_is_the_seed_continuation():
 
 
 def test_sigma_pole_guard_follows_the_module_constant(monkeypatch):
+    # as do the guards of j_fricke and the PSI normalizer, in one form
     monkeypatch.setattr(etaengine, "_POLE_TOL", 1e12)
-    with pytest.raises(NearPole):
-        sigma(0.1 + 1.2j)
+    z = 0.1 + 1.2j
+    for what, evaluate in (
+            ("degree-4 denominator", sigma), ("level-5 quotient", j_fricke),
+            ("normalizer", lambda z: etaengine._psi_phi(z, 1 + 0j, 0.5j))):
+        with pytest.raises(NearPole, match=f"^{what} of modulus .* is below "
+                                           f"the pole tolerance at ") as err:
+            evaluate(z)
+        assert err.value.z == z
 
 
 def test_j_near_pole_at_cusp():
@@ -545,6 +557,17 @@ def test_chordal_metric():
     assert chordal(1e200 + 0j, inf) < 1e-199
     assert chordal(inf, 1e200 + 0j) < 1e-199
     assert abs(chordal(1e160 + 0j, 1 + 0j) - math.sqrt(0.5)) < 1e-15
+    # |u - v| or a modulus passes the largest double: a value in [0, 1]
+    big = 1.7e308
+    for u, v, want in ((1e308, -1e308, 2e-308), (-1e308j, 1e308j, 2e-308),
+                       (big, -1e300, 1e-300 + 1.0 / big),
+                       (big, -1j * big, math.sqrt(2.0) / big),
+                       (big * (1 + 1j), 0, 1.0),
+                       (big * (1 + 1j), 1, math.sqrt(0.5))):
+        for a, b in ((u, v), (v, u)):
+            got = chordal(complex(a), complex(b))
+            assert 0.0 <= got <= 1.0
+            assert abs(got - want) <= 1e-12 * want
     # roots -1e170 and about -1e-170: the small one is nearer 0.5
     assert _nearest(_roots(1e-170 + 0j, 1 + 0j), 0.5 + 0j) == -1e-170
 
@@ -736,8 +759,9 @@ def test_quotients_out_of_double_range_raise_near_pole():
 ])
 def test_tau_lambda_out_of_range_names_the_quotient(what, quartet):
     z = 0.3 + 0.01j
-    with pytest.raises(NearPole, match=f"^{what} leaves") as err:
+    with pytest.raises(NearPole) as err:
         etaengine._tau_lambda(z, *quartet)
+    assert str(err.value) == f"{what} leaves double range at {z}"
     assert err.value.z == z
     assert err.value.__cause__ is None
     assert err.value.__suppress_context__ or err.value.__context__ is None

@@ -1,5 +1,6 @@
 """Package hygiene: the runtime imports nothing outside the standard
-library, and every top-level name of the package is used somewhere."""
+library, every top-level name of the package is used somewhere, and the
+double-range message is worded in one place."""
 
 import ast
 import re
@@ -91,3 +92,11 @@ def test_every_import_is_read():
         unused += [f"{src.stem}.{name}" for name in _imported_names(tree)
                    if name not in read]
     assert unused == []
+
+
+def test_double_range_message_has_one_source():
+    # NearPole for a value out of double range is worded in one module,
+    # which the eta and zeta layers both call
+    wording = [src.stem for src in sorted(PACKAGE.glob("*.py"))
+               if "leaves double range" in src.read_text()]
+    assert wording == ["errors"]

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from zetapath import tracer, treepath
+from zetapath import tracer, treepath, zetafn
 from zetapath.errors import (
     Blocked, DerivativeSmall, PathWalkError, StepCollapse,
 )
@@ -407,6 +407,15 @@ def test_computed_zeros_stop_at_the_last_start(monkeypatch):
     for m in (-5, -1, 0):
         with pytest.raises(IndexError, match=f"zero index {m} is below 1"):
             trace(m)
+
+
+def test_trace_refuses_a_start_that_is_not_an_integer(monkeypatch):
+    # find_zeros refuses the count m + 2 before any Hardy Z evaluation
+    def unreached(t):
+        raise AssertionError("hardy_z was called")
+    monkeypatch.setattr(zetafn, "hardy_z", unreached)
+    with pytest.raises(TypeError):
+        trace(1.5)
 
 
 def test_experiment_beyond_200_zeros_runs(monkeypatch):

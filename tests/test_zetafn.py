@@ -578,6 +578,41 @@ def test_far_left_values_out_of_double_range_raise_near_pole():
             assert err.value.z == s
 
 
+def test_zeta_refuses_what_it_cannot_evaluate(monkeypatch):
+    # a non-finite s, or one past _MAX_HEIGHT, is refused with a
+    # ValueError naming it before any table grows: the main sum would
+    # ask for ~2.9e299 logarithms at Im s = 1e300
+    logs = zetafn._logs
+
+    def capped(n_cut):
+        if n_cut > 10 ** 6:
+            raise AssertionError(f"asked for {n_cut} logarithms")
+        return logs(n_cut)
+    monkeypatch.setattr(zetafn, "_logs", capped)
+    entries = (zeta, zeta_with_prime,
+               lambda s: zeta_with_prime(s, ZetaDisc()))
+    nan, inf = math.nan, math.inf
+    for s in (complex(nan, 0.0), complex(0.5, nan), complex(0.5, inf),
+              complex(inf, 1.0), complex(-inf, 1.0), 0.5 + 1e300j,
+              0.5 - 1e8j, -3.0 + 1e300j):
+        for evaluate in entries:
+            with pytest.raises(ValueError) as err:
+                evaluate(s)
+            assert str(s) in str(err.value)
+    for t in (nan, inf, -inf, 1e300):
+        with pytest.raises(ValueError):
+            hardy_z(t)
+    # the bound itself is served, and nothing past it; the tables it
+    # grows are put back afterwards
+    monkeypatch.setattr(zetafn, "_LN", zetafn._LN)
+    monkeypatch.setattr(zetafn, "_EM_POLYS", dict(zetafn._EM_POLYS))
+    bound = zetafn._MAX_HEIGHT
+    assert cmath.isfinite(zeta(2.0 + bound * 1j))
+    for evaluate in entries:
+        with pytest.raises(ValueError):
+            evaluate(0.5 + (bound + 1.0) * 1j)
+
+
 def test_hardy_function_is_real_on_samples():
     for k in range(19):
         t = 10.0 + 5.0 * k
@@ -617,11 +652,19 @@ def test_computed_matches_ingested_reference():
     assert worst < 1e-6
 
 
-def test_find_zeros_bounds():
+def test_find_zeros_bounds(monkeypatch):
+    # each refused at entry, before any Hardy Z evaluation; 1.5 is in
+    # range, and was only refused at the end of the search
+    def unreached(t):
+        raise AssertionError("hardy_z was called")
+    monkeypatch.setattr(zetafn, "hardy_z", unreached)
     with pytest.raises(ValueError):
         find_zeros(0)
     with pytest.raises(ValueError):
         find_zeros(351)
+    for count in (1.5, 3.0, "3"):
+        with pytest.raises(TypeError):
+            find_zeros(count)
 
 
 # Gram points below g_320 where Gram's law fails: (-1)^n Z(g_n) < 0.
