@@ -98,10 +98,10 @@ def chordal(u: complex, v: complex) -> float:
     v_inf = cmath.isinf(v)
     if u_inf and v_inf:
         return 0.0
-    if u_inf:
-        return 1.0 / math.hypot(1.0, abs(v))
-    if v_inf:
-        return 1.0 / math.hypot(1.0, abs(u))
+    if u_inf or v_inf:
+        # in quarters, so that a finite point past the largest double has
+        # a modulus
+        return 0.25 / math.hypot(0.25, abs(0.25 * (v if u_inf else u)))
     try:
         d = abs(u - v) / math.hypot(1.0, abs(u)) / math.hypot(1.0, abs(v))
         if d < math.inf:

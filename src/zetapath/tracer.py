@@ -52,6 +52,7 @@ class TraceRecord:
     max_abs_avatar: float
     wall_time: float
     halvings: int
+    newton_updates: int
     zeta_evals: int
     zeta_reflected: int
     zeta_centres: int
@@ -63,8 +64,8 @@ class TraceRecord:
         return self.matched_index == self.m + 1
 
 
-COUNTERS = ("steps", "halvings", "zeta_evals", "zeta_reflected",
-            "zeta_centres")     # the record counts a sweep sums
+COUNTERS = ("steps", "halvings", "newton_updates", "zeta_evals",
+            "zeta_reflected", "zeta_centres")   # the counts a sweep sums
 MAX_M = MAX_ZEROS - 2           # the last start whose zero m + 2 exists
 
 
@@ -152,8 +153,9 @@ def trace(m: int, path: TreePath | None = None, zeros: ZeroList | None = None,
     A pole_cap that is NaN or <= 0 and a residual_tol that is not finite
     and > 0 raise ValueError before any zero is computed.  The endpoint
     is matched against the zero list (_MATCH_TOL, _DOMINANCE), and the
-    record's landed property says whether it matched zero m + 1.  Every
-    zeta_with_prime call, the start derivative
+    record's landed property says whether it matched zero m + 1.  It
+    counts the Newton updates of every step, halved ones included
+    (newton_updates).  Every zeta_with_prime call, the start derivative
     included, goes through one ZetaDisc, and the record reads its counts
     from it: zeta_evals, zeta_reflected (those through the functional
     equation) and zeta_centres (the expansions it built).
@@ -181,7 +183,7 @@ def trace(m: int, path: TreePath | None = None, zeros: ZeroList | None = None,
     errs: list[complex] = []
     max_residual = 0.0
     max_avatar = abs(w)
-    steps = halvings = 0
+    steps = halvings = newton = 0
     t = 0.0
     for k in range(1, traj.count + 1):
         t_grid = k / traj.count
@@ -210,6 +212,7 @@ def trace(m: int, path: TreePath | None = None, zeros: ZeroList | None = None,
                 if resid < residual_tol:
                     break
                 s_try = s_try - (val - w_next) / der
+                newton += 1
             if resid < residual_tol:
                 s_ref = s_try - (val - w_next) / der
                 if full_step:
@@ -238,7 +241,8 @@ def trace(m: int, path: TreePath | None = None, zeros: ZeroList | None = None,
                        matched_index=_match(s, zeros), steps=steps,
                        max_residual=max_residual, max_abs_avatar=max_avatar,
                        wall_time=time.perf_counter() - t_start,
-                       halvings=halvings, zeta_evals=disc.evals,
+                       halvings=halvings, newton_updates=newton,
+                       zeta_evals=disc.evals,
                        zeta_reflected=disc.reflected,
                        zeta_centres=disc.centres)
 

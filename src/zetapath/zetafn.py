@@ -82,6 +82,10 @@ _REFLECT_RE = 0.4
 # its Taylor remainder bounded by _DISC_TOL.
 _DISC_RADIUS = 0.1
 _DISC_TOL = 1e-17
+# A disc that s leaves is re-centred this many radii past s, on the ray
+# from its old centre through s, so the path crosses most of a diameter
+# before it leaves the next one.
+_DISC_LEAD = 0.9
 _LNPI = math.log(math.pi)
 _LN2PI = math.log(2.0 * math.pi)
 
@@ -283,9 +287,12 @@ class ZetaDisc:
     s a little at a time, as the tracer's do.
 
     A disc centred at s0 serves the points s within R = _DISC_RADIUS of
-    s0 on the same side of `reflects`.  On that side it works at u = s
-    (or 1 - s) about c = s0 (or 1 - s0), with the Euler-Maclaurin
-    approximant of the disc-less path,
+    s0 on the same side of `reflects`.  Its first centre is the first s.
+    A point outside the disc or across `reflects` moves s0 to _DISC_LEAD R
+    past the point, on the ray from the old centre through it, so that a
+    path crosses most of a diameter of each disc, not a radius.  On the
+    side of s it works at u = s (or 1 - s) about c = s0 (or 1 - s0), with
+    the Euler-Maclaurin approximant of the disc-less path,
     F(u) = sum_{n<N} n^(-u) + N^(1-u)/(u-1) + N^(-u)/2 + N^(1-u) P_N(u),
     N the truncation point at height |Im c| + R, so that one N covers
     the whole disc.  F has a pole at u = 1, which a disc centred within
@@ -320,8 +327,8 @@ class ZetaDisc:
         self._chi: tuple[complex, complex, tuple[complex, ...]] = (0j, 0j, ())
 
     def _evaluate(self, s: complex) -> tuple[complex, complex]:
-        """(zeta(s), zeta'(s)), re-centring the disc on s first unless s
-        lies in it."""
+        """(zeta(s), zeta'(s)), re-centring the disc first unless s lies
+        in it."""
         side = reflects(s)
         # `not <=`: the NaN centre of a fresh disc covers no point
         if side != self._reflected or not abs(s - self._s0) <= _DISC_RADIUS:
@@ -355,10 +362,17 @@ class ZetaDisc:
         return _in_range(s, chi * val, -chi * (log_chi_prime * val + der))
 
     def _centre(self, s: complex, side: bool) -> None:
-        """Centre the disc on s: expand G about c = s (or 1 - s where s
-        reflects), and there take chi(s), tan(pi c / 2) and Q."""
+        """Centre the disc at s0: on s for a fresh disc, else _DISC_LEAD
+        radii past s on the ray from the old centre through s.  Expand G
+        about c = s0 (or 1 - s0 where s reflects), and there take chi(s0),
+        tan(pi c / 2) and Q."""
         _check_height(s)
-        c = 1.0 - s if side else s
+        s0 = s
+        lead = s - self._s0
+        gap = abs(lead)                     # NaN on a fresh disc
+        if gap > 0.0:
+            s0 += lead * (_DISC_LEAD * _DISC_RADIUS / gap)
+        c = 1.0 - s0 if side else s0
         n_cut = _term_count(complex(0.0, abs(c.imag) + _DISC_RADIUS))
         lns = _logs(n_cut)[1:n_cut]
         ln_nc = math.log(n_cut)
@@ -379,7 +393,7 @@ class ZetaDisc:
             k = 2
             while _DISC_RADIUS / k * ratio ** (k - 1) * scale >= tol:
                 k += 1
-            chi, cot, q = _chi(s, k - 1)
+            chi, cot, q = _chi(s0, k - 1)
             q[0] -= _LN2PI
             self._chi = (chi, cot, tuple(reversed(q)) + (0j,))
         growth = math.exp(x)
@@ -412,7 +426,7 @@ class ZetaDisc:
         g = [w0 * a + prev for a, prev in zip(main + [0j], [0j] + main)]
         for i, a in enumerate(big_h):
             g[i:] = map(add, g[i:], [a * e for e in em[:order + 2 - i]])
-        self._s0, self._reflected, self._c = s, side, c
+        self._s0, self._reflected, self._c = s0, side, c
         self._coeffs = tuple(reversed(g))
         self.centres += 1
 
@@ -443,11 +457,11 @@ def zeta_with_prime(s: complex,
     sum; the tracer's inner loop.
 
     A disc evaluates s itself, and counts it: from its expansion,
-    re-centred on s first when s lies outside it, which replaces the
-    whole Euler-Maclaurin pass and, where s reflects, the reflection
-    factor but for a ratio of sines.  The values agree with the disc-less
-    ones to rounding, not bitwise.  Refuses what zeta refuses, with the
-    same errors."""
+    re-centred first (ahead of s, see ZetaDisc) when s lies outside it,
+    which replaces the whole Euler-Maclaurin pass and, where s reflects,
+    the reflection factor but for a ratio of sines.  The values agree
+    with the disc-less ones to rounding, not bitwise.  Refuses what zeta
+    refuses, with the same errors."""
     s = complex(s)
     if disc is None:
         return _zeta_eval(s, True)
@@ -507,7 +521,7 @@ def rs_theta(t: float) -> float:
 def hardy_z(t: float) -> complex:
     """Rotated critical-line value; imaginary part is numerical residue.
     ValueError, from zeta, for t not finite or |t| > _MAX_HEIGHT."""
-    return cmath.exp(1j * rs_theta(t)) * zeta(0.5 + 1j * t)
+    return cmath.exp(1j * rs_theta(t)) * zeta(complex(0.5, t))
 
 
 @dataclass(frozen=True)

@@ -215,6 +215,7 @@ def test_trace(capsys):
     assert out["steps"] < out["zeta_evals"] < 1.5 * out["steps"]
     assert 0 < out["zeta_reflected"] < out["zeta_evals"]
     assert 0 < out["zeta_centres"] < out["zeta_evals"]
+    assert out["newton_updates"] == out["zeta_evals"] - 1 - out["steps"]
     assert out["max_residual"] < 1e-8
     assert abs(out["end_s"]["re"] - 0.5) < 1e-6
 
@@ -247,8 +248,10 @@ def test_experiment(capsys):
     summary = json.loads(lines[-1])["summary"]
     assert summary["success_count"] == 2
     assert summary["errors"] == []
+    assert "newton_updates" in COUNTERS
     for name in COUNTERS:
         assert summary[name] == sum(r[name] for r in records)
+    assert summary["newton_updates"] > 0
 
 
 def test_experiment_errors_are_json_records(capsys):

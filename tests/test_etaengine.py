@@ -563,7 +563,8 @@ def test_chordal_metric():
                        (big, -1e300, 1e-300 + 1.0 / big),
                        (big, -1j * big, math.sqrt(2.0) / big),
                        (big * (1 + 1j), 0, 1.0),
-                       (big * (1 + 1j), 1, math.sqrt(0.5))):
+                       (big * (1 + 1j), 1, math.sqrt(0.5)),
+                       (inf, big * (1 + 1j), math.sqrt(0.5) / big)):
         for a, b in ((u, v), (v, u)):
             got = chordal(complex(a), complex(b))
             assert 0.0 <= got <= 1.0

@@ -40,6 +40,9 @@ def test_trace_first_zero_lands_on_second(zeros):
     # the extrapolating predictor meets the residual target on its first
     # evaluation at most steps; a first-order one makes about 2.4 per step
     assert rec.zeta_evals / rec.steps < 1.5
+    # with no halving, every evaluation past the start and one per step
+    # follows a Newton update
+    assert rec.newton_updates == rec.zeta_evals - 1 - rec.steps > 0
     # the avatar modulus genuinely spikes mid-path
     assert 40.0 < rec.max_abs_avatar < 60.0
 
@@ -48,6 +51,27 @@ def test_trace_second_zero_lands_on_third(zeros):
     rec = trace(2, zeros=zeros)
     assert rec.matched_index == 3
     assert abs(rec.end_s - complex(0.5, zeros.gamma(3))) < 1e-8
+
+
+@pytest.mark.parametrize("curve", [0.0, 0.1])
+def test_trace_counts_its_newton_updates(zeros, monkeypatch, curve):
+    # zeta replaced by f(s) = 10 (d + curve d^2), d = s - rho_1, which the
+    # walk follows without halving: each call past the start and one per
+    # step follows a Newton update, and the predictor alone meets a
+    # linear f
+    start = complex(0.5, zeros.gamma(1))
+    calls = []
+
+    def stub(s, disc=None):
+        calls.append(s)
+        d = s - start
+        return 10.0 * (d + curve * d * d), 10.0 * (1.0 + 2.0 * curve * d)
+    monkeypatch.setattr(tracer, "zeta_with_prime", stub)
+    rec = trace(1, zeros=zeros)
+    assert rec.halvings == 0 and rec.steps == 2000
+    assert rec.newton_updates == len(calls) - 1 - rec.steps
+    assert (rec.newton_updates > 0) == (curve > 0.0)
+    assert rec.zeta_evals == 0                # the disc was bypassed
 
 
 def test_trace_deterministic(zeros):
@@ -96,15 +120,15 @@ def test_deep_trace_makes_about_one_zeta_evaluation_per_step():
 # so a walk value moved by ~1e-13 can flip zeta_evals and
 # zeta_reflected.
 TRACE_HEX = {
-    (1, 2000): (("0x1.0000000000181p-1", "0x1.505a463c7bd55p+4",
-                 "0x1.b746ace96d359p-34", "0x1.98f97b7ea8f97p+5"),
-                (2000, 0, 2576, 1644, 106)),
-    (2, 2000): (("0x1.000000000014ap-1", "0x1.902c78ff7a3afp+4",
-                 "0x1.b4bc98345bc63p-34", "0x1.98f97b7ea8f97p+5"),
-                (2000, 0, 2600, 1814, 77)),
-    (250, 3000): (("0x1.ffffffffffe23p-2", "0x1.d8cc96b5ecb0cp+8",
-                   "0x1.b51c1df837b58p-34", "0x1.98f97b7ea8f97p+5"),
-                  (3000, 0, 3504, 1076, 30)),
+    (1, 2000): (("0x1.0000000000198p-1", "0x1.505a463c7bd51p+4",
+                 "0x1.b74e60c50b2e5p-34", "0x1.98f97b7ea8f97p+5"),
+                (2000, 0, 2576, 1644, 61)),
+    (2, 2000): (("0x1.0000000000132p-1", "0x1.902c78ff7a3aep+4",
+                 "0x1.b48023c115fecp-34", "0x1.98f97b7ea8f97p+5"),
+                (2000, 0, 2600, 1814, 44)),
+    (250, 3000): (("0x1.000000000003ep-1", "0x1.d8cc96b5ecb09p+8",
+                   "0x1.b4c165df432d7p-34", "0x1.98f97b7ea8f97p+5"),
+                  (3000, 0, 3504, 1076, 18)),
 }
 
 
@@ -326,8 +350,8 @@ def test_experiment_small_sweep(zeros):
     assert summary.max_residual < 1e-8
     assert all(math.isfinite(r.wall_time) and r.wall_time > 0.0
                for r in summary.records)
-    for name in ("steps", "halvings", "zeta_evals", "zeta_reflected",
-                 "zeta_centres"):
+    for name in ("steps", "halvings", "newton_updates", "zeta_evals",
+                 "zeta_reflected", "zeta_centres"):
         assert summary.totals[name] == sum(getattr(r, name)
                                            for r in summary.records)
     assert 0 < summary.totals["zeta_reflected"] < summary.totals["zeta_evals"]
@@ -428,7 +452,8 @@ def test_experiment_beyond_200_zeros_runs(monkeypatch):
                            end_s=complex(0.5, zeros.gamma(m + 1)),
                            matched_index=m + 1, steps=0, max_residual=0.0,
                            max_abs_avatar=0.0, wall_time=0.0, halvings=0,
-                           zeta_evals=0, zeta_reflected=0, zeta_centres=0)
+                           newton_updates=0, zeta_evals=0, zeta_reflected=0,
+                           zeta_centres=0)
     monkeypatch.setattr(tracer, "trace", landed)
     summary = run_experiment(250)
     assert summary.success_count == 250

@@ -398,24 +398,60 @@ def test_disc_evaluates_without_the_euler_maclaurin_finish(monkeypatch):
 def test_disc_recentres_when_s_leaves_it_or_crosses_reflects():
     disc = ZetaDisc()
     radius = zetafn._DISC_RADIUS
+    lead = zetafn._DISC_LEAD * radius
     # (s, centres, reflected) after each evaluation
     steps = [
-        (0.45 + 300.0j, 1, 0),                 # the first centre
+        (0.45 + 300.0j, 1, 0),                 # the first centre, on s
         (0.45 + 300.0j + 0.9 * radius, 1, 0),  # inside
         (0.45 + 300.0j - 0.9j * radius, 1, 0),
-        (0.45 + 300.0j + 1.1j * radius, 2, 0),  # outside: re-centred on s
+        # outside: re-centred past s, at 0.45 + 300i + 2.0i radius
+        (0.45 + 300.0j + 1.1j * radius, 2, 0),
         (0.45 + 300.0j + 1.6j * radius, 2, 0),  # inside the new disc
         (0.39 + 300.0j + 1.6j * radius, 3, 1),  # inside, but it reflects
         (0.39 + 300.0j + 1.7j * radius, 3, 2),  # inside the reflected disc
         (0.41 + 300.0j + 1.6j * radius, 4, 2),  # and back
     ]
+    centre = None
     for evals, (s, centres, reflected) in enumerate(steps, start=1):
         val, der = zeta_with_prime(s, disc)
         assert (disc.evals, disc.centres, disc.reflected) == \
             (evals, centres, reflected), s
+        assert abs(s - disc._s0) <= radius, s
+        if centre is None:
+            assert disc._s0 == s
+        elif disc._s0 != centre:
+            # lead past s, on the ray from the old centre through s
+            assert abs(abs(disc._s0 - s) - lead) < 1e-12, s
+            ahead = (disc._s0 - s) / (s - centre)
+            assert ahead.real > 0.0 and abs(ahead.imag) < 1e-9, s
+        centre = disc._s0
+        if evals == 4:
+            assert abs(centre - (0.45 + 300.0j + 2.0j * radius)) < 1e-12
         ref_val, ref_der = zeta_with_prime(s)
         assert abs(val - ref_val) < 2e-12 * max(1.0, abs(ref_val)), s
         assert abs(der - ref_der) < 2e-12 * max(1.0, abs(ref_der)), s
+
+
+def test_disc_centres_ahead_along_a_straight_walk():
+    # each disc is centred _DISC_LEAD radii past the point that left the
+    # one before, so a straight walk crosses (1 + _DISC_LEAD) radii of
+    # each, less a step
+    radius, alpha = zetafn._DISC_RADIUS, zetafn._DISC_LEAD
+    start, length, step = 0.5 + 14.0j, 2.0, 1e-3
+    disc = ZetaDisc()
+    count = round(length / step)
+    for k in range(count + 1):
+        s = start + complex(0.0, k * step)
+        val, der = zeta_with_prime(s, disc)
+        assert abs(s - disc._s0) <= radius, s
+        if k % 100 == 0:
+            ref_val, ref_der = zeta_with_prime(s)
+            assert abs(val - ref_val) < 2e-12 * max(1.0, abs(ref_val)), s
+            assert abs(der - ref_der) < 2e-12 * max(1.0, abs(ref_der)), s
+    assert disc.evals == count + 1
+    assert disc.centres <= math.ceil(
+        length / ((1.0 + alpha) * radius - step)) + 1
+    assert disc.reflected == 0
 
 
 def test_disc_keeps_the_pole_guard():
@@ -589,8 +625,13 @@ def test_zeta_refuses_what_it_cannot_evaluate(monkeypatch):
             raise AssertionError(f"asked for {n_cut} logarithms")
         return logs(n_cut)
     monkeypatch.setattr(zetafn, "_logs", capped)
+    # a disc that already has a centre names s too, not the centre it
+    # would move to past s
+    used = ZetaDisc()
+    zeta_with_prime(0.5 + 14.0j, used)
     entries = (zeta, zeta_with_prime,
-               lambda s: zeta_with_prime(s, ZetaDisc()))
+               lambda s: zeta_with_prime(s, ZetaDisc()),
+               lambda s: zeta_with_prime(s, used))
     nan, inf = math.nan, math.inf
     for s in (complex(nan, 0.0), complex(0.5, nan), complex(0.5, inf),
               complex(inf, 1.0), complex(-inf, 1.0), 0.5 + 1e300j,
@@ -600,14 +641,24 @@ def test_zeta_refuses_what_it_cannot_evaluate(monkeypatch):
                 evaluate(s)
             assert str(s) in str(err.value)
     for t in (nan, inf, -inf, 1e300):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             hardy_z(t)
+        assert str(complex(0.5, t)) in str(err.value)
     # the bound itself is served, and nothing past it; the tables it
     # grows are put back afterwards
     monkeypatch.setattr(zetafn, "_LN", zetafn._LN)
     monkeypatch.setattr(zetafn, "_EM_POLYS", dict(zetafn._EM_POLYS))
     bound = zetafn._MAX_HEIGHT
     assert cmath.isfinite(zeta(2.0 + bound * 1j))
+    # a used disc serves a point just under the bound, though the point
+    # leaves it and the new centre lies above the bound
+    below = 2.0 + (bound - 0.01) * 1j
+    near = ZetaDisc()
+    zeta_with_prime(below - 0.14j, near)
+    val, der = zeta_with_prime(below, near)
+    assert near.centres == 2 and near._s0.imag > bound
+    ref_val, ref_der = zeta_with_prime(below)
+    assert abs(val - ref_val) < 1e-11 and abs(der - ref_der) < 1e-11
     for evaluate in entries:
         with pytest.raises(ValueError):
             evaluate(0.5 + (bound + 1.0) * 1j)
