@@ -3,18 +3,18 @@ Bernoulli coefficients, the Hardy rotation for critical-line work, zeros
 located on Gram points in Rosser blocks with a count certified by
 Turing's method, and ingestion of precomputed zero tables.
 
-Right of Re s = 0.4 a single Euler-Maclaurin pass covers the working
+Right of Re s = -1 a single Euler-Maclaurin pass covers the working
 range (|Im s| up to ~700): the truncation point N = 1.8 |Im s| / 2 pi + 10
 grows linearly with |Im s|, and 25 Bernoulli correction terms,
 generated exactly from the tangent numbers, hold the error near 1e-12;
 for each N they sum to N^(1-s) times one real polynomial of degree 49,
-built once and evaluated by Horner's rule.  Left of that
-line the alternating summands outgrow the value, so the evaluator
-reflects through the functional equation instead and keeps full relative
-accuracy there.  For runs of nearby evaluations, such as the tracer's, a
-ZetaDisc evaluates zeta from one Taylor series of the whole approximant
-about a centre, and on the reflected side from a Taylor polynomial of
-log Gamma about it.
+built once and evaluated by Horner's rule.  Further left the summands
+n^(-s) and the correction terms outgrow the value, at low heights first
+(see _REFLECT_RE), so the evaluator reflects through the functional
+equation instead and keeps full relative accuracy there.  For runs of
+nearby evaluations, such as the tracer's, a ZetaDisc evaluates zeta
+from one Taylor series of the whole approximant about a centre, and on
+the reflected side from a Taylor polynomial of log Gamma about it.
 """
 
 from __future__ import annotations
@@ -77,7 +77,14 @@ _BISECT_TOL = 1e-10
 _ROSSER_ROUNDS = 4
 # Zero 350 sits near t = 612, inside the |Im s| <= 700 zeta contract.
 MAX_ZEROS = 350
-_REFLECT_RE = 0.4
+# zeta reflects left of this line.  The worst error of the direct series
+# in value or derivative (relative where |zeta| >= 1) against mpmath at
+# 30 digits, as a share of 1e-12, over t in {0, 1, ..., 600}: 0.69 at
+# Re s = -0.5 and 0.68 at -1 (both at t = 528, the phase-rounding floor
+# of every branch there), 1.10 at -1.5 (t = 10), 4.4 at -2, 22.8 at -2.5
+# and 80.9 at -3 (t = 6).  Over t in [0, 100] by quarters it is 0.46 at
+# -1, 0.76 at -1.25 and 1.56 at -1.5.
+_REFLECT_RE = -1.0
 # A ZetaDisc serves the points within this distance of its centre, with
 # its Taylor remainder bounded by _DISC_TOL.
 _DISC_RADIUS = 0.1
@@ -210,7 +217,11 @@ def _zeta_em(s: complex, want_prime: bool) -> tuple[complex, complex]:
     if want_prime:
         total_p += tail * (-ln_nc - 1.0 / (s - 1.0)) - ln_nc * nc_pow / 2.0
     # The correction series is n_cut^(1-s) P(s); Horner's rule gives P
-    # and, alongside, P'.
+    # and, alongside, P'.  Where n_cut^(1-s) underflows to 0 (Re s past
+    # about 250) the series adds nothing, and from Re s ~ 2e6 on the pass
+    # itself would overflow at s^49 and return NaN, so it is skipped.
+    if not nc_pow1:
+        return total, total_p
     poly = _em_poly(n_cut)
     p = 0j
     if want_prime:
@@ -231,6 +242,10 @@ def _chi(s: complex, order: int = 0) -> tuple[complex, complex, list]:
     chi(s) = (2 pi)^s sin(pi s/2) Gamma(1-s) / pi reflects zeta(s) =
     chi(s) zeta(1-s), and the other two make up its log derivative."""
     x = 0.5 * math.pi * s
+    if not cmath.isfinite(2.0 * x):
+        # left of Re s ~ -5.7e307 the phase 2x is past double range, as
+        # chi is from about Re s = -254 on
+        raise out_of_range("zeta", s)
     # u = e^(+-2ix) keeps |u| <= 1; past |Im x| = 10, where sin x would
     # overflow, log sin x (up to 2 pi i k: it is only exp'd) comes from u
     if x.imag >= 0.0:
@@ -263,9 +278,10 @@ def _in_range(s: complex, val: complex,
 
 def reflects(s: complex) -> bool:
     """Whether zeta evaluates s through the functional equation: left of
-    Re s = 0.4, where the summands outgrow the value, except within 1/2
-    of the origin, which keeps the reflected argument 1-s off the pole."""
-    return s.real < _REFLECT_RE and abs(s) > 0.5
+    Re s = -1, short of Re s = -1.5, where the direct series loses the
+    1e-12 contract at low heights (the curve is at _REFLECT_RE).  The
+    reflected argument 1 - s then has Re > 2, off the pole."""
+    return s.real < _REFLECT_RE
 
 
 def _zeta_eval(s: complex, want_prime: bool) -> tuple[complex, complex]:
@@ -287,7 +303,10 @@ class ZetaDisc:
     s a little at a time, as the tracer's do.
 
     A disc centred at s0 serves the points s within R = _DISC_RADIUS of
-    s0 on the same side of `reflects`.  Its first centre is the first s.
+    s0 on the same side of `reflects`, the line Re s = -1: right of it
+    the disc expands the direct series, as far left as the disc-less
+    path evaluates it, and left of it the reflected one.  Its first
+    centre is the first s.
     A point outside the disc or across `reflects` moves s0 to _DISC_LEAD R
     past the point, on the ray from the old centre through it, so that a
     path crosses most of a diameter of each disc, not a radius.  On the
@@ -416,10 +435,11 @@ class ZetaDisc:
         # G = (u - 1) main + N^(-u) H, H = (u - 1)(1/2 + N P_N) + N
         w0 = c - 1.0
         # a weight that underflows to 0 (Re c past about 250) leaves P_N
-        # nothing to add above _DISC_TOL, so it forms no orders there
+        # nothing to add above _DISC_TOL, so it forms no orders there; from
+        # Re c ~ 2e6 on, sizing them would overflow
         weight = tail * growth
         h = [n_cut * p for p in _correction_taylor(
-            n_cut, c, order, _DISC_TOL / weight if weight else math.inf)]
+            n_cut, c, order, _DISC_TOL / weight)] if weight else [0j]
         h[0] += 0.5
         big_h = [w0 * a + prev for a, prev in zip(h + [0j], [0j] + h)]
         big_h[0] += n_cut
@@ -435,19 +455,19 @@ def zeta(s: complex) -> complex:
     """zeta(s).
 
     Measured error is about 1e-12, relative where |zeta| >= 1, through
-    |Im s| = 700 on both branches: at the points a trace of zero 250
-    visits (t near 471, Re s down to -0.31) mpmath measured up to 9.6e-13
-    in the value and 8.4e-13 in the derivative.  Above Im s = 450 the
-    rounding of phases of a few thousand sets a floor near 1e-12 that
-    some points exceed: the value by 1.06e-12 at
-    0.2504015140262077+649.9581856853617i and 1.01e-12 at
-    -0.15679293990864085+592.5804965981979i, both reflected (through the
-    reflection factor), and the derivative by 1.19e-12 at
-    0.5868658594052902+465.7628128314928i, direct.
+    |Im s| = 700 on both branches: direct right of Re s = -1 and
+    reflected left of it (see `reflects`).  At every 10th point a trace
+    of zero 250 visits (t near 471, Re s down to -0.31, all direct)
+    mpmath measured up to 5.3e-13 in value or derivative.  Above
+    Im s = 450 the rounding of phases of a few thousand sets a floor
+    near 1e-12 that some points exceed: the derivative by 1.19e-12 at
+    0.5868658594052902+465.7628128314928i, and the value by 1.21e-12
+    at 0.1525753110801975+672.8619536125639i, both direct.
 
     Refused: ValueError for s not finite or |Im s| > _MAX_HEIGHT = 1e5,
     PoleAtOne within 1e-12 of s = 1, NearPole where the value is out
-    of double range (left of Re s = -254 at Im s = 14)."""
+    of double range (left of Re s = -254 at Im s = 14).  Far right, at
+    any Re s up to the largest double, zeta is 1."""
     return _zeta_eval(complex(s), False)[0]
 
 
@@ -514,14 +534,21 @@ def _log_gamma(z: complex, order: int = 0) -> list[complex]:
 
 
 def rs_theta(t: float) -> float:
-    """Phase theta(t) with e^(i theta) zeta(1/2+it) real for real t."""
+    """Phase theta(t) with e^(i theta) zeta(1/2+it) real for real t.
+    ValueError naming t unless it is finite with |t| <= _MAX_HEIGHT, the
+    heights zeta serves."""
+    if not abs(t) <= _MAX_HEIGHT:
+        raise ValueError(f"rs_theta needs t finite with |t| <= "
+                         f"{_MAX_HEIGHT:g}, got {t}")
     return _log_gamma(0.25 + 0.5j * t)[0].imag - 0.5 * t * _LNPI
 
 
 def hardy_z(t: float) -> complex:
     """Rotated critical-line value; imaginary part is numerical residue.
-    ValueError, from zeta, for t not finite or |t| > _MAX_HEIGHT."""
-    return cmath.exp(1j * rs_theta(t)) * zeta(complex(0.5, t))
+    ValueError, from zeta, naming 1/2 + it for t not finite or
+    |t| > _MAX_HEIGHT."""
+    value = zeta(complex(0.5, t))
+    return cmath.exp(1j * rs_theta(t)) * value
 
 
 @dataclass(frozen=True)

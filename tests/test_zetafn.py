@@ -220,15 +220,18 @@ def test_log_gamma_taylor_matches_mpmath_polygamma(monkeypatch):
         return chi(s, order)
     monkeypatch.setattr(zetafn, "_chi", recording_chi)
     with mpmath.workdps(30):
-        for z in (0.7 - 40.0j, 3.0 + 0.0j, 0.65 + 0.3j, 0.6 - 541.8j):
+        for z in (0.7 - 40.0j, 3.0 + 0.0j, 0.65 + 0.3j, 0.6 - 541.8j,
+                  2.2 - 40.0j, 2.15 + 0.6j, 2.11 - 541.8j):
             q = zetafn._log_gamma(z, 20)[1:]
             for k, qk in enumerate(q, start=1):
                 ref = complex(mpmath.psi(k - 1, z) / mpmath.factorial(k))
                 assert abs(qk - ref) * radius ** k < 1e-16, (z, k)
-        # a disc centred where s = 1 - z reflects takes q_1..q_K about z
-        # from _chi; the next term is below the tolerance the series
-        # stopped at, _DISC_TOL over the disc's bound on its sum and tail
-        for z in (0.7 - 40.0j, 3.0 + 0.0j, 0.65 + 0.6j, 0.61 - 541.8j):
+        # a disc centred where s = 1 - z reflects (Re z > 2) takes
+        # q_1..q_K about z from _chi; the next term is below the tolerance
+        # the series stopped at, _DISC_TOL over the disc's bound on its
+        # sum and tail
+        for z in (2.2 - 40.0j, 3.0 + 0.0j, 2.15 + 0.6j, 2.11 - 541.8j):
+            assert reflects(1.0 - z)
             zeta_with_prime(1.0 - z, ZetaDisc())
             order = orders[-1]
             n_cut = zetafn._term_count(complex(0.0, abs(z.imag) + radius))
@@ -254,6 +257,9 @@ def test_zeta_matches_mpmath_on_a_seeded_panel():
     rng = random.Random(2011)
     points = [complex(rng.uniform(-0.5, 3.0), rng.uniform(10.0, 700.0))
               for _ in range(400)]
+    # and, from the same generator, points left of the reflection line
+    points += [complex(rng.uniform(-2.0, -1.0), rng.uniform(10.0, 700.0))
+               for _ in range(40)]
     assert any(map(reflects, points)) and not all(map(reflects, points))
     with mpmath.workdps(30):
         for s in points:
@@ -264,31 +270,76 @@ def test_zeta_matches_mpmath_on_a_seeded_panel():
             assert abs(der - ref_der) < 1e-12 * max(1.0, abs(ref_der)), s
 
 
-def _disc_pairs(seed, count, centre=None):
+# The four points of the 4000-point panel (seeds 0-9, drawn as the panel
+# above) where the disc-less evaluation misses 1e-12, all direct and above
+# Im s = 450, and their measured errors (value, derivative; relative where
+# |zeta| >= 1): the phase-rounding floor that README's contract
+# documents.
+FLOOR_POINTS = [
+    (0.1525753110801975 + 672.8619536125639j, 1.215e-12, 8.34e-13),
+    (0.24061271749730695 + 653.813471607747j, 1.019e-12, 7.38e-13),
+    (0.5868658594052902 + 465.7628128314928j, 3.45e-13, 1.192e-12),
+    (0.5151661737870725 + 692.7874141365313j, 2.37e-13, 1.113e-12),
+]
+
+
+def test_documented_floor_points_stay_at_their_measured_error():
+    # the floor may shrink, but no change widens it unnoticed
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for s, err_val, err_der in FLOOR_POINTS:
+            assert not reflects(s)
+            val, der = zeta_with_prime(s)
+            ref_val = complex(mpmath.zeta(s))
+            ref_der = complex(mpmath.zeta(s, derivative=1))
+            assert abs(val - ref_val) <= err_val * max(1.0, abs(ref_val)), s
+            assert abs(der - ref_der) <= err_der * max(1.0, abs(ref_der)), s
+
+
+def _disc_pairs(seed, *draws):
     """(s0, s): a disc centre s0 and a point s on the same side of
-    `reflects` within the disc's radius.  s0 is drawn by `centre(rng)`,
-    by default with -0.5 <= Re s0 <= 1.5 and 14 <= Im s0 <= 620."""
+    `reflects` within the disc's radius.  For each (centre, count) of
+    draws in turn, count pairs with s0 drawn by `centre(rng)`, all from
+    one generator seeded with seed."""
     rng = random.Random(seed)
-    if centre is None:
-        def centre(rng):
-            return complex(rng.uniform(-0.5, 1.5), rng.uniform(14.0, 620.0))
     pairs = []
-    while len(pairs) < count:
-        s0 = centre(rng)
-        radius = rng.uniform(0.0, zetafn._DISC_RADIUS)
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        s = s0 + radius * complex(math.cos(angle), math.sin(angle))
-        if reflects(s) == reflects(s0):
-            pairs.append((s0, s))
+    for centre, count in draws:
+        drawn = len(pairs) + count
+        while len(pairs) < drawn:
+            s0 = centre(rng)
+            radius = rng.uniform(0.0, zetafn._DISC_RADIUS)
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            s = s0 + radius * complex(math.cos(angle), math.sin(angle))
+            if reflects(s) == reflects(s0):
+                pairs.append((s0, s))
     assert any(reflects(s) for _, s in pairs)
     assert not all(reflects(s) for _, s in pairs)
     return pairs
 
 
+def _strip_centre(rng):
+    """A centre with -0.5 <= Re s0 <= 1.5 and 14 <= Im s0 <= 620."""
+    return complex(rng.uniform(-0.5, 1.5), rng.uniform(14.0, 620.0))
+
+
+def _left_centre(rng):
+    """A centre with -1.6 <= Re s0 <= -1.1 and 14 <= Im s0 <= 620, so
+    that every point within R of it reflects."""
+    return complex(rng.uniform(-1.6, -1.1), rng.uniform(14.0, 620.0))
+
+
+def _line_centre(rng):
+    """A centre within R of the reflection line Re s = -1, with
+    0 <= Im s0 <= 14."""
+    radius = zetafn._DISC_RADIUS
+    return complex(rng.uniform(-1.0 - radius, -1.0 + radius),
+                   rng.uniform(0.0, 14.0))
+
+
 def _low_centre(rng):
     """A centre with -2 <= Re s0 <= 3 and 0 <= Im s0 <= 14: one in three
-    within R of the pole at s = 1, one in three by |s| = 1/2, where
-    `reflects` turns, the rest anywhere in the box."""
+    within R of the pole at s = 1, one in three by |s| = 1/2, about the
+    origin, the rest anywhere in the box."""
     kind = rng.randrange(3)
     if kind == 0:
         return complex(rng.uniform(-2.0, 3.0), rng.uniform(0.0, 14.0))
@@ -309,11 +360,15 @@ def _disc_eval(s0, s):
     return val, der
 
 
-def test_disc_matches_mpmath_on_a_seeded_panel():
-    mpmath = pytest.importorskip("mpmath")
+def _assert_matches_mpmath(mpmath, pairs):
+    """Each s of pairs within 1e-12 of mpmath at 30 digits (relative
+    where |zeta| >= 1), in value and derivative, without a disc and
+    through a disc centred at s0, but for the documented floor above
+    Im s = 450: at most one point where the disc-less evaluation misses,
+    and the disc, which shares the floor, adds nothing to it there."""
     floor = []
     with mpmath.workdps(30):
-        for s0, s in _disc_pairs(1979, 200):
+        for s0, s in pairs:
             ref_val = complex(mpmath.zeta(s))
             ref_der = complex(mpmath.zeta(s, derivative=1))
             tol_val = 1e-12 * max(1.0, abs(ref_val))
@@ -324,18 +379,47 @@ def test_disc_matches_mpmath_on_a_seeded_panel():
             direct_err_val = abs(direct_val - ref_val)
             direct_err_der = abs(direct_der - ref_der)
             if direct_err_val < tol_val and direct_err_der < tol_der:
-                assert err_val < tol_val and err_der < tol_der, s
+                assert err_val < tol_val and err_der < tol_der, (s0, s)
             else:
-                # the documented floor above Im s = 450, which the disc
-                # shares (here the reflection factor): it must add nothing
                 floor.append(s)
-                assert err_val < direct_err_val + 0.05 * tol_val, s
-                assert err_der < direct_err_der + 0.05 * tol_der, s
+                assert err_val < direct_err_val + 0.05 * tol_val, (s0, s)
+                assert err_der < direct_err_der + 0.05 * tol_der, (s0, s)
     assert len(floor) <= 1 and all(s.imag > 450.0 for s in floor)
 
 
+def test_disc_matches_mpmath_on_a_seeded_panel():
+    mpmath = pytest.importorskip("mpmath")
+    _assert_matches_mpmath(mpmath, _disc_pairs(
+        1979, (_strip_centre, 208), (_left_centre, 40)))
+
+
+def test_direct_series_holds_the_contract_down_to_the_reflection_line():
+    # the curve at _REFLECT_RE, pinned: a seeded panel over -1 <= Re s
+    # < 0.4, where the direct series' summands outgrow the value most,
+    # Im s in [0, 700], and points within 1e-3 of the line on each side,
+    # each through a disc centred within R of it on the same side too
+    mpmath = pytest.importorskip("mpmath")
+    rng = random.Random(1698)
+    line, radius = zetafn._REFLECT_RE, zetafn._DISC_RADIUS
+    points = [complex(rng.uniform(line, 0.4), rng.uniform(0.0, 700.0))
+              for _ in range(300)]
+    for side in (-1.0, 1.0):
+        points += [complex(line + side * rng.uniform(1e-9, 1e-3),
+                           rng.uniform(0.0, 700.0)) for _ in range(20)]
+    assert sum(map(reflects, points)) == 20
+    pairs = []
+    for s in points:
+        s0 = s
+        while s0 == s or reflects(s0) != reflects(s):
+            s0 = s + rng.uniform(0.0, radius) * cmath.exp(
+                1j * rng.uniform(0.0, 2.0 * math.pi))
+        pairs.append((s0, s))
+    _assert_matches_mpmath(mpmath, pairs)
+
+
 def test_disc_agrees_with_the_direct_evaluation():
-    for s0, s in _disc_pairs(2010, 300):
+    for s0, s in _disc_pairs(2010, (_strip_centre, 302),
+                             (_left_centre, 60)):
         val, der = _disc_eval(s0, s)
         ref_val, ref_der = zeta_with_prime(s)
         assert abs(val - ref_val) < 2e-12 * max(1.0, abs(ref_val)), s
@@ -347,15 +431,18 @@ def test_disc_agrees_with_the_direct_evaluation_at_low_height():
     # N^(1-u)/(u - 1): at (1.05, 0.96) a geometric series in 1/(u - 1)
     # about the centre diverges; about -2 the reflection factor vanishes;
     # from Re u ~ 12 (u = s, or 1 - s where s reflects) every term of P_N
-    # is below the tolerance it is cut at, and only its constant is kept
+    # is below the tolerance it is cut at, and only its constant is kept;
+    # by the reflection line Re s = -1 both branches meet
     pairs = [(1.05 + 0.0j, 0.96 + 0.0j), (0.95 + 0.0j, 1.0 + 1e-9j),
              (-2.0 + 0.0j, -1.95 + 0.02j), (-1.95 + 0.0j, -2.0 + 0.0j),
              (13.0 + 0.0j, 13.05 + 0.02j), (-12.0 + 0.0j, -12.05 + 0.03j),
              (20.0 + 0.0j, 19.93 - 0.05j), (-30.0 + 3.0j, -30.02 + 3.06j)]
-    pairs += _disc_pairs(1859, 400, _low_centre)
+    pairs += _disc_pairs(1859, (_low_centre, 440), (_line_centre, 60))
     assert any(abs(s0 - 1.0) < zetafn._DISC_RADIUS for s0, _ in pairs[8:])
-    assert any(abs(abs(s) - 0.5) < 0.02 and reflects(s) == side
-               for _, s in pairs for side in (False, True))
+    assert any(abs(abs(s) - 0.5) < 0.02 for _, s in pairs)
+    for side in (False, True):
+        assert any(abs(s.real + 1.0) < 0.02 and reflects(s) == side
+                   for _, s in pairs)
     for s0, s in pairs:
         val, der = _disc_eval(s0, s)
         ref_val, ref_der = zeta_with_prime(s)
@@ -376,7 +463,7 @@ def test_disc_agrees_with_the_direct_evaluation_far_right():
 def test_disc_evaluates_without_the_euler_maclaurin_finish(monkeypatch):
     # the disc expands the whole approximant and log Gamma: once it is
     # centred, an evaluation in it runs neither _zeta_em nor _chi
-    points = (0.5 + 77.1j, 0.3 + 77.1j)
+    points = (0.5 + 77.1j, 0.3 + 77.1j, -1.3 + 77.1j)
     refs = [zeta_with_prime(s + 0.05j) for s in points]
     discs = [ZetaDisc() for _ in points]
     for s, disc in zip(points, discs):
@@ -401,15 +488,15 @@ def test_disc_recentres_when_s_leaves_it_or_crosses_reflects():
     lead = zetafn._DISC_LEAD * radius
     # (s, centres, reflected) after each evaluation
     steps = [
-        (0.45 + 300.0j, 1, 0),                 # the first centre, on s
-        (0.45 + 300.0j + 0.9 * radius, 1, 0),  # inside
-        (0.45 + 300.0j - 0.9j * radius, 1, 0),
-        # outside: re-centred past s, at 0.45 + 300i + 2.0i radius
-        (0.45 + 300.0j + 1.1j * radius, 2, 0),
-        (0.45 + 300.0j + 1.6j * radius, 2, 0),  # inside the new disc
-        (0.39 + 300.0j + 1.6j * radius, 3, 1),  # inside, but it reflects
-        (0.39 + 300.0j + 1.7j * radius, 3, 2),  # inside the reflected disc
-        (0.41 + 300.0j + 1.6j * radius, 4, 2),  # and back
+        (-0.95 + 300.0j, 1, 0),                 # the first centre, on s
+        (-0.95 + 300.0j + 0.9 * radius, 1, 0),  # inside
+        (-0.95 + 300.0j - 0.9j * radius, 1, 0),
+        # outside: re-centred past s, at -0.95 + 300i + 2.0i radius
+        (-0.95 + 300.0j + 1.1j * radius, 2, 0),
+        (-0.95 + 300.0j + 1.6j * radius, 2, 0),  # inside the new disc
+        (-1.01 + 300.0j + 1.6j * radius, 3, 1),  # inside, but it reflects
+        (-1.01 + 300.0j + 1.7j * radius, 3, 2),  # inside the reflected disc
+        (-0.99 + 300.0j + 1.6j * radius, 4, 2),  # and back
     ]
     centre = None
     for evals, (s, centres, reflected) in enumerate(steps, start=1):
@@ -426,7 +513,7 @@ def test_disc_recentres_when_s_leaves_it_or_crosses_reflects():
             assert ahead.real > 0.0 and abs(ahead.imag) < 1e-9, s
         centre = disc._s0
         if evals == 4:
-            assert abs(centre - (0.45 + 300.0j + 2.0j * radius)) < 1e-12
+            assert abs(centre - (-0.95 + 300.0j + 2.0j * radius)) < 1e-12
         ref_val, ref_der = zeta_with_prime(s)
         assert abs(val - ref_val) < 2e-12 * max(1.0, abs(ref_val)), s
         assert abs(der - ref_der) < 2e-12 * max(1.0, abs(ref_der)), s
@@ -476,13 +563,16 @@ def test_import_builds_no_disc():
 
 
 # (s, float.hex of Re, Im of zeta(s) and of zeta'(s) without a disc, the
-# same through a disc centred at s - 0.05i), frozen on the direct (0.5)
-# and the reflected (0.3) branch at three heights.  A change meant to move
-# these bits, such as a new reflection factor, re-freezes them.  The disc
-# tuples were re-frozen when the disc came to expand the whole
-# Euler-Maclaurin approximant and log Gamma: its values moved by rounding
-# only (the disc panels above still hold), while the direct tuples did
-# not move.
+# same through a disc centred at s - 0.05i), frozen on the direct branch
+# (0.5, and 0.3 right of the reflection line at -1) and the reflected one
+# (-1.3) at three heights.  A change meant to move these bits, such as a
+# new reflection factor, re-freezes them.  Against mpmath at 30 digits
+# (value, derivative; relative where |zeta| >= 1, without a disc and
+# through it) the 0.3 rows are off by 1.8e-15, 5.4e-15 and 3.4e-15,
+# 7.9e-15 at 14.13; 7.2e-15, 1.2e-14 and 3.1e-14, 2.9e-14 at 77.1;
+# 6.6e-13, 4.0e-13 and 2.6e-13, 1.8e-13 at 541.8.  The -1.3 rows are off
+# by 4.3e-15, 4.1e-15 and 4.7e-15, 5.3e-15; 1.1e-14, 1.1e-14 and 2.0e-14,
+# 1.9e-14; 1.5e-13, 1.5e-13 and 3.6e-13, 3.6e-13.
 ZETA_HEX = [
     (0.5 + 14.13j,
      ("0x1.38843111b1370p-11", "-0x1.e4c8e0ce67b0bp-9",
@@ -500,20 +590,35 @@ ZETA_HEX = [
      ("0x1.9ba840c9ca56ap-3", "0x1.09fb309cc4facp-6",
       "-0x1.8b092d9abd487p-1", "0x1.fc3e9ed25d066p+1")),
     (0.3 + 14.13j,
-     ("-0x1.5999c7036c3a0p-3", "-0x1.191dfcb983bccp-5",
-      "0x1.d44805335ec1dp-1", "0x1.72b4b69c76770p-3"),
-     ("-0x1.5999c7036c368p-3", "-0x1.191dfcb983bd4p-5",
-      "0x1.d44805335ec0dp-1", "0x1.72b4b69c767b8p-3")),
+     ("-0x1.5999c7036c3e5p-3", "-0x1.191dfcb983cc0p-5",
+      "0x1.d44805335ec22p-1", "0x1.72b4b69c76892p-3"),
+     ("-0x1.5999c7036c423p-3", "-0x1.191dfcb983c7dp-5",
+      "0x1.d44805335ec45p-1", "0x1.72b4b69c7681fp-3")),
     (0.3 + 77.1j,
-     ("-0x1.2e50ccf281d51p-2", "-0x1.fab15590797a7p-3",
-      "0x1.0132319dc9622p+1", "0x1.5109c82fede40p+0"),
-     ("-0x1.2e50ccf281d38p-2", "-0x1.fab1559079228p-3",
-      "0x1.0132319dc9665p+1", "0x1.5109c82fedc45p+0")),
+     ("-0x1.2e50ccf281cefp-2", "-0x1.fab155907978dp-3",
+      "0x1.0132319dc9611p+1", "0x1.5109c82fede55p+0"),
+     ("-0x1.2e50ccf281f77p-2", "-0x1.fab1559079608p-3",
+      "0x1.0132319dc96edp+1", "0x1.5109c82fede2ap+0")),
     (0.3 + 541.8j,
-     ("0x1.74766d8beca81p-1", "-0x1.363effb5e1226p+0",
-      "-0x1.53c809d134740p+2", "0x1.1bc01713f586ap+3"),
-     ("0x1.74766d8becc84p-1", "-0x1.363effb5e0c30p+0",
-      "-0x1.53c809d134983p+2", "0x1.1bc01713f578ap+3")),
+     ("0x1.74766d8bec120p-1", "-0x1.363effb5df899p+0",
+      "-0x1.53c809d1340bap+2", "0x1.1bc01713f4cdcp+3"),
+     ("0x1.74766d8bec532p-1", "-0x1.363effb5e0350p+0",
+      "-0x1.53c809d134368p+2", "0x1.1bc01713f5227p+3")),
+    (-1.3 + 14.13j,
+     ("-0x1.83cd56ac518c8p+1", "-0x1.337eae0734669p+0",
+      "0x1.8594e7c5eec12p+1", "0x1.c459fb332d25cp+0"),
+     ("-0x1.83cd56ac518eep+1", "-0x1.337eae073466dp+0",
+      "0x1.8594e7c5eec3fp+1", "0x1.c459fb332d26dp+0")),
+    (-1.3 + 77.1j,
+     ("-0x1.83adcb953fb58p+5", "-0x1.97ec63e627f3dp+5",
+      "0x1.ff59f0e1011b1p+6", "0x1.1a5985dfd7777p+7"),
+     ("-0x1.83adcb953faf7p+5", "-0x1.97ec63e627e7ap+5",
+      "0x1.ff59f0e101132p+6", "0x1.1a5985dfd76f4p+7")),
+    (-1.3 + 541.8j,
+     ("0x1.79cb5b4c2134ap+11", "-0x1.d1bc7f199c4cbp+8",
+      "-0x1.aa28bbb19eff0p+13", "0x1.2fb666558a84ep+10"),
+     ("0x1.79cb5b4c21751p+11", "-0x1.d1bc7f1995e90p+8",
+      "-0x1.aa28bbb19f38ap+13", "0x1.2fb66655833aep+10")),
 ]
 
 
@@ -553,11 +658,15 @@ def test_theta_and_hardy_z_are_frozen_bitwise():
 
 
 def test_reflects_is_the_branch_rule():
-    assert reflects(0.3 + 14.0j) and reflects(-2.5 + 0.0j)
+    # zeta reflects left of Re s = -1 and nowhere else, so the reflected
+    # argument 1 - s stays right of Re = 2, off the pole
+    assert reflects(-1.3 + 14.0j) and reflects(-2.5 + 0.0j)
+    assert reflects(complex(math.nextafter(-1.0, -2.0), 14.0))
+    assert not reflects(-1.0 + 14.0j) and not reflects(0.3 + 14.0j)
     assert not reflects(0.4 + 14.0j)
-    # near the origin the reflected argument 1-s would sit by the pole
     assert not reflects(0.0j) and not reflects(0.2 + 0.2j)
-    for s in (0.3 + 41.7j, 0.7 + 41.7j):
+    assert not reflects(-0.9 + 0.0j)
+    for s in (-1.3 + 41.7j, 0.3 + 41.7j, 0.7 + 41.7j):
         u = 1.0 - s if reflects(s) else s
         val, der = zetafn._zeta_em(u, True)
         if reflects(s):
@@ -572,7 +681,7 @@ def test_reflected_branch_below_the_real_axis():
     # zeta(conj s) = conj zeta(s), so below the real axis the reflected
     # value and derivative, with and without a disc, mirror those above
     points = [s for s, _, _ in ZETA_HEX if reflects(s)]
-    points += [-0.3 + 2.0j, 0.1 + 5.5j, -1.5 + 0.7j, 0.2 + 13.0j]
+    points += [-1.3 + 2.0j, -1.1 + 5.5j, -1.5 + 0.7j, -1.2 + 13.0j]
     for s in points:
         low = s.conjugate()
         assert reflects(low) and reflects(s - 0.05j)
@@ -602,16 +711,28 @@ def test_pole_guard():
 def test_far_left_values_out_of_double_range_raise_near_pole():
     # |zeta(-200 + 14i)| ~ 6.3e223; past Re s ~ -254 it leaves double
     # range, and every entry point names the point instead of returning
-    # inf or raising a bare OverflowError
+    # inf or raising a bare OverflowError; past Re s ~ -5.7e307 the
+    # reflection factor's phase leaves it too
     entries = (zeta, lambda s: zeta_with_prime(s)[0],
                lambda s: zeta_with_prime(s, ZetaDisc())[0])
     for evaluate in entries:
         value = evaluate(-200 + 14j)
         assert cmath.isfinite(value) and 6e223 < abs(value) < 7e223
-        for s in (-259 + 14j, -300 + 14j):
+        for s in (-259 + 14j, -300 + 14j, -1e300 + 0j, -1e308 + 0j,
+                  -1.7e308 + 0j, -1e308 + 5j):
             with pytest.raises(NearPole) as err:
                 evaluate(s)
             assert err.value.z == s
+
+
+def test_far_right_zeta_is_one():
+    # zeta is 1 to double precision there: the correction pass, which
+    # would overflow at s^49, and a disc's sizing of P_N, which would
+    # overflow at rho^49, add nothing
+    for s in (2.67e8, 3e8, 1e308, 2e6, 2e6 + 300j):
+        assert zeta(s) == 1.0, s
+        assert zeta_with_prime(s) == (1.0, 0.0), s
+        assert zeta_with_prime(s, ZetaDisc()) == (1.0, 0.0), s
 
 
 def test_zeta_refuses_what_it_cannot_evaluate(monkeypatch):
@@ -644,6 +765,10 @@ def test_zeta_refuses_what_it_cannot_evaluate(monkeypatch):
         with pytest.raises(ValueError) as err:
             hardy_z(t)
         assert str(complex(0.5, t)) in str(err.value)
+        # rs_theta refuses the same heights, naming t
+        with pytest.raises(ValueError) as err:
+            rs_theta(t)
+        assert str(t) in str(err.value)
     # the bound itself is served, and nothing past it; the tables it
     # grows are put back afterwards
     monkeypatch.setattr(zetafn, "_LN", zetafn._LN)
@@ -662,6 +787,9 @@ def test_zeta_refuses_what_it_cannot_evaluate(monkeypatch):
     for evaluate in entries:
         with pytest.raises(ValueError):
             evaluate(0.5 + (bound + 1.0) * 1j)
+    assert math.isfinite(rs_theta(bound)) and math.isfinite(rs_theta(-bound))
+    with pytest.raises(ValueError):
+        rs_theta(bound + 1.0)
 
 
 def test_hardy_function_is_real_on_samples():
