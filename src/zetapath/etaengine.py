@@ -2,10 +2,13 @@
 genus-one branch function they generate.
 
 Points live in the open upper half-plane, represented as built-in complex
-numbers and validated at entry.  Eta is evaluated by reducing the argument
-to the standard fundamental domain, where |q| <= exp(-pi sqrt3) leaves the
-pentagonal-number series a fixed five-term polynomial, then unwinding the
-transformation with the exact multiplier system from Dedekind sums.
+numbers and validated at entry.  _matrix_eta, the one evaluator of eta,
+reduces N x, N an integer matrix, to the standard fundamental domain,
+where |q| <= exp(-pi sqrt3) leaves the pentagonal-number series a fixed
+five-term polynomial, and unwinds the transformation with the exact
+multiplier system from Dedekind sums, composing the reducing matrix with
+N in integers so that no step reads N x rounded to a double.  A quartet
+eta(P x / k), k = 1, 3, 5, 15, is four of these (_etas).
 
 The branch function Z satisfies a quadratic over the degree-4/degree-6
 quotient field, so each evaluation yields a reciprocal root pair {W, 1/W}.
@@ -21,8 +24,8 @@ avatars, so every edge of every path is one of these 96 arcs.  The
 quadratic's a and b are analytic there, and arc_eval reads them from
 coset m's table, _ARC_PANELS equal panels in theta of _ARC_NODES
 first-kind Chebyshev nodes each, then picks the root nearest its hint.
-A table is built the first time m is met, from eta quartets whose
-reductions are composed with P_m in integers (_matrix_eta).
+A table is built the first time m is met, from the quadratic at P_m x
+(_quad_at), as a hinted avatar_eval forms it.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from .exactquad import (
     B0_POLY, B1_POLY, BETA, C_POLY, D_POLY, GAMMA, DELTA,
     PSI_DENOM_CONST, PSI_DENOM_POLY,
 )
-from .sl2z import GroupElem, load_table, mobius
+from .sl2z import IDENTITY, GroupElem, load_table, mobius
 
 _B0_C = B0_POLY.float_coeffs()
 _B1_C = B1_POLY.float_coeffs()
@@ -129,12 +132,12 @@ def dedekind_sum(h: int, k: int) -> Fraction:
 
 
 class EtaContext:
-    """The multiplier cache and the most recent avatar trajectory (kept
-    by treepath.avatar_trajectory): what a walk shares from one call to
-    the next.  Below treepath only z_eval_from_seed, the walk's seed
-    continuation from i, reads one; the other evaluators (tau, lambda_fn,
-    tau5, sigma, j_fricke, psi_phi, identity_residuals, z_root_pair,
-    z_eval, avatar_eval) and the coset tables use the module's own.
+    """The multiplier cache that _matrix_eta reads and fills, and the most
+    recent avatar trajectory (kept by treepath.avatar_trajectory): what a
+    walk shares from one call to the next.  Below treepath only
+    z_eval_from_seed, the walk's seed continuation from i, and
+    dedekind_eta take one; the point evaluators, avatar_eval and the
+    coset tables use the module's own.
 
     Concurrent walks should each own a context, since each replaces the
     trajectory.  The multiplier cache only memoizes a pure function of the
@@ -201,42 +204,36 @@ def _eta_series(w: complex) -> complex:
 
 
 def dedekind_eta(z: complex, ctx: EtaContext | None = None) -> complex:
-    """eta(z) for Im z > 0, exact multiplier unwinding of the reduction."""
-    ctx = ctx or _DEFAULT_CTX
-    z = _require_upper(z)
-    w, a, b, c, d = _reduce(z)
-    val = _eta_series(w)
-    if a == 1 and b == 0 and c == 0:          # the identity: d = 1
-        return val
-    if c < 0 or (c == 0 and d < 0):
-        a, b, c, d = -a, -b, -c, -d
-    mult = (ctx._multipliers.get((a, b, c, d))
-            or ctx.multiplier(GroupElem(a, b, c, d)))
-    # eta(w) = eta(m z) = eps(m) (c z + d)^(1/2) eta(z); principal root is
-    # continuous here since c > 0 keeps cz + d in the upper half-plane.
-    return val / (mult * cmath.sqrt(c * z + d))
+    """eta(z) for Im z > 0: _matrix_eta at the identity."""
+    return _matrix_eta(1, 0, 0, 1, _require_upper(z), ctx or _DEFAULT_CTX)
 
 
-def _etas(z: complex, ctx: EtaContext) -> tuple[complex, complex, complex, complex]:
-    return (dedekind_eta(z, ctx), dedekind_eta(z / 3, ctx),
-            dedekind_eta(z / 5, ctx), dedekind_eta(z / 15, ctx))
-
-
-def _matrix_eta(na: int, nb: int, nc: int, nd: int, x: complex) -> complex:
+def _matrix_eta(na: int, nb: int, nc: int, nd: int, x: complex,
+                ctx: EtaContext) -> complex:
     """eta(u) at u = (na x + nb) / (nc x + nd), for integers of positive
-    determinant and x on the base arc.  The matrix gamma that reduces u
-    is composed with N in integers, so the reduced point and the factor
-    c u + d are formed from x itself: where Im u is small, c z + d in
-    dedekind_eta loses digits to cancellation."""
+    determinant, x validated by _require_upper and ctx's multiplier cache.
+    The matrix gamma that reduces u is composed with N in integers, so the
+    reduced point and the factor c u + d are formed from x itself, not
+    from u rounded to a double, which loses digits where Im u is small."""
     _, a, b, c, d = _reduce((na * x + nb) / (nc * x + nd))
     if c < 0 or (c == 0 and d < 0):
         a, b, c, d = -a, -b, -c, -d
     gc, gd = c * na + d * nc, c * nb + d * nd
     val = _eta_series(((a * na + b * nc) * x + a * nb + b * nd)
                       / (gc * x + gd))
-    mult = (_DEFAULT_CTX._multipliers.get((a, b, c, d))
-            or _DEFAULT_CTX.multiplier(GroupElem(a, b, c, d)))
+    mult = (ctx._multipliers.get((a, b, c, d))
+            or ctx.multiplier(GroupElem(a, b, c, d)))
+    # eta(w) = eps(gamma) (c u + d)^(1/2) eta(u); c > 0 keeps c u + d in
+    # the upper half-plane, where the principal root is continuous
     return val / (mult * cmath.sqrt((gc * x + gd) / (nc * x + nd)))
+
+
+def _etas(x: complex, ctx: EtaContext, rep: GroupElem = IDENTITY) -> list:
+    """The quartet eta(P x / k), k = 1, 3, 5, 15, P = rep, each from
+    _matrix_eta at x; ValueError unless x is finite with Im x > 0."""
+    x = _require_upper(x)
+    return [_matrix_eta(rep.a, rep.b, k * rep.c, k * rep.d, x, ctx)
+            for k in (1, 3, 5, 15)]
 
 
 def _off_pole(what: str, value: complex, z: complex,
@@ -275,7 +272,8 @@ def lambda_fn(z: complex) -> complex:
 
 def tau5(z: complex) -> complex:
     """Level-5 quotient (eta_5 / eta_1)^6; needs only two of the quartet."""
-    return _tau5(z, dedekind_eta(z), dedekind_eta(z / 5))
+    z = _require_upper(z)
+    return _tau5(z, *[_matrix_eta(1, 0, 0, k, z, _DEFAULT_CTX) for k in (1, 5)])
 
 
 def sigma(z: complex) -> complex:
@@ -315,12 +313,15 @@ def z_root_pair(z: complex) -> RootPair:
     Rh = sqrt((5 + 2 sqrt5)/3) (tau - BETA)(tau^2 + GAMMA tau + DELTA).
 
     The coefficient symmetry a = c makes the roots a reciprocal pair."""
-    return _root_pair(z, _DEFAULT_CTX)
+    return _roots(*_quad_at(z, _DEFAULT_CTX))
 
 
-def _root_pair(z: complex, ctx: EtaContext) -> RootPair:
-    t, lam = _tau_lambda(z, *_etas(z, ctx))
-    return _roots(*_quad_coeffs(z, t, lam))
+def _quad_at(x: complex, ctx: EtaContext, rep: GroupElem = IDENTITY) -> tuple:
+    """The branch quadratic's a and b at P x, P = rep, from the quartet
+    _etas(x, ctx, rep); a NearPole carries P x."""
+    etas = _etas(x, ctx, rep)
+    z = mobius(rep, x)
+    return _quad_coeffs(z, *_tau_lambda(z, *etas))
 
 
 def _quad_coeffs(z: complex, t: complex,
@@ -388,12 +389,12 @@ def z_eval_from_seed(z: complex, ctx: EtaContext | None = None) -> complex:
     this one.  A NearPole on the way carries z itself."""
     ctx = ctx or _DEFAULT_CTX
     z = _require_upper(z)
-    seed = _root_pair(1j, ctx)
+    seed = _roots(*_quad_at(1j, ctx))
     val = seed.first if seed.first.imag > 0 else seed.second
     try:
         for k in range(1, _SEED_STEPS + 1):
             w = 1j + (z - 1j) * (k / _SEED_STEPS)
-            val = _nearest(_root_pair(w, ctx), val)
+            val = _nearest(_roots(*_quad_at(w, ctx)), val)
     except NearPole as exc:
         raise NearPole(f"{exc}, continuing the seed to z = {z}",
                        z=z) from exc
@@ -497,9 +498,12 @@ def avatar_eval(n: int, z: complex, hint: complex | None = None) -> complex:
     """Avatar value Z_n(z) = Z(P_n z), P_n the row-n coset representative.
 
     The hint, a branch value of the same avatar at a nearby point, selects
-    the root as in z_eval; without one the value is continued from the
-    seed at i."""
-    return z_eval(mobius(load_table().rep(n), z), hint=hint)
+    the root as z_eval does, from the quadratic _quad_at forms at P_n z;
+    without one the value is z_eval_from_seed(P_n z)."""
+    rep = load_table().rep(n)
+    if hint is None:
+        return z_eval_from_seed(mobius(rep, z))
+    return _nearest(_roots(*_quad_at(z, _DEFAULT_CTX, rep)), hint)
 
 
 def _arc_table(m: int) -> tuple[tuple[complex, complex, tuple], ...]:
@@ -516,14 +520,9 @@ def _arc_table(m: int) -> tuple[tuple[complex, complex, tuple], ...]:
                 for phi in angles] for j in range(count)]
     panels = []
     for p in range(_ARC_PANELS):
-        nodes = []
-        for phi in angles:
-            theta = THETA_I + (p + 0.5 + 0.5 * math.cos(phi)) * _PANEL_WIDTH
-            x = cmath.exp(1j * theta)
-            z = mobius(rep, x)
-            etas = [_matrix_eta(rep.a, rep.b, k * rep.c, k * rep.d, x)
-                    for k in (1, 3, 5, 15)]
-            nodes.append(_quad_coeffs(z, *_tau_lambda(z, *etas)))
+        thetas = (THETA_I + (p + 0.5 + 0.5 * math.cos(phi)) * _PANEL_WIDTH
+                  for phi in angles)
+        nodes = [_quad_at(cmath.exp(1j * t), _DEFAULT_CTX, rep) for t in thetas]
         series = [(sum(w * a for w, (a, _) in zip(row, nodes)),
                    sum(w * b for w, (_, b) in zip(row, nodes)))
                   for row in weights]

@@ -21,7 +21,9 @@ from zetapath.sl2z import (
     R, S, SHIFT_ELEMENT, T, GroupElem, load_table, mobius,
 )
 
-from oracles import band_points, eta_q_product, random_element, sign_normalize
+from oracles import (
+    band_points, eta_q_product, mp_root_pair, random_element, sign_normalize,
+)
 
 # CM point on the unit circle with Re = -1/4 and its translate by the
 # (4,1;-1,0) coset representative; the degree-4 quotient takes the exact
@@ -260,9 +262,10 @@ def test_reduce_matches_the_rebuilding_loop_bitwise():
     assert signed_zeros > 0
 
 
-# (z, float.hex of eta(z)) frozen from the GroupElem-based unwinding; the
-# comments give the reducing matrix.  Identity, translations, c > 0, and
-# c < 0, where the matrix is negated before the multiplier is looked up.
+# (z, float.hex of eta(z)) frozen from _matrix_eta at the identity, which
+# forms the reduced point from z itself; the comments give the reducing
+# matrix.  Identity, translations, c > 0, and c < 0, where the matrix is
+# negated before the multiplier is looked up.
 ETA_HEX = [
     (0.1 + 1.5j, ("0x1.5994007b7fd3cp-1", "0x1.210d507a4e038p-6")),  # I
     (0.5 + 0.8660254037844386j,
@@ -270,11 +273,11 @@ ETA_HEX = [
     (2.3 + 1.2j, ("0x1.345a6106b7997p-1", "0x1.a7644a133aa38p-2")),  # [[1,-2],[0,1]]
     (-0.7 + 0.9j, ("0x1.8defea0022a9cp-1", "-0x1.2c7ad80fcf66ep-3")),  # [[0,-1],[1,1]]
     (0.1234 + 0.3j, ("0x1.a782b37141729p-1", "-0x1.7cb0ac3c3032ap-4")),  # [[1,-1],[1,0]]
-    (0.3 + 0.01j, ("0x1.36cd3f6abfbcfp+1", "0x1.7e80019b8c5bdp-3")),  # [[-3,1],[-10,3]]
-    (-0.41 + 0.05j, ("0x1.998148b470945p+0", "-0x1.003ec778e087fp-2")),  # [[-5,-2],[-2,-1]]
-    (1 / 3 + 0.001j, ("0x1.29e2a04d7e3b0p-38", "-0x1.a0fc3e9d7bf7ap-42")),  # [[-1,0],[3,-1]]
-    (0.00655 + 0.032j, ("0x1.22cd52016a338p-13", "-0x1.1971056bcfe1cp-9")),  # [[6,-1],[1,0]]
-    (-1.9 + 0.004j, ("-0x1.e288723bb86c7p+0", "-0x1.c9e823a5795cap+0")),  # [[-1,-2],[10,19]]
+    (0.3 + 0.01j, ("0x1.36cd3f6abfbcep+1", "0x1.7e80019b8c5e4p-3")),  # [[-3,1],[-10,3]]
+    (-0.41 + 0.05j, ("0x1.998148b470943p+0", "-0x1.003ec778e087ep-2")),  # [[-5,-2],[-2,-1]]
+    (1 / 3 + 0.001j, ("0x1.29e2a04d7e114p-38", "-0x1.a0fc3e9d9b777p-42")),  # [[-1,0],[3,-1]]
+    (0.00655 + 0.032j, ("0x1.22cd52016a332p-13", "-0x1.1971056bcfe1cp-9")),  # [[6,-1],[1,0]]
+    (-1.9 + 0.004j, ("-0x1.e288723bb8647p+0", "-0x1.c9e823a57963fp+0")),  # [[-1,-2],[10,19]]
 ]
 
 
@@ -321,21 +324,28 @@ def test_eta_matches_mpmath_along_a_shift_walk():
     assert worst <= 1e-12
 
 
-def test_matrix_eta_matches_mpmath_at_the_coset_points():
-    # eta(P_m x / k), x on the base arc, as the coset tables take it; the
-    # oracle evaluates at the exact point, and dedekind_eta of the rounded
-    # P_m x / k measured 1.1e-14 off at these points (1.8e-15 here)
-    mpmath = pytest.importorskip("mpmath")
+def _shift_path_cosets():
+    """The cosets coset_index(P_41 g) of the shift path's edges g, the 17
+    coset tables a walk of the traced avatar reads."""
     from zetapath.sl2z import SHIFT_WORD
     from zetapath.treepath import build_path
     table = load_table()
     rep41 = table.rep(41)
-    cosets = sorted({table.coset_index(rep41 * e.g)
-                     for e in build_path(SHIFT_WORD).edges})
+    return sorted({table.coset_index(rep41 * e.g)
+                   for e in build_path(SHIFT_WORD).edges})
+
+
+def test_matrix_eta_matches_mpmath_at_the_coset_points():
+    # eta(P_m x / k), x on the base arc, as the coset tables take it; the
+    # oracle evaluates at the exact point, and eta of the rounded P_m x / k
+    # measured 1.1e-14 off at these points (1.8e-15 here)
+    mpmath = pytest.importorskip("mpmath")
+    ctx = EtaContext()
+    table = load_table()
     rng = random.Random(5)
     worst = 0.0
     with mpmath.workdps(30):
-        for m in cosets:
+        for m in _shift_path_cosets():
             rep = table.rep(m)
             for _ in range(3):
                 x = cmath.exp(1j * rng.uniform(etaengine.THETA_I,
@@ -345,9 +355,31 @@ def test_matrix_eta_matches_mpmath_at_the_coset_points():
                     ref = complex(mpmath.eta((rep.a * xm + rep.b)
                                              / (k * (rep.c * xm + rep.d))))
                     val = etaengine._matrix_eta(rep.a, rep.b, k * rep.c,
-                                                k * rep.d, x)
+                                                k * rep.d, x, ctx)
                     worst = max(worst, abs(val - ref) / abs(ref))
     assert worst <= 5e-15
+
+
+def test_eta_quartet_matches_mpmath_near_the_real_axis():
+    # eta(z / k) off the arc, Im z log-uniform in [0.005, 1], each value
+    # composed from z itself.  Forming the reduced point w in doubles
+    # leaves an error that grows with Im w (up to 760 here) on any path,
+    # so the error is taken per unit of Im w: 1.51e-15 at worst, where
+    # eta of the rounded z / k measured 4.22e-15 (1.77e-14 against
+    # 1.91e-14 before the division by Im w)
+    mpmath = pytest.importorskip("mpmath")
+    ctx = EtaContext()
+    rng = random.Random(3)
+    worst = 0.0
+    with mpmath.workdps(30):
+        for _ in range(300):
+            z = complex(rng.uniform(-0.5, 0.5), 0.005 * 200.0 ** rng.random())
+            zm = mpmath.mpc(z.real, z.imag)
+            for k, val in zip((1, 3, 5, 15), etaengine._etas(z, ctx)):
+                ref = complex(mpmath.eta(zm / k))
+                height = reduce_to_fundamental(z / k)[0].imag
+                worst = max(worst, abs(val - ref) / abs(ref) / height)
+    assert worst <= 2.5e-15
 
 
 TAU_INVARIANCE = [GroupElem(1, 0, 1, 1), GroupElem(2, 15, 1, 8)]
@@ -412,12 +444,12 @@ def test_identity_residual_panel():
 
 def test_identity_residuals_evaluate_one_eta_quartet(monkeypatch):
     calls = []
-    evaluate = etaengine.dedekind_eta
+    evaluate = etaengine._matrix_eta
 
-    def counted(z, ctx=None):
-        calls.append(z)
-        return evaluate(z, ctx)
-    monkeypatch.setattr(etaengine, "dedekind_eta", counted)
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+    monkeypatch.setattr(etaengine, "_matrix_eta", counted)
     identity_residuals(0.13 + 1.07j)
     assert len(calls) == 4
 
@@ -586,6 +618,31 @@ def test_avatar_hint_and_quadratic_invariant():
     quad = pair.quad_a * val * val + pair.quad_b * val + pair.quad_a
     scale = abs(pair.quad_a) * (1.0 + abs(val) ** 2) + abs(pair.quad_b) * abs(val)
     assert abs(quad) / (1.0 + scale) < 1e-8
+
+
+def test_hinted_avatar_matches_mpmath_at_exact_coset_points():
+    # avatar_eval(m, x, hint) at x on the base arc, for the cosets of the
+    # shift path (Im P_m x down to 0.018 here), against the root pair at
+    # the exact P_m x; the quadratic is formed from x itself: 4.4e-15
+    # chordal at worst, where the one at P_m x rounded measured 2.6e-14
+    # (coset 32)
+    mpmath = pytest.importorskip("mpmath")
+    table = load_table()
+    rng = random.Random(5)
+    cosets = _shift_path_cosets()
+    assert 32 in cosets
+    worst = 0.0
+    with mpmath.workdps(30):
+        for m in cosets:
+            rep = table.rep(m)
+            for _ in range(3):
+                x = cmath.exp(1j * rng.uniform(etaengine.THETA_I,
+                                               etaengine.THETA_OMEGA))
+                xm = mpmath.mpc(x.real, x.imag)
+                for ref in mp_root_pair(mpmath, (rep.a * xm + rep.b)
+                                        / (rep.c * xm + rep.d)):
+                    worst = max(worst, chordal(avatar_eval(m, x, ref), ref))
+    assert worst <= 1e-14
 
 
 def _pair_set(z):

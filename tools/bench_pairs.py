@@ -16,7 +16,12 @@ alike.
 
 Writes BENCH_<label>.json (the working tree) and BENCH_<label>-parent.json
 (the parent) at the root of the repository, one run per (workload, seed)
-with run.py's result line.  Prints, per workload and metric, each side's
+with run.py's result line.  Each file names its side's revision at the
+top level: git_sha, the parent's resolved commit or the working tree's
+HEAD, and for the working tree `uncommitted`, whether its tracked files
+differed from HEAD.  run.py's own git_sha is dropped from env: it reads
+the working tree's HEAD, the parent of an uncommitted change, and nothing
+in the unpacked parent.  Prints, per workload and metric, each side's
 median, the parent's interquartile range, and on how many seeds the
 working tree did better than the parent run it was paired with (by the
 direction BENCHMARK.json gives the metric).
@@ -41,11 +46,17 @@ PAIRING = ("alternated with the other side per (workload, seed), same "
            "seeds; which side runs first alternates from seed to seed")
 
 
-def parent_rev() -> str:
-    """HEAD while tracked files differ from it, else HEAD's parent."""
-    dirty = subprocess.run(["git", "diff", "--quiet", "HEAD", "--"],
-                           cwd=ROOT, check=False).returncode
-    return "HEAD" if dirty else "HEAD^"
+def uncommitted() -> bool:
+    """Whether tracked files of the working tree differ from HEAD."""
+    return subprocess.run(["git", "diff", "--quiet", "HEAD", "--"],
+                          cwd=ROOT, check=False).returncode != 0
+
+
+def resolve(rev: str) -> str:
+    """The full commit sha rev names."""
+    return subprocess.run(["git", "rev-parse", "--verify", rev], cwd=ROOT,
+                          capture_output=True, text=True,
+                          check=True).stdout.strip()
 
 
 def export(rev: str, dest: Path) -> None:
@@ -79,11 +90,14 @@ def directions() -> dict[str, str]:
             for m in spec["end_to_end"] + spec.get("per_layer", [])}
 
 
-def report(side: dict, args: argparse.Namespace) -> dict:
-    """One side's runs in the layout of the BENCH_*.json files."""
-    first = next(iter(side.values()))[0]
-    return {"seconds": args.seconds, "trace": args.trace,
-            "env": first["env"], "pairing": PAIRING,
+def report(side: dict, args: argparse.Namespace, revision: dict) -> dict:
+    """One side's runs in the layout of the BENCH_*.json files, with its
+    revision (git_sha, and uncommitted for the working tree) at the top
+    level."""
+    env = dict(next(iter(side.values()))[0]["env"])
+    env.pop("git_sha", None)
+    return {"seconds": args.seconds, "trace": args.trace, **revision,
+            "env": env, "pairing": PAIRING,
             "workloads": {w: {"runs": [{"seed": r["seed"],
                                         "result": r["result"]}
                                        for r in runs]}
@@ -117,10 +131,14 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = ap.parse_args(argv)
 
+    dirty = uncommitted()
+    # the parent is HEAD while the change is uncommitted, else HEAD's parent
+    revisions = {"parent": {"git_sha": resolve("HEAD" if dirty else "HEAD^")},
+                 "change": {"git_sha": resolve("HEAD"), "uncommitted": dirty}}
     sides: dict[str, dict[str, list]] = {"parent": {}, "change": {}}
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent = Path(tmp)
-        export(parent_rev(), parent)
+        export(revisions["parent"]["git_sha"], parent)
         roots = {"parent": parent, "change": ROOT}
         for workload in args.workloads:
             for seed in range(1, args.seeds + 1):
@@ -137,8 +155,8 @@ def main(argv=None) -> int:
                           f"failed={res['failed']}", flush=True)
     for name, suffix in (("change", ""), ("parent", "-parent")):
         path = ROOT / f"BENCH_{args.label}{suffix}.json"
-        path.write_text(json.dumps(report(sides[name], args), indent=1)
-                        + "\n")
+        path.write_text(json.dumps(report(sides[name], args,
+                                          revisions[name]), indent=1) + "\n")
     better = directions()
     for workload in args.workloads:
         summary(workload, sides["parent"][workload],
