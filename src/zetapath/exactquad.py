@@ -1,22 +1,21 @@
 """Exact arithmetic over Q(sqrt 5) and the symbolic identity suite.
 
-Everything in this module is exact: numbers are pairs of ``Fraction``s
-representing a + b*sqrt(5) under the real embedding sqrt(5) > 0, and
-polynomials carry such numbers (or, nested, other polynomials) as
-coefficients.  The verify_* functions check algebraic identities used by
-the evaluation engine; each returns True only on exact equality.
+Everything in this module is exact: a number a + b*sqrt(5), under the
+real embedding sqrt(5) > 0, is held as three integers (p + q*sqrt(5))/d
+in lowest terms with d > 0, and polynomials carry such numbers (or,
+nested, other polynomials) as coefficients.  The verify_* functions check
+algebraic identities used by the evaluation engine; each returns True
+only on exact equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import sqrt
+from math import gcd, isqrt
 from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
-
-_SQRT5_FLOAT = sqrt(5.0)
 
 
 def _as_fraction(x: Rat) -> Fraction:
@@ -27,67 +26,120 @@ def _as_fraction(x: Rat) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
+def _parts(x) -> tuple[int, int, int] | None:
+    """(p, q, d) of a QuadNum, int or Fraction; None for anything else."""
+    if isinstance(x, QuadNum):
+        return x._p, x._q, x._d
+    if isinstance(x, int):
+        return x, 0, 1
+    if isinstance(x, Fraction):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _make(p: int, q: int, d: int) -> "QuadNum":
+    """The QuadNum (p + q*sqrt(5))/d for d > 0, reduced by one gcd."""
+    g = gcd(p, q, d)
+    if g != 1:
+        p, q, d = p // g, q // g, d // g
+    x = _new(QuadNum)
+    _set(x, "_p", p)
+    _set(x, "_q", q)
+    _set(x, "_d", d)
+    return x
+
+
+def _quotient(xp: int, xq: int, xd: int, yp: int, yq: int, yd: int) -> "QuadNum":
+    """x / y from the parts of both: 1/y = yd (yp - yq sqrt5) / (yp^2 - 5 yq^2)."""
+    n = yp * yp - 5 * yq * yq
+    if n == 0:
+        raise ZeroDivisionError("division by zero in Q(sqrt 5)")
+    if n < 0:
+        n, yd = -n, -yd
+    return _make((xp * yp - 5 * xq * yq) * yd, (xq * yp - xp * yq) * yd, xd * n)
+
+
+@dataclass(frozen=True, init=False, repr=False)
 class QuadNum:
-    """An element a + b*sqrt(5) of the real quadratic field Q(sqrt 5)."""
+    """An element a + b*sqrt(5) of the real quadratic field Q(sqrt 5),
+    stored as integers (p + q*sqrt(5))/d in lowest terms with d > 0, so
+    equal values compare and hash equal; a and b read back as Fractions."""
 
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
+    _p: int
+    _q: int
+    _d: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", _as_fraction(self.a))
-        object.__setattr__(self, "b", _as_fraction(self.b))
+    def __init__(self, a: Rat = 0, b: Rat = 0):
+        a, b = _as_fraction(a), _as_fraction(b)
+        da, db = a.denominator, b.denominator
+        d = da // gcd(da, db) * db    # lcm: no prime divides p, q and d
+        _set(self, "_p", a.numerator * (d // da))
+        _set(self, "_q", b.numerator * (d // db))
+        _set(self, "_d", d)
 
-    @staticmethod
-    def _coerce(x) -> "QuadNum":
-        if isinstance(x, QuadNum):
-            return x
-        if isinstance(x, (int, Fraction)):
-            return QuadNum(_as_fraction(x))
-        return NotImplemented
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._p, self._d)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self._q, self._d)
 
     def __add__(self, other):
-        o = QuadNum._coerce(other)
-        if o is NotImplemented:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return QuadNum(self.a + o.a, self.b + o.b)
+        p, q, d = o
+        return _make(self._p * d + p * self._d, self._q * d + q * self._d,
+                     self._d * d)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = QuadNum._coerce(other)
-        if o is NotImplemented:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return QuadNum(self.a - o.a, self.b - o.b)
+        p, q, d = o
+        return _make(self._p * d - p * self._d, self._q * d - q * self._d,
+                     self._d * d)
+
+    def __rsub__(self, other):
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        p, q, d = o
+        return _make(p * self._d - self._p * d, q * self._d - self._q * d,
+                     self._d * d)
 
     def __mul__(self, other):
-        o = QuadNum._coerce(other)
-        if o is NotImplemented:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        # (a + b s)(c + d s) = ac + 5bd + (ad + bc) s
-        return QuadNum(self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a)
+        p, q, d = o
+        # (p + q s)(p' + q' s) = pp' + 5qq' + (pq' + qp') s
+        return _make(self._p * p + 5 * self._q * q, self._p * q + self._q * p,
+                     self._d * d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = QuadNum._coerce(other)
-        if o is NotImplemented:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        n = o.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 5)")
-        # 1/(c + d s) = (c - d s) / (c^2 - 5 d^2)
-        return QuadNum((self.a * o.a - 5 * self.b * o.b) / n,
-                       (self.b * o.a - self.a * o.b) / n)
+        return _quotient(self._p, self._q, self._d, *o)
 
     def __rtruediv__(self, other):
-        o = QuadNum._coerce(other)
-        if o is NotImplemented:
+        o = _parts(other)
+        if o is None:
             return NotImplemented
-        return o / self
+        return _quotient(*o, self._p, self._q, self._d)
 
     def __neg__(self):
-        return QuadNum(-self.a, -self.b)
+        return _make(-self._p, -self._q, self._d)
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -103,20 +155,43 @@ class QuadNum:
 
     def conjugate(self) -> "QuadNum":
         """Galois conjugate a - b*sqrt(5)."""
-        return QuadNum(self.a, -self.b)
+        return _make(self._p, -self._q, self._d)
 
     def norm(self) -> Fraction:
         """Field norm a^2 - 5 b^2."""
-        return self.a * self.a - 5 * self.b * self.b
+        return Fraction(self._p * self._p - 5 * self._q * self._q,
+                        self._d * self._d)
 
     def __bool__(self) -> bool:
-        return self.a != 0 or self.b != 0
+        return self._p != 0 or self._q != 0
 
     def __float__(self) -> float:
-        return float(self.a) + float(self.b) * _SQRT5_FLOAT
+        """The double nearest a + b*sqrt(5), from the integers alone.
+
+        With r = isqrt(5 q^2 4^k), q sqrt5 2^k lies strictly between r and
+        r + 1 (for q > 0; -r - 1 and -r for q < 0), so the value lies
+        strictly between two rationals whose correctly rounded int
+        quotients are compared; once they agree, every number between
+        them rounds to that double.  The value is irrational when q != 0,
+        so no rounding boundary traps the loop."""
+        p, q, d = self._p, self._q, self._d
+        if not q:
+            return p / d
+        k = 64
+        while True:
+            r = isqrt(5 * q * q << 2 * k)
+            lo = (p << k) + (r if q > 0 else -r - 1)
+            den = d << k
+            f = lo / den
+            if f == (lo + 1) / den:
+                return f
+            k *= 2
 
     def __complex__(self) -> complex:
         return complex(float(self))
+
+    def __repr__(self) -> str:
+        return f"QuadNum({self.a!r}, {self.b!r})"
 
     def __str__(self) -> str:
         return f"{self.a} + {self.b}*sqrt5"
@@ -228,8 +303,7 @@ class QuadPoly:
 
 def _qp(*nums) -> QuadPoly:
     """Polynomial with QuadNum coefficients from ints/Fractions/QuadNums."""
-    return QuadPoly([c if isinstance(c, QuadNum) else QuadNum(_as_fraction(c))
-                     for c in nums])
+    return QuadPoly([c if isinstance(c, QuadNum) else QuadNum(c) for c in nums])
 
 
 # Quartic satisfied by the degree-4 hauptmodul value wherever the square

@@ -84,6 +84,7 @@ SHIFT_WORD = "RSRSrSRSrSRSrSRSR"
 SHIFT_AVATAR = 41
 
 _LETTERS = {"R": R, "r": R.inv(), "S": S}
+_LETTER_ENTRIES = {ch: g.entries() for ch, g in _LETTERS.items()}
 
 
 def mobius(g: GroupElem, z: complex) -> complex:
@@ -98,12 +99,14 @@ def validate_word(word: str) -> None:
 
 
 def word_eval(word: str) -> GroupElem:
-    """Left-to-right product of the letter matrices."""
+    """Left-to-right product of the letter matrices, multiplied as four
+    integers; one GroupElem is built, at the end."""
     validate_word(word)
-    out = IDENTITY
+    a, b, c, d = IDENTITY.entries()
     for ch in word:
-        out = out * _LETTERS[ch]
-    return out
+        e, f, g, h = _LETTER_ENTRIES[ch]
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return GroupElem(a, b, c, d)
 
 
 def word_inverse(word: str) -> str:

@@ -7,7 +7,9 @@ not rely on the polynomial-multiplication code under test.
 
 from __future__ import annotations
 
+import math
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -55,6 +57,155 @@ def test_division(x, y):
         assert (x / y) * y == x
     if x and y:
         assert 1 / (x * y) == (1 / y) * (1 / x)
+
+
+class PairModel:
+    """Reference model: a + b*sqrt(5) as a plain pair of Fractions."""
+
+    def __init__(self, a, b=0):
+        self.a, self.b = Fraction(a), Fraction(b)
+
+    def __add__(self, o):
+        return PairModel(self.a + o.a, self.b + o.b)
+
+    def __sub__(self, o):
+        return PairModel(self.a - o.a, self.b - o.b)
+
+    def __mul__(self, o):
+        return PairModel(self.a * o.a + 5 * self.b * o.b,
+                         self.a * o.b + self.b * o.a)
+
+    def __truediv__(self, o):
+        n = o.norm()
+        return PairModel((self.a * o.a - 5 * self.b * o.b) / n,
+                         (self.b * o.a - self.a * o.b) / n)
+
+    def __neg__(self):
+        return PairModel(-self.a, -self.b)
+
+    def conjugate(self):
+        return PairModel(self.a, -self.b)
+
+    def norm(self):
+        return self.a * self.a - 5 * self.b * self.b
+
+    def __str__(self):
+        return f"{self.a} + {self.b}*sqrt5"
+
+
+def _agrees(x, model):
+    """x holds the model's value, reads it back, and is in lowest terms:
+    equal, with an equal hash, to the QuadNum built from the model's pair."""
+    fresh = QuadNum(model.a, model.b)
+    return (x.a == model.a and x.b == model.b and str(x) == str(model)
+            and x == fresh and hash(x) == hash(fresh)
+            and bool(x) == bool(model.a or model.b))
+
+
+pairs = st.tuples(rationals, rationals)
+scalars = st.one_of(st.integers(-1000, 1000), rationals)
+
+
+@given(pairs, pairs, scalars)
+@settings(max_examples=300)
+def test_integer_quadnum_matches_the_pair_of_fractions_model(xp, yp, k):
+    x, y = QuadNum(*xp), QuadNum(*yp)
+    mx, my, mk = PairModel(*xp), PairModel(*yp), PairModel(k)
+    assert _agrees(x, mx) and _agrees(y, my)
+    assert _agrees(x + y, mx + my) and _agrees(x - y, mx - my)
+    assert _agrees(x * y, mx * my) and _agrees(-x, -mx)
+    assert _agrees(x.conjugate(), mx.conjugate()) and x.norm() == mx.norm()
+    assert _agrees(x ** 3, mx * mx * mx)
+    # an int or Fraction on either side
+    assert _agrees(x + k, mx + mk) and _agrees(k + x, mk + mx)
+    assert _agrees(x - k, mx - mk) and _agrees(k - x, mk - mx)
+    assert _agrees(x * k, mx * mk) and _agrees(k * x, mk * mx)
+    if y:
+        assert _agrees(x / y, mx / my) and _agrees(k / y, mk / my)
+    if k:
+        assert _agrees(x / k, mx / mk)
+    assert (x == y) == (mx.a == my.a and mx.b == my.b)
+
+
+def test_construction_normalises():
+    half = QuadNum(Fraction(2, 4))
+    assert half == QuadNum(Fraction(1, 2)) and hash(half) == hash(QuadNum(Fraction(1, 2)))
+    assert QuadNum(Fraction(-3, 6), Fraction(5, 10)) == ALPHA_P
+    assert PHI + PHI == QuadNum(1, 1) and hash(PHI + PHI) == hash(QuadNum(1, 1))
+    assert PHI - PHI == QuadNum() and hash(PHI - PHI) == hash(QuadNum(0))
+    assert (PHI / PHI).a == 1 and (PHI / PHI).b == 0
+    assert QuadNum(b=Fraction(6, 4)).b == Fraction(3, 2)
+
+
+def test_quadnum_surface():
+    for bad in (0.5, "1", None, 1j):
+        with pytest.raises(TypeError):
+            QuadNum(bad)
+        with pytest.raises(TypeError):
+            QuadNum(1, bad)
+        with pytest.raises(TypeError):
+            PHI + bad
+    with pytest.raises(AttributeError):
+        PHI.a = Fraction(1)
+    with pytest.raises(ZeroDivisionError):
+        PHI / QuadNum()
+    # equal only to a QuadNum
+    assert QuadNum(1) != 1 and ONE != Fraction(1) and ONE == QuadNum(1)
+    assert isinstance(PHI.a, Fraction) and isinstance(PHI.norm(), Fraction)
+    assert complex(PHI) == complex(float(PHI))
+    assert pickle.loads(pickle.dumps(PHI)) == PHI
+
+
+def test_int_minus_quadnum():
+    assert 1 - PHI == -ALPHA_P == PHI.conjugate()
+    assert 1 - PHI == -(PHI - 1)
+    assert Fraction(1, 2) - SQRT5 == QuadNum(Fraction(1, 2), -1)
+
+
+def _sign(u, v):
+    """Sign of u + v*sqrt(5) for Fractions u, v, exactly."""
+    su, sv = (u > 0) - (u < 0), (v > 0) - (v < 0)
+    if su * sv >= 0:
+        return su or sv
+    return su if u * u > 5 * v * v else sv
+
+
+def _correctly_rounded(x, f):
+    """f is the double nearest x: x lies strictly between the midpoints
+    from f to its two neighbours (an irrational x never meets a midpoint),
+    compared in exact Fraction arithmetic."""
+    below = (Fraction(f) + Fraction(math.nextafter(f, -math.inf))) / 2
+    above = (Fraction(f) + Fraction(math.nextafter(f, math.inf))) / 2
+    return _sign(x.a - below, x.b) > 0 and _sign(x.a - above, x.b) < 0
+
+
+# inverse golden powers: a + b*sqrt(5) with a and b nearly cancelling
+cancelling = st.integers(0, 80).map(lambda n: ONE / PHI ** n)
+
+
+@given(st.one_of(quadnums, cancelling, cancelling.map(lambda x: -x)))
+@settings(max_examples=300)
+def test_float_is_correctly_rounded(x):
+    f = float(x)
+    if x.b:
+        assert _correctly_rounded(x, f)
+    else:
+        assert f == float(x.a)
+
+
+def test_float_of_the_engine_constants():
+    # each cancelled to several ulps when formed as float(a) + float(b)*sqrt(5)
+    j = exact_j_target()["j"]
+    expected = {
+        B1_POLY.coeffs[1]: "0x1.e3779b97f4a7cp-3",
+        B1_POLY.coeffs[2]: "0x1.255992d382209p+0",
+        BETA: "-0x1.715609f7c746cp-4",
+        j: "0x1.3c6a9b3d6d28ep+9",
+    }
+    for x, hexval in expected.items():
+        assert float(x).hex() == hexval
+        assert _correctly_rounded(x, float(x))
+    assert _correctly_rounded(ONE / PHI ** 30, float(ONE / PHI ** 30))
 
 
 def test_float_embedding():

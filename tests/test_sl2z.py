@@ -93,6 +93,35 @@ def test_word_eval_examples():
         word_eval("RXS")
 
 
+def _count_builds(monkeypatch) -> list:
+    """Record every GroupElem built from here on."""
+    built = []
+    post_init = GroupElem.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+    monkeypatch.setattr(GroupElem, "__post_init__", counting)
+    return built
+
+
+@given(st.text(alphabet="RrS", max_size=30))
+@settings(max_examples=100)
+def test_word_eval_matches_the_group_product(w):
+    expected = IDENTITY
+    for ch in w:
+        expected = expected * {"R": R, "r": R.inv(), "S": S}[ch]
+    assert word_eval(w) == expected
+
+
+def test_word_eval_builds_one_group_element_per_call(monkeypatch):
+    words = ["", "R", "rS", SHIFT_WORD, SHIFT_WORD * 3]
+    built = _count_builds(monkeypatch)
+    for i, w in enumerate(words, start=1):
+        m = word_eval(w)
+        assert len(built) == i and built[-1] is m
+
+
 def test_coset_enumerate_closes_at_96():
     reps = coset_enumerate()
     assert len(reps) == 96
@@ -130,17 +159,10 @@ def test_k_key_matches_the_negation_definition():
 
 
 def test_coset_key_builds_no_group_element(monkeypatch):
-    built = []
-    post_init = GroupElem.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
     # b = 0 mod 15 with a = d = -1, and with a = d = 4
     elems = [IDENTITY, -IDENTITY, GroupElem(14, 15, -1, -1),
              GroupElem(4, 15, 1, 4), T, SHIFT_ELEMENT]
-    monkeypatch.setattr(GroupElem, "__post_init__", counting)
+    built = _count_builds(monkeypatch)
     assert [coset_key(g) == (1, 0) for g in elems] == [True, True, True,
                                                        False, False, False]
     assert built == []
@@ -169,16 +191,11 @@ def test_coset_key_equality_matches_the_negation_definition(table):
 
 
 def test_verify_builds_few_group_elements(table, monkeypatch):
-    built = []
-    post_init = GroupElem.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-    monkeypatch.setattr(GroupElem, "__post_init__", counting)
+    built = _count_builds(monkeypatch)
     assert table.verify()["ok"]
-    # the word evaluations, generator columns and enumeration products
-    assert len(built) < 2000
+    # one per word evaluation (96), two per row for the generator columns
+    # (192) and two per coset for the enumeration products (192)
+    assert len(built) <= 480
 
 
 def test_table_shape(table):

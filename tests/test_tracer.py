@@ -121,14 +121,14 @@ def test_deep_trace_makes_about_one_zeta_evaluation_per_step():
 # by 1.003e-10), so a walk value moved by ~1e-13 can flip zeta_evals and
 # zeta_reflected.
 TRACE_HEX = {
-    (1, 2000): (("0x1.0000000000190p-1", "0x1.505a463c7bd53p+4",
-                 "0x1.b73d8fe411e98p-34", "0x1.98f97b7ea8f97p+5"),
+    (1, 2000): (("0x1.00000000001a6p-1", "0x1.505a463c7bd50p+4",
+                 "0x1.b7391e20ad2a5p-34", "0x1.98f97b7ea8f4ap+5"),
                 (2000, 0, 2576, 618, 61)),
-    (2, 2000): (("0x1.0000000000121p-1", "0x1.902c78ff7a3acp+4",
-                 "0x1.b467816681ddbp-34", "0x1.98f97b7ea8f97p+5"),
+    (2, 2000): (("0x1.0000000000149p-1", "0x1.902c78ff7a3abp+4",
+                 "0x1.b479053abbb4ap-34", "0x1.98f97b7ea8f4ap+5"),
                 (2000, 0, 2600, 570, 46)),
-    (250, 3000): (("0x1.0000000000042p-1", "0x1.d8cc96b5ecb0bp+8",
-                   "0x1.a92965edafabcp-34", "0x1.98f97b7ea8f97p+5"),
+    (250, 3000): (("0x1.000000000004ap-1", "0x1.d8cc96b5ecb0bp+8",
+                   "0x1.a925878271698p-34", "0x1.98f97b7ea8f4ap+5"),
                   (3000, 0, 3505, 0, 18)),
 }
 
