@@ -135,9 +135,9 @@ class EtaContext:
     """The multiplier cache that _matrix_eta reads and fills, and the most
     recent avatar trajectory (kept by treepath.avatar_trajectory): what a
     walk shares from one call to the next.  Below treepath only
-    z_eval_from_seed, the walk's seed continuation from i, and
-    dedekind_eta take one; the point evaluators, avatar_eval and the
-    coset tables use the module's own.
+    z_eval_from_seed, the walk's seed continuation from i, takes one; the
+    point evaluators, dedekind_eta, avatar_eval and the coset tables use
+    the module's own.
 
     Concurrent walks should each own a context, since each replaces the
     trajectory.  The multiplier cache only memoizes a pure function of the
@@ -203,9 +203,9 @@ def _eta_series(w: complex) -> complex:
     return cmath.exp(1j * math.pi * w / 12.0) * total
 
 
-def dedekind_eta(z: complex, ctx: EtaContext | None = None) -> complex:
+def dedekind_eta(z: complex) -> complex:
     """eta(z) for Im z > 0: _matrix_eta at the identity."""
-    return _matrix_eta(1, 0, 0, 1, _require_upper(z), ctx or _DEFAULT_CTX)
+    return _matrix_eta(1, 0, 0, 1, _require_upper(z), _DEFAULT_CTX)
 
 
 def _matrix_eta(na: int, nb: int, nc: int, nd: int, x: complex,
@@ -297,13 +297,10 @@ def j_fricke(z: complex) -> complex:
 
 @dataclass
 class RootPair:
-    """Both roots of the branch quadratic quad_a Z^2 + quad_b Z + quad_a
-    at one point, with its coefficients."""
+    """Both roots of the branch quadratic a Z^2 + b Z + a at one point."""
 
     first: complex
     second: complex
-    quad_a: complex
-    quad_b: complex
 
 
 def z_root_pair(z: complex) -> RootPair:
@@ -351,11 +348,11 @@ def _roots(a: complex, b: complex) -> RootPair:
     """Both roots of a Z^2 + b Z + a, a reciprocal pair, each formed
     without cancellation."""
     if a == 0:
-        return RootPair(0j, complex(math.inf, 0.0), a, b)
+        return RootPair(0j, complex(math.inf, 0.0))
     q = _root_q(a, b)
     if q == 0:  # b = 0 and a = c: a (Z^2 + 1) = 0, roots are +-i
-        return RootPair(1j, -1j, a, b)
-    return RootPair(q / a, a / q, a, b)
+        return RootPair(1j, -1j)
+    return RootPair(q / a, a / q)
 
 
 def _root_q(a: complex, b: complex) -> complex:
@@ -372,14 +369,6 @@ def _nearest(pair: RootPair, v: complex) -> complex:
     if chordal(pair.first, v) <= chordal(pair.second, v):
         return pair.first
     return pair.second
-
-
-def z_eval(z: complex, hint: complex | None = None) -> complex:
-    """One branch value Z(z): the root chordally nearest the hint (branch
-    continuity), or with no hint z_eval_from_seed(z)."""
-    if hint is None:
-        return z_eval_from_seed(z)
-    return _nearest(z_root_pair(z), hint)
 
 
 def z_eval_from_seed(z: complex, ctx: EtaContext | None = None) -> complex:
@@ -464,13 +453,14 @@ def _residuals(z: complex, branch_value: complex | None) -> dict[str, float]:
     rhs = _horner(_C_C, t) * s + _horner(_D_C, t)
     out["weight_relation"] = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
-    pair = _roots(*_quad_coeffs(z, t, lam))
+    a, b = _quad_coeffs(z, t, lam)
+    pair = _roots(a, b)
     if branch_value is not None:
         zv = _nearest(pair, branch_value)
     else:
         zv = pair.first if abs(pair.first) <= abs(pair.second) else pair.second
-    quad = pair.quad_a * zv * zv + pair.quad_b * zv + pair.quad_a
-    quad_scale = abs(pair.quad_a) * (1.0 + abs(zv) ** 2) + abs(pair.quad_b) * abs(zv)
+    quad = a * zv * zv + b * zv + a
+    quad_scale = abs(a) * (1.0 + abs(zv) ** 2) + abs(b) * abs(zv)
     out["branch_quadratic"] = abs(quad) / (1.0 + quad_scale)
 
     b1 = _horner(_B1_C, zv)
@@ -495,11 +485,13 @@ def _residuals(z: complex, branch_value: complex | None) -> dict[str, float]:
 
 
 def avatar_eval(n: int, z: complex, hint: complex | None = None) -> complex:
-    """Avatar value Z_n(z) = Z(P_n z), P_n the row-n coset representative.
+    """Avatar value Z_n(z) = Z(P_n z), P_n the row-n coset representative;
+    Z itself is avatar 1, whose representative is the identity.
 
     The hint, a branch value of the same avatar at a nearby point, selects
-    the root as z_eval does, from the quadratic _quad_at forms at P_n z;
-    without one the value is z_eval_from_seed(P_n z)."""
+    the root chordally nearest it (branch continuity), from the quadratic
+    _quad_at forms at P_n z; without one the value is
+    z_eval_from_seed(P_n z)."""
     rep = load_table().rep(n)
     if hint is None:
         return z_eval_from_seed(mobius(rep, z))

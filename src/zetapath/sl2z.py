@@ -155,11 +155,7 @@ def coset_key(g: GroupElem) -> tuple[int, int]:
     multiplication by those keeps the first row; two elements with the
     same first row up to sign differ by such a matrix on the left (the
     determinant fixes the rest).  There are 96 keys."""
-    return _row_key(g.a, g.b)
-
-
-def _row_key(a: int, b: int) -> tuple[int, int]:
-    a, b = a % LEVEL, b % LEVEL
+    a, b = g.a % LEVEL, g.b % LEVEL
     return min((a, b), (-a % LEVEL, -b % LEVEL))
 
 
@@ -217,14 +213,9 @@ class CosetTable:
 
     def coset_index(self, g: GroupElem) -> int:
         """Index n with K g = K P_n; raises NonClosure if g matches no row."""
-        return self.row_index(g.a, g.b)
-
-    def row_index(self, a: int, b: int) -> int:
-        """coset_index of the elements whose first row is (a, b), read
-        from the two integers alone."""
-        n = self._by_key.get(_row_key(a, b))
+        n = self._by_key.get(coset_key(g))
         if n is None:
-            raise NonClosure(f"no coset row matches first row ({a}, {b})")
+            raise NonClosure(f"no coset row matches first row ({g.a}, {g.b})")
         return n
 
     def avatar_apply(self, n: int, word: str) -> int:

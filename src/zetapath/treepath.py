@@ -20,6 +20,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from .errors import Blocked, NotReduced
 from . import etaengine
@@ -172,9 +173,10 @@ class AvatarTrajectory:
     end, which would name whichever point was walked last.
 
     Every value after the seed comes from at(t, hint), which reads edge
-    j's coset table at the edge's base-arc angle; cosets[j] is
-    coset_index(P_n g_j), named once per edge from the first row of
-    P_n g_j."""
+    j's coset table at the edge's base-arc angle.  Edge j is g_j(arc),
+    g_j the product of the word's first j letters, and cosets[j] is
+    coset_index(P_n g_j): the table's permutations carry avatar n through
+    those letters, one letter per edge."""
 
     def __init__(self, path: TreePath, n: int, ctx: EtaContext,
                  table) -> None:
@@ -182,10 +184,8 @@ class AvatarTrajectory:
         self.key = (path, n, rep)
         self.count = path.samples
         self._path = path
-        self.cosets = tuple(
-            table.row_index(rep.a * e.g.a + rep.b * e.g.c,
-                            rep.a * e.g.b + rep.b * e.g.d)
-            for e in path.edges)
+        self.cosets = tuple(accumulate(path.word, table.avatar_apply,
+                                       initial=n))
         self._values = [z_eval_from_seed(mobius(rep, path.point(0.0)),
                                          ctx=ctx)]
 

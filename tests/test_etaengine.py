@@ -13,7 +13,7 @@ from zetapath.errors import NearPole
 from zetapath.etaengine import (
     EtaContext, _nearest, _roots, avatar_eval, chordal, dedekind_eta,
     dedekind_sum, identity_residuals, j_fricke, lambda_fn, psi_phi,
-    reduce_to_fundamental, sigma, tau, tau5, z_eval, z_eval_from_seed,
+    reduce_to_fundamental, sigma, tau, tau5, z_eval_from_seed,
     z_root_pair,
 )
 from zetapath.exactquad import ALPHA_P, exact_j_target
@@ -86,8 +86,8 @@ def test_eta_transformation_hundred_random_elements():
         mz = mobius(m, z)
         m_n = sign_normalize(m)
         rhs = (ctx.multiplier(m_n) * cmath.sqrt(m_n.c * z + m_n.d)
-               * dedekind_eta(z, ctx))
-        lhs = dedekind_eta(mz, ctx)
+               * dedekind_eta(z))
+        lhs = dedekind_eta(mz)
         assert abs(lhs - rhs) / abs(rhs) < 1e-10
         checked += 1
     assert checked == 100
@@ -281,12 +281,13 @@ ETA_HEX = [
 ]
 
 
-def test_eta_is_bitwise_frozen_on_a_reduction_panel():
+def test_eta_is_bitwise_frozen_on_a_reduction_panel(monkeypatch):
     signs = set()
     for z, (re, im) in ETA_HEX:
         m = reduce_to_fundamental(z)[1]
         signs.add((m.c > 0) - (m.c < 0))
-        value = dedekind_eta(z, EtaContext())       # cold multiplier cache
+        monkeypatch.setattr(etaengine, "_DEFAULT_CTX", EtaContext())
+        value = dedekind_eta(z)                     # cold multiplier cache
         assert (value.real.hex(), value.imag.hex()) == (re, im), z
         assert dedekind_eta(z) == value             # warm cache
     assert signs == {-1, 0, 1}
@@ -482,34 +483,34 @@ def test_j_at_golden_quotient_point():
 
 
 def test_branch_seed_at_i():
-    zv = z_eval(1j)
+    zv = avatar_eval(1, 1j)
     assert zv.imag > 0
     assert abs(abs(zv) - 1.0) < 1e-12
     pair = z_root_pair(1j)
     others = [pair.first, pair.second]
     assert min(abs(zv - o) for o in others) < 1e-14
-    assert abs(zv - z_eval(1j)) == 0.0
+    assert abs(zv - avatar_eval(1, 1j)) == 0.0
 
 
 def test_branch_hint_selection():
     rng = random.Random(8)
     z = band_points(rng, 1)[0]
     pair = z_root_pair(z)
-    assert abs(z_eval(z, hint=pair.first) - pair.first) == 0.0
-    assert abs(z_eval(z, hint=pair.second) - pair.second) == 0.0
+    assert abs(avatar_eval(1, z, hint=pair.first) - pair.first) == 0.0
+    assert abs(avatar_eval(1, z, hint=pair.second) - pair.second) == 0.0
 
 
 def test_branch_without_hint_is_the_seeded_value():
     # no hint means the one cold start: continuation from the seed at i
     rng = random.Random(8)
     for z in band_points(rng, 20):
-        assert z_eval(z) == z_eval_from_seed(z)
+        assert avatar_eval(1, z) == z_eval_from_seed(z)
 
 
 def test_branch_seeded_value_vanishes_at_degenerate_point():
     zv = z_eval_from_seed(Z0_POINT)
     assert abs(zv) < 1e-6
-    assert z_eval(Z0_POINT) == zv
+    assert avatar_eval(1, Z0_POINT) == zv
 
 
 def test_branch_roots_are_reciprocal():
@@ -533,7 +534,7 @@ def test_psi_phi_vanishes_toward_branch_zero():
     mags = []
     for h in (0.2, 0.05, 0.01, 0.002):
         z = Z0_POINT + 1j * h
-        zv = z_eval(z, hint=0.0)
+        zv = avatar_eval(1, z, hint=0.0)
         psi, phi = psi_phi(z, zv)
         mags.append((abs(psi), abs(phi)))
     assert all(a > b for (a, _), (b, _) in zip(mags, mags[1:]))
@@ -606,17 +607,17 @@ def test_chordal_metric():
 
 
 def test_avatar_row_one_matches_plain_eval():
-    assert avatar_eval(1, 1j) == z_eval(1j)
+    assert avatar_eval(1, 1j) == z_eval_from_seed(1j)
 
 
 def test_avatar_hint_and_quadratic_invariant():
     table = load_table()
-    hint = z_eval(mobius(table.rep(41), 1j))
+    hint = avatar_eval(1, mobius(table.rep(41), 1j))
     z = 0.02 + 1.01j
     val = avatar_eval(41, z, hint)
-    pair = z_root_pair(mobius(table.rep(41), z))
-    quad = pair.quad_a * val * val + pair.quad_b * val + pair.quad_a
-    scale = abs(pair.quad_a) * (1.0 + abs(val) ** 2) + abs(pair.quad_b) * abs(val)
+    a, b = etaengine._quad_at(mobius(table.rep(41), z), EtaContext())
+    quad = a * val * val + b * val + a
+    scale = abs(a) * (1.0 + abs(val) ** 2) + abs(b) * abs(val)
     assert abs(quad) / (1.0 + scale) < 1e-8
 
 
@@ -765,10 +766,9 @@ def test_root_pair_divided_through_agrees_in_the_band(monkeypatch):
         assert chordal(pair.second, ref.second) < 1e-12, z
 
 
-def _quadratic_residual(pair, r):
+def _quadratic_residual(a, b, r):
     # |a r^2 + b r + a|, relative to |a| where a != 0; the quadratic is
     # palindromic, so the root inf is checked through its reciprocal 0
-    a, b = pair.quad_a, pair.quad_b
     if cmath.isinf(r):
         r = 0j
     return abs(a * r * r + b * r + a) / (abs(a) or 1.0)
@@ -779,21 +779,22 @@ def test_root_pair_degenerate_branches(monkeypatch):
     for name in ("_CUBE27_F", "_BETA_F", "_GAMMA_F", "_DELTA_F"):
         monkeypatch.setattr(etaengine, name, 0.0)
     monkeypatch.setattr(etaengine, "_RHS_SCALE_F", 3.0 * 2.0 ** -600)
-    pair = etaengine._roots(*etaengine._quad_coeffs(
-        1j, 1 + 0j, 2.0 ** -600 + 0j))
-    assert pair.quad_a != 0 and pair.quad_b == 0
+    a, b = etaengine._quad_coeffs(1j, 1 + 0j, 2.0 ** -600 + 0j)
+    pair = etaengine._roots(a, b)
+    assert a != 0 and b == 0
     assert {pair.first, pair.second} == {1j, -1j}
     for r in (pair.first, pair.second):
-        assert _quadratic_residual(pair, r) < 1e-15
+        assert _quadratic_residual(a, b, r) < 1e-15
     assert etaengine._nearest(pair, 0.2 + 0.9j) == 1j
     assert etaengine._nearest(pair, 0.2 - 0.9j) == -1j
     # a == 0: the roots are 0 and inf
     monkeypatch.setattr(etaengine, "_RHS_SCALE_F", 0.0)
-    pair = etaengine._roots(*etaengine._quad_coeffs(1j, 0j, 1 + 0j))
-    assert pair.quad_a == 0
+    a, b = etaengine._quad_coeffs(1j, 0j, 1 + 0j)
+    pair = etaengine._roots(a, b)
+    assert a == 0
     assert pair.first == 0 and cmath.isinf(pair.second)
     for r in (pair.first, pair.second):
-        assert _quadratic_residual(pair, r) == 0.0
+        assert _quadratic_residual(a, b, r) == 0.0
     assert etaengine._nearest(pair, 0.1 + 0.1j) == 0
     assert cmath.isinf(etaengine._nearest(pair, 1e6j))
 

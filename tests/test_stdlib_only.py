@@ -1,6 +1,6 @@
 """Package hygiene: the runtime imports nothing outside the standard
-library, every top-level name of the package is used somewhere, and the
-double-range message is worded in one place."""
+library, every top-level name and every method of the package is used
+somewhere, and the double-range message is worded in one place."""
 
 import ast
 import re
@@ -41,6 +41,15 @@ def _top_level_names(tree):
                         and isinstance(sub.ctx, ast.Store))
 
 
+def _method_names(tree):
+    """(class, name) of every method and property of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from ((node.name, sub.name) for sub in node.body
+                        if isinstance(sub, (ast.FunctionDef,
+                                            ast.AsyncFunctionDef)))
+
+
 def _references(tree):
     """Names a module reads: loaded names, attributes, imported names, and
     string constants spelt as one identifier (monkeypatch.setattr)."""
@@ -56,19 +65,38 @@ def _references(tree):
             yield node.value
 
 
-def test_every_top_level_name_is_used():
-    # a top-level name of the package that nothing in src/, tests/,
-    # perfbench/ or the README reads is dead weight
+def _used_names():
+    # every name that src/, tests/, perfbench/ or the README reads
     used = set()
     for folder in ("src", "tests", "perfbench"):
         for path in sorted((ROOT / folder).rglob("*.py")):
             used.update(_references(ast.parse(path.read_text(), str(path))))
     used.update(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    return used
+
+
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def test_every_top_level_name_is_used():
+    # a top-level name of the package that nothing reads is dead weight
+    used = _used_names()
     unused = [f"{src.stem}.{name}"
               for src in sorted(PACKAGE.glob("*.py"))
               for name in _top_level_names(ast.parse(src.read_text()))
-              if not (name.startswith("__") and name.endswith("__"))
-              and name not in used]
+              if not _is_dunder(name) and name not in used]
+    assert unused == []
+
+
+def test_every_method_is_used():
+    # the same rule for the methods and properties of the package's
+    # classes: one whose last caller goes is dead weight too
+    used = _used_names()
+    unused = [f"{src.stem}.{cls}.{name}"
+              for src in sorted(PACKAGE.glob("*.py"))
+              for cls, name in _method_names(ast.parse(src.read_text()))
+              if not _is_dunder(name) and name not in used]
     assert unused == []
 
 

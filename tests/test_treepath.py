@@ -19,8 +19,8 @@ from zetapath.sl2z import (
     is_reduced_alternating, load_table, mobius, word_eval,
 )
 from zetapath.treepath import (
-    OMEGA, THETA_I, THETA_OMEGA, avatar_trajectory, build_path, find_c,
-    pole_scan, verify_local_intersections,
+    OMEGA, THETA_I, THETA_OMEGA, AvatarTrajectory, avatar_trajectory,
+    build_path, find_c, pole_scan, verify_local_intersections,
 )
 
 from oracles import BAD_WORD, mp_root_pair
@@ -351,6 +351,29 @@ def test_each_edge_reads_the_coset_table_of_its_product(word):
             worst = max(worst, _setwise_chordal(_roots(*_arc_coeffs(m, theta)),
                                                 (ref.first, ref.second)))
     assert worst <= 1e-11
+
+
+def _reduced_word(rng, length):
+    word = rng.choice("RrS")
+    while len(word) < length:
+        word += "S" if word[-1] in "Rr" else rng.choice("Rr")
+    return word
+
+
+def test_every_avatar_chases_its_cosets_through_the_word():
+    # edge j is g_j(arc), g_j the product of the word's first j letters;
+    # the cosets the table's permutations chase letter by letter are the
+    # cosets of the products P_n g_j
+    table = load_table()
+    rng = random.Random(29)
+    words = [SHIFT_WORD] + [_reduced_word(rng, k) for k in range(1, 18)]
+    ctx = EtaContext()
+    for word in words:
+        path = build_path(word, samples=1)
+        for n in range(1, len(table) + 1):
+            traj = AvatarTrajectory(path, n, ctx, table)
+            assert traj.cosets == tuple(table.coset_index(table.rep(n) * e.g)
+                                        for e in path.edges), (word, n)
 
 
 def _shift_cosets():
