@@ -45,8 +45,9 @@ class PoleAtOne(ZetaPathError):
 
 class MissedZero(ZetaPathError):
     """A Rosser block kept fewer sign changes of Hardy Z than its Gram
-    intervals, so the zero count could not be certified, or a located zero
-    has too small a derivative to be simple."""
+    intervals, so the zero count could not be certified, a zero's Newton
+    refinement did not converge, or a located zero has too small a
+    derivative to be simple."""
 
 
 class ParseError(ZetaPathError):

@@ -155,7 +155,14 @@ def coset_key(g: GroupElem) -> tuple[int, int]:
     multiplication by those keeps the first row; two elements with the
     same first row up to sign differ by such a matrix on the left (the
     determinant fixes the rest).  There are 96 keys."""
-    a, b = g.a % LEVEL, g.b % LEVEL
+    return _product_key(IDENTITY, g)
+
+
+def _product_key(p: GroupElem, g: GroupElem) -> tuple[int, int]:
+    """coset_key(p * g) from the first row of p g, multiplied out in
+    integers: no GroupElem is built."""
+    a = (p.a * g.a + p.b * g.c) % LEVEL
+    b = (p.a * g.b + p.b * g.d) % LEVEL
     return min((a, b), (-a % LEVEL, -b % LEVEL))
 
 
@@ -163,25 +170,20 @@ def coset_enumerate(max_cosets: int = 512) -> list[GroupElem]:
     """Breadth-first enumeration of the right cosets K g under right
     multiplication by R and S, starting from K itself.
 
-    Returns one representative per coset.  Raises NonClosure if the walk
-    fails to close before max_cosets."""
-    reps: list[GroupElem] = [IDENTITY]
+    Returns one representative per coset, built as a matrix only once it
+    is new.  Raises NonClosure if the walk fails to close before
+    max_cosets."""
+    reps = [IDENTITY]
     seen = {coset_key(IDENTITY)}
-    frontier = [IDENTITY]
-    while frontier:
-        nxt: list[GroupElem] = []
-        for p in frontier:
-            for g in (R, S):
-                cand = p * g
-                key = coset_key(cand)
-                if key not in seen:
-                    seen.add(key)
-                    reps.append(cand)
-                    nxt.append(cand)
-                    if len(reps) > max_cosets:
-                        raise NonClosure(
-                            f"coset enumeration exceeded {max_cosets} cosets")
-        frontier = nxt
+    for p in reps:                  # reps is the breadth-first queue
+        for g in (R, S):
+            key = _product_key(p, g)
+            if key not in seen:
+                seen.add(key)
+                reps.append(p * g)
+                if len(reps) > max_cosets:
+                    raise NonClosure(
+                        f"coset enumeration exceeded {max_cosets} cosets")
     return reps
 
 
@@ -200,15 +202,20 @@ class CosetTable:
     def __init__(self, rows: list[CosetRow]):
         self.rows = rows
         self.by_index = {row.n: row for row in rows}
-        self._perm_r_inv = {row.n_r: row.n for row in rows}
-        self._by_key: dict[tuple[int, int], int] = {}
-        for row in rows:
-            self._by_key.setdefault(coset_key(row.rep), row.n)
+        # letter -> the permutation it applies to row indices
+        self._perms = {"R": {row.n: row.n_r for row in rows},
+                       "r": {row.n_r: row.n for row in rows},
+                       "S": {row.n: row.n_s for row in rows}}
+        # key -> index of the first row with that key
+        self._by_key = {coset_key(row.rep): row.n for row in reversed(rows)}
 
     def __len__(self) -> int:
         return len(self.rows)
 
     def rep(self, n: int) -> GroupElem:
+        """P_n; IndexError for an n that names no row."""
+        if n not in self.by_index:
+            raise IndexError(f"avatar index {n} outside 1..{len(self.rows)}")
         return self.by_index[n].rep
 
     def coset_index(self, g: GroupElem) -> int:
@@ -220,28 +227,24 @@ class CosetTable:
 
     def avatar_apply(self, n: int, word: str) -> int:
         """Index of K P_n word_eval(word), computed purely by the stored
-        permutations, letters applied left to right."""
+        permutations, letters applied left to right; IndexError as `rep`
+        for an n that names no row."""
         validate_word(word)
+        self.rep(n)
         for ch in word:
-            if ch == "R":
-                n = self.by_index[n].n_r
-            elif ch == "r":
-                n = self._perm_r_inv[n]
-            else:
-                n = self.by_index[n].n_s
+            n = self._perms[ch][n]
         return n
 
     def verify_stabilizer(self, n: int, g: GroupElem) -> bool:
         """True iff P_n g P_n^{-1} lies in K, i.e. K P_n g = K P_n: the
         avatar with index n is invariant under the action of g."""
         p = self.rep(n)
-        return coset_key(p * g) == coset_key(p)
+        return _product_key(p, g) == coset_key(p)
 
     def verify(self) -> dict:
         """Cross-check every redundancy in the table; see the report keys."""
         sign_flipped: list[int] = []
         words_ok = True
-        columns_ok = True
         for row in self.rows:
             m = word_eval(row.word)
             if m != row.rep:
@@ -249,9 +252,9 @@ class CosetTable:
                     sign_flipped.append(row.n)
                 else:
                     words_ok = False
-            if (self.coset_index(row.rep * R) != row.n_r
-                    or self.coset_index(row.rep * S) != row.n_s):
-                columns_ok = False
+        columns_ok = all(self._by_key.get(_product_key(row.rep, g)) == n
+                         for row in self.rows
+                         for g, n in ((R, row.n_r), (S, row.n_s)))
 
         n_all = sorted(self.by_index)
         r_perm_ok = sorted(row.n_r for row in self.rows) == n_all
@@ -286,14 +289,9 @@ class CosetTable:
             "enumeration_count": len(reps),
             "enumeration_matches_table": enum_match,
         }
-        report["ok"] = all(
-            report[k] for k in (
-                "words_match_reps", "generator_columns_ok",
-                "r_permutation_ok", "s_permutation_ok",
-                "r_permutation_order3", "s_permutation_involution",
-                "rows_pairwise_distinct", "word_chase_from_identity_ok",
-                "enumeration_matches_table")
-        ) and report["rows"] == 96 and report["enumeration_count"] == 96
+        # every check above passed, and both ways count 96 cosets
+        report["ok"] = (all(v for v in report.values() if isinstance(v, bool))
+                        and report["rows"] == report["enumeration_count"] == 96)
         return report
 
 
@@ -301,14 +299,7 @@ class CosetTable:
 def load_table() -> CosetTable:
     """Load the packaged 96-row coset table."""
     text = resources.files("zetapath").joinpath("data/cosets.csv").read_text()
-    rows: list[CosetRow] = []
-    for rec in csv.DictReader(text.splitlines()):
-        rows.append(CosetRow(
-            n=int(rec["n"]),
-            rep=GroupElem(int(rec["a"]), int(rec["b"]),
-                          int(rec["c"]), int(rec["d"])),
-            word=rec["word"],
-            n_r=int(rec["nR"]),
-            n_s=int(rec["nS"]),
-        ))
-    return CosetTable(rows)
+    return CosetTable([
+        CosetRow(int(rec["n"]), GroupElem(*(int(rec[k]) for k in "abcd")),
+                 rec["word"], int(rec["nR"]), int(rec["nS"]))
+        for rec in csv.DictReader(text.splitlines())])

@@ -72,6 +72,7 @@ _POLE_TOL = 1e-12
 # bound stays well past the |Im s| <= 1500 that traces to zero 1000 need.
 _MAX_HEIGHT = 1e5
 _BISECT_TOL = 1e-10
+_NEWTON_CAP = 16    # evaluations a zero may take; those through 350 take 3-8
 # Rounds of added points before a Rosser block that falls short of sign
 # changes raises MissedZero.
 _ROSSER_ROUNDS = 4
@@ -543,12 +544,16 @@ def rs_theta(t: float) -> float:
     return _log_gamma(0.25 + 0.5j * t)[0].imag - 0.5 * t * _LNPI
 
 
+def _rotated(t: float, value: complex) -> complex:
+    """e^(i theta(t)) value: Hardy Z at t from value = zeta(1/2 + it)."""
+    return cmath.exp(1j * rs_theta(t)) * value
+
+
 def hardy_z(t: float) -> complex:
     """Rotated critical-line value; imaginary part is numerical residue.
     ValueError, from zeta, naming 1/2 + it for t not finite or
     |t| > _MAX_HEIGHT."""
-    value = zeta(complex(0.5, t))
-    return cmath.exp(1j * rs_theta(t)) * value
+    return _rotated(t, zeta(complex(0.5, t)))
 
 
 @dataclass(frozen=True)
@@ -635,30 +640,38 @@ def _separate(ts: list[float], vs: list[float]) -> tuple[list, list]:
         ts, vs = nts, nvs
 
 
-def _illinois(a: float, b: float, fa: float, fb: float) -> float:
-    """Zero of Hardy Z bracketed by [a, b] (fa, fb of opposite sign):
-    secant steps, halving the value kept at an end that survives twice
-    (Illinois), until the bracket is below _BISECT_TOL.  Each probe stays
-    _BISECT_TOL/4 inside the bracket, so a secant that has settled on one
-    end closes the bracket on the next step instead of creeping there."""
-    side = 0
-    while b - a > _BISECT_TOL:
-        c = (a * fb - b * fa) / (fb - fa)
-        c = min(max(c, a + 0.25 * _BISECT_TOL), b - 0.25 * _BISECT_TOL)
-        fc = hardy_z(c).real
-        if fc == 0.0:
-            return c
-        if (fc > 0.0) == (fb > 0.0):
-            b, fb = c, fc
-            if side == -1:
-                fa *= 0.5
-            side = -1
+def _newton_zero(a: float, b: float, fa: float, fb: float) -> float:
+    """The zero of Hardy Z in [a, b] (fa, fb of opposite sign), by Newton
+    along the critical line: each iterate t, the last Newton point if it
+    lies in the bracket and else the bracket's secant point, makes one
+    evaluation of zeta and zeta' at 1/2 + it.  The sign of Z at t shrinks
+    the bracket, and the Newton point is t - Im(zeta/zeta'), as
+    zeta(1/2 + it) ~ i zeta'(rho) (t - gamma) near the zero: Newton for Z
+    up to a cubic term, with no theta'.  Done once that step is at most
+    _BISECT_TOL/4 inside the bracket, or the bracket is below _BISECT_TOL:
+    returns the Newton point if it lies in the bracket, else t.
+    MissedZero after _NEWTON_CAP evaluations, or where |zeta'| <= 1e-3 at
+    the last t, which lies within _BISECT_TOL of the zero: the
+    continuation divides by zeta' there."""
+    c = math.nan                    # no Newton point yet: the secant first
+    for _ in range(_NEWTON_CAP):
+        t = c if a <= c <= b else (a * fb - b * fa) / (fb - fa)
+        val, der = _zeta_eval(complex(0.5, t), True)
+        z = _rotated(t, val).real
+        if (z > 0.0) == (fb > 0.0):
+            b, fb = t, z
         else:
-            a, fa = c, fc
-            if side == 1:
-                fb *= 0.5
-            side = 1
-    return 0.5 * (a + b)
+            a, fa = t, z
+        c = t - (val / der).imag
+        if (b - a < _BISECT_TOL
+                or a <= c <= b and abs(c - t) <= 0.25 * _BISECT_TOL):
+            break
+    else:
+        raise MissedZero(f"Newton did not converge in [{a:.9f}, {b:.9f}]")
+    if abs(der) <= 1e-3:
+        raise MissedZero(f"derivative too small at ordinate {t:.9f}; "
+                         f"zero may be multiple or misplaced")
+    return c if a <= c <= b else t
 
 
 def find_zeros(count: int) -> ZeroList:
@@ -671,8 +684,8 @@ def find_zeros(count: int) -> ZeroList:
     `count` ends at g_n, K more blocks, K >= 0.0061 ln^2 g + 0.08 ln g
     (and at least 2), must satisfy Rosser's rule; then N(g_n) = n + 1
     exactly and every zero below g_n is one of the sign changes found.
-    Each wanted sign change is refined by the Illinois secant to a
-    1e-10 bracket, and each zero must be simple (|zeta'| > 1e-3).
+    Each wanted sign change is refined by Newton's method along the
+    critical line, and each zero must be simple (|zeta'| > 1e-3).
     TypeError for a count that is not an integer, before any search."""
     count = operator.index(count)
     if not 1 <= count <= MAX_ZEROS:
@@ -689,13 +702,8 @@ def find_zeros(count: int) -> ZeroList:
         else:
             brackets += [(a, b, u, v) for a, b, u, v
                          in zip(ts, ts[1:], vs, vs[1:]) if u * v < 0.0]
-    kept = [_illinois(*bracket) for bracket in brackets[:count]]
-    for g in kept:
-        # simple-zero sanity: the continuation divides by zeta' here
-        if abs(zeta_with_prime(0.5 + 1j * g)[1]) <= 1e-3:
-            raise MissedZero(f"derivative too small at ordinate {g:.9f}; "
-                             f"zero may be multiple or misplaced")
-    return ZeroList(tuple(kept), source="computed")
+    return ZeroList(tuple(_newton_zero(*bracket)
+                          for bracket in brackets[:count]), source="computed")
 
 
 def load_zeros(path) -> ZeroList:

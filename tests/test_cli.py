@@ -159,7 +159,8 @@ def test_samples_below_one_rejected(capsys, tmp_path, monkeypatch, argv):
     # the shipped file holds 310 zeros: 311 is the first index past it
     (["trace", "--m", "311", "--zeros-file", ZEROS_FILE], "IndexError"),
     (["trace", "--m", "320", "--zeros-file", ZEROS_FILE], "IndexError"),
-    (["eval", "--fn", "avatar", "--z", "0.1,1.2", "--n", "200"], "KeyError"),
+    # and the table 96 rows: 97 is the first avatar index past it
+    (["eval", "--fn", "avatar", "--z", "0.1,1.2", "--n", "97"], "IndexError"),
 ])
 def test_out_of_range_index_is_a_json_error(capsys, argv, error):
     assert main(argv) == 1

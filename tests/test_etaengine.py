@@ -492,6 +492,12 @@ def test_branch_seed_at_i():
     assert abs(zv - avatar_eval(1, 1j)) == 0.0
 
 
+@pytest.mark.parametrize("n, hint", [(0, None), (97, 0.5)])
+def test_avatar_eval_refuses_an_index_outside_the_table(n, hint):
+    with pytest.raises(IndexError, match=rf"avatar index {n} outside 1\.\.96"):
+        avatar_eval(n, 1j, hint)
+
+
 def test_branch_hint_selection():
     rng = random.Random(8)
     z = band_points(rng, 1)[0]

@@ -122,9 +122,13 @@ def test_word_eval_builds_one_group_element_per_call(monkeypatch):
         assert len(built) == i and built[-1] is m
 
 
-def test_coset_enumerate_closes_at_96():
+def test_coset_enumerate_closes_at_96(monkeypatch):
+    built = _count_builds(monkeypatch)
     reps = coset_enumerate()
     assert len(reps) == 96
+    # candidates are keyed from first rows in ints: a matrix is built only
+    # for each new representative past the identity
+    assert built == reps[1:]
     with pytest.raises(NonClosure):
         coset_enumerate(max_cosets=50)
 
@@ -193,9 +197,10 @@ def test_coset_key_equality_matches_the_negation_definition(table):
 def test_verify_builds_few_group_elements(table, monkeypatch):
     built = _count_builds(monkeypatch)
     assert table.verify()["ok"]
-    # one per word evaluation (96), two per row for the generator columns
-    # (192) and two per coset for the enumeration products (192)
-    assert len(built) <= 480
+    # one per word evaluation (96) and one per new coset of the
+    # enumeration (95); the generator columns and the enumeration's other
+    # products are keyed from first rows in ints
+    assert len(built) == 191
 
 
 def test_table_shape(table):
@@ -276,6 +281,16 @@ def test_avatar_apply_single_letters(table):
     assert table.avatar_apply(1, "r") == 15
     assert table.avatar_apply(15, "S") == 11
     assert table.avatar_apply(1, "rSRSR") == 2
+
+
+@pytest.mark.parametrize("n", [0, 97, -1])
+def test_an_index_outside_the_table_is_an_index_error(table, n):
+    # an empty word too: it would otherwise return n unchecked
+    for call in (lambda: table.rep(n), lambda: table.avatar_apply(n, ""),
+                 lambda: table.avatar_apply(n, "RS")):
+        with pytest.raises(IndexError, match=rf"^avatar index {n} outside "
+                                             rf"1\.\.96$"):
+            call()
 
 
 def test_avatar_apply_matches_matrix_route(table):

@@ -869,7 +869,7 @@ def test_find_zeros_through_zero_311_matches_the_table(zeros_311):
     assert len(zeros_311) == 311
     assert zeros_311.source == "computed"
     worst = max(abs(a - b) for a, b in zip(zeros_311.ordinates, ref.ordinates))
-    assert worst < 1e-9
+    assert worst < 1e-12                    # 1.7e-13 at zero 233
     assert abs(zeta(0.5 + 1j * zeros_311.gamma(311))) < 1e-8
     assert zeros_311.ordinates[:200] == find_zeros(200).ordinates
 
@@ -903,18 +903,93 @@ def test_bad_gram_points_below_320_are_separated(zeros_311):
             assert sum(o < g for o in ords) == n + 1
 
 
-def test_find_zeros_200_makes_few_hardy_z_calls(monkeypatch):
+def test_find_zeros_200_makes_few_zeta_evaluations(monkeypatch):
     calls = []
-    plain = zetafn.hardy_z
+    plain = zetafn._zeta_eval
 
-    def counted(t):
-        calls.append(t)
-        return plain(t)
-    monkeypatch.setattr(zetafn, "hardy_z", counted)
+    def counted(s, want_prime):
+        calls.append(want_prime)
+        return plain(s, want_prime)
+    monkeypatch.setattr(zetafn, "_zeta_eval", counted)
     find_zeros(200)
-    # 209 Gram and Rosser points, then about 7.5 Illinois steps per zero;
-    # a secant left creeping to one end of its bracket takes ~1,820
-    assert len(calls) <= 1720
+    # Hardy Z at 209 Gram and Rosser points, then 879 Newton evaluations
+    # with the derivative, 4.4 per zero
+    assert calls.count(False) == 209
+    assert len(calls) <= 1150
+
+
+def test_find_zeros_matches_mpmath_zetazero():
+    mpmath = pytest.importorskip("mpmath")
+    zl = find_zeros(350)
+    with mpmath.workdps(30):
+        for k in (1, 2, 37, 100, 127, 200, 311, 350):
+            # 2.5e-13 at worst over k = 1..350
+            assert abs(mpmath.zetazero(k).imag - zl.gamma(k)) < 1e-12
+
+
+def _fake_zeta(monkeypatch, z_of, slope_of):
+    """Route _zeta_eval through a made-up function: on the critical line
+    Hardy Z at t is z_of(t) and |zeta'| is slope_of(t), so the Newton
+    step Im(zeta/zeta') is z_of(t) / slope_of(t).  Returns the list of
+    ordinates evaluated, filled as _newton_zero runs."""
+    seen = []
+
+    def fake(s, want_prime):
+        t = s.imag
+        seen.append(t)
+        unrotate = cmath.exp(-1j * rs_theta(t))
+        return unrotate * z_of(t), -1j * unrotate * slope_of(t)
+    monkeypatch.setattr(zetafn, "_zeta_eval", fake)
+    return seen
+
+
+def test_newton_exit_returns_the_stepped_point(monkeypatch):
+    # Z = e + e^3, e = t - 20: from the secant point 20.25 Newton's error
+    # goes e -> 2 e^3 / (1 + 3 e^2), staying above the zero, so only a
+    # step below _BISECT_TOL/4 ends the refinement
+    seen = _fake_zeta(monkeypatch, lambda t: (t - 20.0) + (t - 20.0) ** 3,
+                      lambda t: 1.0 + 3.0 * (t - 20.0) ** 2)
+    g = zetafn._newton_zero(19.5, 21.0, -1.0, 1.0)
+    assert seen[0] == 20.25 and len(seen) == 4
+    assert all(t > 20.0 for t in seen)
+    assert g != seen[-1] and abs(g - 20.0) < 1e-14
+
+
+def test_bracket_exit_returns_the_last_point(monkeypatch):
+    # each step overshoots threefold, 6e-11 here, past the other end of a
+    # bracket the first evaluation narrowed to 4.5e-11
+    seen = _fake_zeta(monkeypatch, lambda t: t - 20.0, lambda t: 0.25)
+    g = zetafn._newton_zero(20.0 - 6e-11, 20.0 + 3e-11, -1.0, 1.0)
+    assert seen == [g]
+    assert abs(g - 20.0) < zetafn._BISECT_TOL
+
+
+def test_a_step_out_of_the_bracket_falls_back_to_the_secant(monkeypatch):
+    # the first step, 50, leaves [19, 20.5]; the second iterate is that
+    # bracket's secant point, which the linear Z makes the zero itself
+    slopes = iter([0.01])
+    seen = _fake_zeta(monkeypatch, lambda t: t - 20.0,
+                      lambda t: next(slopes, 1.0))
+    assert zetafn._newton_zero(19.0, 22.0, -1.0, 1.0) == 20.0
+    assert seen == [20.5, 20.0]
+
+
+def test_newton_gives_up_at_its_evaluation_cap(monkeypatch):
+    # a doubled step reflects t about the zero: 20.5, 19.5, 20.5, ...
+    seen = _fake_zeta(monkeypatch, lambda t: t - 20.0, lambda t: 0.5)
+    with pytest.raises(MissedZero, match="Newton did not converge"):
+        zetafn._newton_zero(19.0, 22.0, -1.0, 1.0)
+    assert seen == [20.5, 19.5] * (zetafn._NEWTON_CAP // 2)
+
+
+def test_a_zero_with_a_small_derivative_raises_missed_zero(monkeypatch):
+    # zeta scaled by 1e-6: every sign and Newton step as before, but
+    # |zeta'| at the first zero is 7.9e-7
+    plain = zetafn._zeta_eval
+    monkeypatch.setattr(zetafn, "_zeta_eval", lambda s, want_prime: tuple(
+        1e-6 * v for v in plain(s, want_prime)))
+    with pytest.raises(MissedZero, match="derivative too small"):
+        find_zeros(1)
 
 
 @pytest.mark.parametrize("count, hidden",
