@@ -15,8 +15,9 @@ quotient field, so each evaluation yields a reciprocal root pair {W, 1/W}.
 Nothing local tells the two apart: B0 and B1 are palindromic, so both
 roots satisfy the side constraint B1(Z) tau + B0(Z) = 0 alike.  The branch
 is fixed by continuity alone: a hint (a value of the same branch at a
-nearby point) selects the chordally nearest root, and a cold start
-continues from the seed at i, the root there with positive imaginary part.
+nearby point) selects the nearer root on the Riemann sphere, by the one
+rule of _nearest_root, and a cold start continues from the seed at i,
+the root there nearest i.
 
 Path walks need Z only at P_m e^(i theta), theta on the base arc from i
 to omega, for the 96 coset representatives P_m: SL(2,Z) permutes the
@@ -77,6 +78,11 @@ _SEED_STEPS = 48           # hinted steps on the segment from the seed at i
 _TAU_DIVIDE = 2.0 ** 64
 # Denominators below this modulus raise NearPole.
 _POLE_TOL = 1e-10
+# _reduce leaves Im w >= sqrt(3)/2; composed from x the reduced point falls
+# short by rounding that grows as u nears the real axis (near the corners
+# of the domain: 4e-13 at Im u ~ 1e-4, 9e-9 at 1e-8).  Below this floor
+# its digits are gone.
+_REDUCED_IM = math.sqrt(3.0) / 2.0 - 1e-9
 
 
 def _horner(coeffs: tuple, z: complex) -> complex:
@@ -92,31 +98,6 @@ def _require_upper(z: complex) -> complex:
         raise ValueError(f"point must be finite with positive imaginary "
                          f"part: {z}")
     return z
-
-
-def chordal(u: complex, v: complex) -> float:
-    """Distance on the Riemann sphere, normalized to max 1 (e.g. 0 vs inf)."""
-    # hypot(1, x) is sqrt(1 + x^2), which overflows for x above 1.3e154
-    u_inf = cmath.isinf(u)
-    v_inf = cmath.isinf(v)
-    if u_inf and v_inf:
-        return 0.0
-    if u_inf or v_inf:
-        # in quarters, so that a finite point past the largest double has
-        # a modulus
-        return 0.25 / math.hypot(0.25, abs(0.25 * (v if u_inf else u)))
-    try:
-        d = abs(u - v) / math.hypot(1.0, abs(u)) / math.hypot(1.0, abs(v))
-        if d < math.inf:
-            return d
-    except OverflowError:
-        pass
-    # |u - v|, |u| or |v| passes the largest double; in quarters none
-    # does, and dividing by the larger factor first keeps each quotient
-    # at most 8
-    u, v = 0.25 * u, 0.25 * v
-    hu, hv = math.hypot(0.25, abs(u)), math.hypot(0.25, abs(v))
-    return abs(u - v) / max(hu, hv) / min(hu, hv) / 4.0
 
 
 def dedekind_sum(h: int, k: int) -> Fraction:
@@ -214,13 +195,17 @@ def _matrix_eta(na: int, nb: int, nc: int, nd: int, x: complex,
     determinant, x validated by _require_upper and ctx's multiplier cache.
     The matrix gamma that reduces u is composed with N in integers, so the
     reduced point and the factor c u + d are formed from x itself, not
-    from u rounded to a double, which loses digits where Im u is small."""
+    from u rounded to a double, which loses digits where Im u is small.
+    NearPole at x where the reduced point so formed is not finite or lies
+    below _REDUCED_IM: u is then too near the real axis for a double."""
     _, a, b, c, d = _reduce((na * x + nb) / (nc * x + nd))
     if c < 0 or (c == 0 and d < 0):
         a, b, c, d = -a, -b, -c, -d
     gc, gd = c * na + d * nc, c * nb + d * nd
-    val = _eta_series(((a * na + b * nc) * x + a * nb + b * nd)
-                      / (gc * x + gd))
+    w = ((a * na + b * nc) * x + a * nb + b * nd) / (gc * x + gd)
+    if not (w.imag >= _REDUCED_IM and cmath.isfinite(w)):
+        raise out_of_range("eta", x)
+    val = _eta_series(w)
     mult = (ctx._multipliers.get((a, b, c, d))
             or ctx.multiplier(GroupElem(a, b, c, d)))
     # eta(w) = eps(gamma) (c u + d)^(1/2) eta(u); c > 0 keeps c u + d in
@@ -315,7 +300,7 @@ def z_root_pair(z: complex) -> RootPair:
 
 def _quad_at(x: complex, ctx: EtaContext, rep: GroupElem = IDENTITY) -> tuple:
     """The branch quadratic's a and b at P x, P = rep, from the quartet
-    _etas(x, ctx, rep); a NearPole carries P x."""
+    _etas(x, ctx, rep); a NearPole carries P x, or x from _matrix_eta."""
     etas = _etas(x, ctx, rep)
     z = mobius(rep, x)
     return _quad_coeffs(z, *_tau_lambda(z, *etas))
@@ -364,26 +349,45 @@ def _root_q(a: complex, b: complex) -> complex:
     return -(b - sq) / 2.0
 
 
-def _nearest(pair: RootPair, v: complex) -> complex:
-    """The root chordally nearest v, the first on a tie."""
-    if chordal(pair.first, v) <= chordal(pair.second, v):
-        return pair.first
-    return pair.second
+def _nearest_root(a: complex, b: complex, v: complex) -> complex:
+    """The root of a Z^2 + b Z + a nearest v on the Riemann sphere, q / a
+    on a tie: the one branch rule.
+
+    The roots are r = q / a and 1/r (_root_q), and z -> 1/z is an isometry
+    of the sphere's chordal metric, so 1/r is as far from v as r is from
+    1/v.  r is at least as near v as 1/r exactly when |r - v| <= |r v - 1|,
+    that is, multiplied by |a|, when |q - a v| <= |q v - a|.  Where a = 0
+    the roots are 0 and infinity, 0 the nearer when |v| <= 1; where q = 0
+    (b = 0 and 4 a^2 underflowing) they are +-i, i the nearer when
+    Im v >= 0."""
+    if a == 0:
+        return 0j if abs(v) <= 1.0 else complex(math.inf, 0.0)
+    q = _root_q(a, b)
+    if q == 0:
+        return 1j if v.imag >= 0.0 else -1j
+    # for v infinite, where a v may be nan + nan j, or past 1e154, where a
+    # side's modulus may pass the largest double with finite parts, q / a,
+    # the root of modulus at least 1, is the nearer
+    try:
+        first = abs(q - a * v) <= abs(q * v - a) or cmath.isinf(v)
+    except OverflowError:
+        first = True
+    return q / a if first else a / q
 
 
 def z_eval_from_seed(z: complex, ctx: EtaContext | None = None) -> complex:
-    """Branch value at z continued from the seed at i, the root there with
-    positive imaginary part, along the straight segment in _SEED_STEPS
-    hinted steps.  The one cold start: every value without a hint is
-    this one.  A NearPole on the way carries z itself."""
+    """Branch value at z continued from the seed at i, the root there
+    nearest i (the one with positive imaginary part), along the straight
+    segment in _SEED_STEPS hinted steps ending at z itself.  The one cold
+    start: every value without a hint is this one.  A NearPole on the way
+    carries z itself."""
     ctx = ctx or _DEFAULT_CTX
     z = _require_upper(z)
-    seed = _roots(*_quad_at(1j, ctx))
-    val = seed.first if seed.first.imag > 0 else seed.second
+    val = 1j
     try:
-        for k in range(1, _SEED_STEPS + 1):
-            w = 1j + (z - 1j) * (k / _SEED_STEPS)
-            val = _nearest(_roots(*_quad_at(w, ctx)), val)
+        for k in range(_SEED_STEPS + 1):
+            w = 1j + (z - 1j) * (k / _SEED_STEPS) if k < _SEED_STEPS else z
+            val = _nearest_root(*_quad_at(w, ctx), val)
     except NearPole as exc:
         raise NearPole(f"{exc}, continuing the seed to z = {z}",
                        z=z) from exc
@@ -424,8 +428,8 @@ def identity_residuals(z: complex, *,
     tau and sigma), odd_cubic_square and cubic_model (the PSI and PHI
     equations).
 
-    The root is the one chordally nearest branch_value, or without one
-    the smaller in modulus (the first on a tie).  Either root serves:
+    The root is the one nearest branch_value (_nearest_root), or without
+    one the one nearest 0, the smaller in modulus.  Either root serves:
     Z -> 1/Z fixes tau, lambda and sigma, and B0, B1 are palindromic, so
     every identity holds on both roots alike.  Near a cusp, where a term
     is out of double range, NearPole is raised instead."""
@@ -454,11 +458,7 @@ def _residuals(z: complex, branch_value: complex | None) -> dict[str, float]:
     out["weight_relation"] = abs(lhs - rhs) / (1.0 + abs(lhs) + abs(rhs))
 
     a, b = _quad_coeffs(z, t, lam)
-    pair = _roots(a, b)
-    if branch_value is not None:
-        zv = _nearest(pair, branch_value)
-    else:
-        zv = pair.first if abs(pair.first) <= abs(pair.second) else pair.second
+    zv = _nearest_root(a, b, 0j if branch_value is None else branch_value)
     quad = a * zv * zv + b * zv + a
     quad_scale = abs(a) * (1.0 + abs(zv) ** 2) + abs(b) * abs(zv)
     out["branch_quadratic"] = abs(quad) / (1.0 + quad_scale)
@@ -489,13 +489,13 @@ def avatar_eval(n: int, z: complex, hint: complex | None = None) -> complex:
     Z itself is avatar 1, whose representative is the identity.
 
     The hint, a branch value of the same avatar at a nearby point, selects
-    the root chordally nearest it (branch continuity), from the quadratic
-    _quad_at forms at P_n z; without one the value is
+    the root nearest it (_nearest_root: branch continuity), from the
+    quadratic _quad_at forms at P_n z; without one the value is
     z_eval_from_seed(P_n z)."""
     rep = load_table().rep(n)
     if hint is None:
         return z_eval_from_seed(mobius(rep, z))
-    return _nearest(_roots(*_quad_at(z, _DEFAULT_CTX, rep)), hint)
+    return _nearest_root(*_quad_at(z, _DEFAULT_CTX, rep), hint)
 
 
 def _arc_table(m: int) -> tuple[tuple[complex, complex, tuple], ...]:
@@ -545,22 +545,5 @@ def _arc_coeffs(m: int, theta: float) -> tuple[complex, complex]:
 
 def arc_eval(m: int, theta: float, hint: complex) -> complex:
     """The root of Z at P_m e^(i theta) from _arc_coeffs(m, theta)
-    chordally nearest the hint, the first on a tie."""
-    a, b = _arc_coeffs(m, theta)
-    q = _root_q(a, b)
-    if a and q:
-        # chordal(r, hint) ranks r as |r - hint|^2 / (1 + |r|^2) does:
-        # cross-multiplied, with the hint's factor cancelled; squared by
-        # products, which give inf where ** 2 would raise OverflowError
-        r1 = q / a
-        r2 = a / q
-        e1 = abs(r1 - hint)
-        e2 = abs(r2 - hint)
-        s1 = abs(r1)
-        s2 = abs(r2)
-        d1 = e1 * e1 * (1.0 + s2 * s2)
-        d2 = e2 * e2 * (1.0 + s1 * s1)
-        if d1 + d2 < math.inf:
-            return r1 if d1 <= d2 else r2
-    # a root at 0, infinity or +-i, or a value that is not finite
-    return _nearest(_roots(a, b), hint)
+    nearest the hint (_nearest_root)."""
+    return _nearest_root(*_arc_coeffs(m, theta), hint)

@@ -24,6 +24,39 @@ def eta_q_product(z, terms=2000):
     return cmath.exp(1j * math.pi * z / 12.0) * prod
 
 
+def chordal(u, v):
+    """Distance on the Riemann sphere, normalized to max 1 (e.g. 0 vs inf)."""
+    # hypot(1, x) is sqrt(1 + x^2), which overflows for x above 1.3e154
+    u_inf = cmath.isinf(u)
+    v_inf = cmath.isinf(v)
+    if u_inf and v_inf:
+        return 0.0
+    if u_inf or v_inf:
+        # in quarters, so that a finite point past the largest double has
+        # a modulus
+        return 0.25 / math.hypot(0.25, abs(0.25 * (v if u_inf else u)))
+    try:
+        d = abs(u - v) / math.hypot(1.0, abs(u)) / math.hypot(1.0, abs(v))
+        if d < math.inf:
+            return d
+    except OverflowError:
+        pass
+    # |u - v|, |u| or |v| passes the largest double; in quarters none
+    # does, and dividing by the larger factor first keeps each quotient
+    # at most 8
+    u, v = 0.25 * u, 0.25 * v
+    hu, hv = math.hypot(0.25, abs(u)), math.hypot(0.25, abs(v))
+    return abs(u - v) / max(hu, hv) / min(hu, hv) / 4.0
+
+
+def chordal_nearest(pair, v):
+    """Oracle for the branch rule: the root of the RootPair chordally
+    nearest v, the first on a tie."""
+    if chordal(pair.first, v) <= chordal(pair.second, v):
+        return pair.first
+    return pair.second
+
+
 def band_points(rng, count, im_hi=1.6):
     pts = []
     while len(pts) < count:

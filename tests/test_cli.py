@@ -95,6 +95,17 @@ def test_eval_near_a_cusp_is_a_json_error(capsys):
         assert "0.006552700655029886" in out["message"]
 
 
+@pytest.mark.parametrize("fn, point", [("eta", "0.3,1e-320"),
+                                       ("Z", "0.1,1e-300")])
+def test_eval_near_the_real_axis_is_a_json_error(capsys, fn, point):
+    # eta died with an OverflowError traceback; Z named 0.1+0j, the
+    # point its walk ended at, in a ValueError
+    assert main(["eval", "--fn", fn, f"--z={point}"]) == 1
+    out = _json_out(capsys)
+    assert out["error"] == "NearPole"
+    assert str(complex(*map(float, point.split(",")))) in out["message"]
+
+
 def test_eval_usage_errors():
     assert main(["eval", "--fn", "tau", "--z", "nonsense"]) == 2
     assert main(["eval", "--fn", "nosuch", "--z", "0,1"]) == 2

@@ -11,7 +11,7 @@ import pytest
 from zetapath import etaengine
 from zetapath.errors import NearPole
 from zetapath.etaengine import (
-    EtaContext, _nearest, _roots, avatar_eval, chordal, dedekind_eta,
+    EtaContext, _nearest_root, _roots, avatar_eval, dedekind_eta,
     dedekind_sum, identity_residuals, j_fricke, lambda_fn, psi_phi,
     reduce_to_fundamental, sigma, tau, tau5, z_eval_from_seed,
     z_root_pair,
@@ -20,9 +20,11 @@ from zetapath.exactquad import ALPHA_P, exact_j_target
 from zetapath.sl2z import (
     R, S, SHIFT_ELEMENT, T, GroupElem, load_table, mobius,
 )
+from zetapath.treepath import find_c
 
 from oracles import (
-    band_points, eta_q_product, mp_root_pair, random_element, sign_normalize,
+    band_points, chordal, chordal_nearest, eta_q_product, mp_root_pair,
+    random_element, sign_normalize,
 )
 
 # CM point on the unit circle with Re = -1/4 and its translate by the
@@ -608,8 +610,42 @@ def test_chordal_metric():
             got = chordal(complex(a), complex(b))
             assert 0.0 <= got <= 1.0
             assert abs(got - want) <= 1e-12 * want
+
+
+def _log_uniform(rng):
+    return cmath.rect(10.0 ** rng.uniform(-300.0, 300.0),
+                      rng.uniform(-math.pi, math.pi))
+
+
+def test_nearest_root_matches_the_chordal_oracle():
+    # |a|, |b| and |v| drawn across 1e-300..1e300; a quadratic whose
+    # discriminant leaves double range is one _quad_coeffs refuses.  Where
+    # the oracle's two distances agree to rounding (v far out, roots near
+    # +-i) it cannot tell the roots apart, and either is its answer.
+    rng = random.Random(31)
+    kept = ties = 0
+    for _ in range(20000):
+        a, b, v = _log_uniform(rng), _log_uniform(rng), _log_uniform(rng)
+        if not cmath.isfinite(b * b - 4.0 * a * a):
+            continue
+        kept += 1
+        pair = _roots(a, b)
+        got = _nearest_root(a, b, v)
+        assert got in (pair.first, pair.second)
+        if got != chordal_nearest(pair, v):
+            d1, d2 = chordal(pair.first, v), chordal(pair.second, v)
+            assert abs(d1 - d2) <= 4.0 * 2.0 ** -52 * max(d1, d2), (a, b, v)
+            ties += 1
+    assert kept > 10000 and ties < kept / 50
     # roots -1e170 and about -1e-170: the small one is nearer 0.5
-    assert _nearest(_roots(1e-170 + 0j, 1 + 0j), 0.5 + 0j) == -1e-170
+    assert _nearest_root(1e-170 + 0j, 1 + 0j, 0.5 + 0j) == -1e-170
+    # the seed: at i the root nearest i is the one of positive imaginary
+    # part
+    a, b = etaengine._quad_at(1j, EtaContext())
+    pair = _roots(a, b)
+    seed = pair.first if pair.first.imag > 0 else pair.second
+    assert _nearest_root(a, b, 1j) == chordal_nearest(pair, 1j) == seed
+    assert z_eval_from_seed(1j) == seed
 
 
 def test_avatar_row_one_matches_plain_eval():
@@ -791,8 +827,8 @@ def test_root_pair_degenerate_branches(monkeypatch):
     assert {pair.first, pair.second} == {1j, -1j}
     for r in (pair.first, pair.second):
         assert _quadratic_residual(a, b, r) < 1e-15
-    assert etaengine._nearest(pair, 0.2 + 0.9j) == 1j
-    assert etaengine._nearest(pair, 0.2 - 0.9j) == -1j
+    assert etaengine._nearest_root(a, b, 0.2 + 0.9j) == 1j
+    assert etaengine._nearest_root(a, b, 0.2 - 0.9j) == -1j
     # a == 0: the roots are 0 and inf
     monkeypatch.setattr(etaengine, "_RHS_SCALE_F", 0.0)
     a, b = etaengine._quad_coeffs(1j, 0j, 1 + 0j)
@@ -801,8 +837,8 @@ def test_root_pair_degenerate_branches(monkeypatch):
     assert pair.first == 0 and cmath.isinf(pair.second)
     for r in (pair.first, pair.second):
         assert _quadratic_residual(a, b, r) == 0.0
-    assert etaengine._nearest(pair, 0.1 + 0.1j) == 0
-    assert cmath.isinf(etaengine._nearest(pair, 1e6j))
+    assert etaengine._nearest_root(a, b, 0.1 + 0.1j) == 0
+    assert cmath.isinf(etaengine._nearest_root(a, b, 1e6j))
 
 
 def test_quotients_out_of_double_range_raise_near_pole():
@@ -838,3 +874,28 @@ def test_seed_walk_near_pole_carries_the_requested_point():
     with pytest.raises(NearPole) as err:
         z_eval_from_seed(0.008j)
     assert err.value.z == 0.008j
+
+
+def test_seed_walk_ends_at_the_point_itself():
+    # the last step once read 1j + (z - 1j), which is not z for 66 of the
+    # 96 points P_n c: for P_73 c its Im came out 0.001883746763719607,
+    # not 0.0018837467637196348
+    c = find_c()
+    table = load_table()
+    for n in range(1, len(table) + 1):
+        z = mobius(table.rep(n), c)
+        pair = z_root_pair(z)
+        assert z_eval_from_seed(z) in (pair.first, pair.second), n
+
+
+@pytest.mark.parametrize("z", [5e-309j, 0.3 + 1e-320j, 0.3 + 1e-100j])
+def test_eta_near_the_real_axis_raises_near_pole_naming_the_point(z):
+    # eta(5e-309j) was nan+nanj, eta(0.3+1e-100j) 1.2e26 from a reduced
+    # point composed at 0.375+0j, and at 0.3+1e-320j every evaluator
+    # raised a bare OverflowError; the seed walk's last point had Im 0,
+    # which _require_upper refused with a ValueError
+    for fn in (dedekind_eta, tau, z_root_pair, j_fricke, z_eval_from_seed):
+        with pytest.raises(NearPole) as err:
+            fn(z)
+        assert err.value.z == z
+        assert str(z) in str(err.value)

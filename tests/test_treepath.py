@@ -10,8 +10,8 @@ import pytest
 from zetapath import etaengine, treepath
 from zetapath.errors import Blocked, NotReduced
 from zetapath.etaengine import (
-    EtaContext, _arc_coeffs, _nearest, _roots, arc_eval, chordal, j_fricke,
-    z_eval_from_seed, z_root_pair,
+    EtaContext, _arc_coeffs, _roots, arc_eval, j_fricke, z_eval_from_seed,
+    z_root_pair,
 )
 from zetapath.exactquad import exact_j_target
 from zetapath.sl2z import (
@@ -23,7 +23,7 @@ from zetapath.treepath import (
     build_path, find_c, pole_scan, verify_local_intersections,
 )
 
-from oracles import BAD_WORD, mp_root_pair
+from oracles import BAD_WORD, chordal, chordal_nearest, mp_root_pair
 
 
 # ---------------------------------------------------------------- marked point
@@ -422,21 +422,14 @@ def test_coset_table_panels_meet_at_their_boundaries():
     (1e-200 + 0j, 0j, 0.5j),        # q underflows to 0: roots +-i
     (1 + 0j, 3 + 0j, complex(math.inf, 0.0)),
     (1 + 0j, 3 + 0j, complex(math.nan, 0.0)),
+    (1 + 0j, 3 + 0j, complex(math.inf, math.inf)),  # a hint is nan + nan j
     (1 + 0j, 3 + 0j, 1e200 + 0j),   # |r - hint| ** 2 would overflow
+    # |q - a hint| passes the largest double with finite parts
+    (1 + 0j, 3 + 0j, 1.5e308 + 1.5e308j),
 ])
 def test_arc_eval_chooses_the_nearest_root(monkeypatch, a, b, hint):
     monkeypatch.setattr(etaengine, "_arc_coeffs", lambda m, theta: (a, b))
-    assert arc_eval(41, 2.0, hint) == _nearest(_roots(a, b), hint)
-
-
-def test_arc_eval_agrees_with_the_chordal_rule_on_the_arc():
-    rng = random.Random(22)
-    for m in sorted(_shift_cosets()):
-        for _ in range(20):
-            theta = rng.uniform(THETA_I, THETA_OMEGA)
-            hint = complex(rng.gauss(0.0, 3.0), rng.gauss(0.0, 3.0))
-            assert arc_eval(m, theta, hint) == _nearest(
-                _roots(*_arc_coeffs(m, theta)), hint)
+    assert arc_eval(41, 2.0, hint) == chordal_nearest(_roots(a, b), hint)
 
 
 @pytest.mark.parametrize("theta", [
@@ -456,7 +449,7 @@ def test_arc_eval_accepts_both_ends_of_the_base_arc():
     for theta in (THETA_I, THETA_OMEGA):
         a, b = _arc_coeffs(41, theta)
         assert cmath.isfinite(a) and cmath.isfinite(b)
-        assert arc_eval(41, theta, 1j) == _nearest(_roots(a, b), 1j)
+        assert arc_eval(41, theta, 1j) == chordal_nearest(_roots(a, b), 1j)
 
 
 def test_walk_matches_mpmath_eta_at_the_unreduced_points():
