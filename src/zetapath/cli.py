@@ -20,8 +20,8 @@ from .etaengine import (
 )
 from .exactquad import run_symbolic_suite
 from .sl2z import SHIFT_AVATAR, SHIFT_WORD, load_table, mobius
-from .tracer import MAX_M, RESIDUAL_TOL, run_experiment, trace
-from .treepath import POLE_CAP, build_path, find_c
+from .tracer import MAX_M, run_experiment, trace
+from .treepath import build_path, find_c
 from .zetafn import find_zeros, load_zeros
 
 
@@ -143,8 +143,7 @@ def _cmd_zeros(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     rec = trace(args.m, path=build_path(SHIFT_WORD, samples=args.samples),
-                zeros=load_zeros(args.zeros_file) if args.zeros_file else None,
-                residual_tol=args.tol_residual, pole_cap=args.pole_cap)
+                zeros=load_zeros(args.zeros_file) if args.zeros_file else None)
     _emit_json(asdict(rec), args.emit)
     return 0 if rec.landed else 1
 
@@ -152,8 +151,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     summary = run_experiment(
         args.max_m, path=build_path(SHIFT_WORD, samples=args.samples),
-        zeros=load_zeros(args.zeros_file) if args.zeros_file else None,
-        residual_tol=args.tol_residual, pole_cap=args.pole_cap)
+        zeros=load_zeros(args.zeros_file) if args.zeros_file else None)
     lines = [_dumps(asdict(rec)) for rec in summary.records]
     if args.emit:
         Path(args.emit).write_text("".join(line + "\n" for line in lines))
@@ -217,8 +215,6 @@ def _build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--max-m", type=int, required=True)
         p.add_argument("--samples", type=int, default=2000)
-        p.add_argument("--tol-residual", type=float, default=RESIDUAL_TOL)
-        p.add_argument("--pole-cap", type=float, default=POLE_CAP)
         p.add_argument("--zeros-file", help="ordinate file instead of "
                                             "computed zeros")
         p.add_argument("--emit", help="write JSON-line records to this file")

@@ -22,6 +22,7 @@ from importlib import resources
 from .errors import NonClosure
 
 LEVEL = 15
+MAX_COSETS = 512           # coset_enumerate gives up past this many
 
 
 @dataclass(frozen=True)
@@ -166,13 +167,13 @@ def _product_key(p: GroupElem, g: GroupElem) -> tuple[int, int]:
     return min((a, b), (-a % LEVEL, -b % LEVEL))
 
 
-def coset_enumerate(max_cosets: int = 512) -> list[GroupElem]:
+def coset_enumerate() -> list[GroupElem]:
     """Breadth-first enumeration of the right cosets K g under right
     multiplication by R and S, starting from K itself.
 
     Returns one representative per coset, built as a matrix only once it
-    is new.  Raises NonClosure if the walk fails to close before
-    max_cosets."""
+    is new.  Raises NonClosure if the walk fails to close within
+    MAX_COSETS."""
     reps = [IDENTITY]
     seen = {coset_key(IDENTITY)}
     for p in reps:                  # reps is the breadth-first queue
@@ -181,9 +182,9 @@ def coset_enumerate(max_cosets: int = 512) -> list[GroupElem]:
             if key not in seen:
                 seen.add(key)
                 reps.append(p * g)
-                if len(reps) > max_cosets:
+                if len(reps) > MAX_COSETS:
                     raise NonClosure(
-                        f"coset enumeration exceeded {max_cosets} cosets")
+                        f"coset enumeration exceeded {MAX_COSETS} cosets")
     return reps
 
 

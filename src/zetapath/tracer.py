@@ -14,15 +14,14 @@ import time
 from dataclasses import dataclass
 from typing import NamedTuple
 
+from . import treepath
 from .errors import Blocked, DerivativeSmall, PathWalkError, StepCollapse
 # perfbench's install_probes wraps avatar_eval and z_eval_from_seed here.
 from .etaengine import EtaContext, avatar_eval, z_eval_from_seed
 from .sl2z import (
     SHIFT_AVATAR, SHIFT_ELEMENT, SHIFT_WORD, CosetTable, load_table, mobius,
 )
-from .treepath import (
-    POLE_CAP, TreePath, avatar_trajectory, build_path, check_pole_cap, find_c,
-)
+from .treepath import TreePath, avatar_trajectory, build_path, find_c
 from .zetafn import (
     MAX_ZEROS, ZeroList, ZetaDisc, find_zeros, zeta_with_prime,
 )
@@ -36,7 +35,7 @@ _MATCH_TOL = 1e-6          # endpoint distance to the matched zero
 _DOMINANCE = 10.0          # runner-up zero at least this many times farther
 _DERIVATIVE_MIN = 1e-6     # |zeta'| floor, below it DerivativeSmall
 _FIXING_POINTS = 10        # arc points verify_fixing compares
-RESIDUAL_TOL = 1e-10       # default |zeta(s) - w| a Newton step must reach
+RESIDUAL_TOL = 1e-10       # |zeta(s) - w| every Newton step must reach
 
 
 @dataclass(frozen=True)
@@ -89,13 +88,6 @@ def _zeros_for(first: int, last: int, zeros: ZeroList | None) -> ZeroList:
     return zeros
 
 
-def _check_tolerances(residual_tol: float, pole_cap: float) -> None:
-    check_pole_cap(pole_cap)
-    if not (math.isfinite(residual_tol) and residual_tol > 0.0):
-        raise ValueError(f"residual_tol must be finite and > 0 "
-                         f"(got {residual_tol!r})")
-
-
 def _match(s: complex, zeros: ZeroList) -> int | None:
     # nearest ordinate wins only with a clear dominance margin over the
     # runner-up; anything weaker stays unmatched
@@ -124,9 +116,8 @@ def _zeta_checked(s: complex, disc: ZetaDisc,
 
 
 def trace(m: int, path: TreePath | None = None, zeros: ZeroList | None = None,
-          ctx: EtaContext | None = None, table: CosetTable | None = None, *,
-          residual_tol: float = RESIDUAL_TOL,
-          pole_cap: float = POLE_CAP) -> TraceRecord:
+          ctx: EtaContext | None = None,
+          table: CosetTable | None = None) -> TraceRecord:
     """Continue zeta(s) = Z_41(z), Z_41 the avatar SHIFT_AVATAR, along the
     path from the m-th zero towards zero m + 1, which the zero list must
     hold (IndexError without zero m, ValueError without m + 1 or, with
@@ -137,7 +128,7 @@ def trace(m: int, path: TreePath | None = None, zeros: ZeroList | None = None,
     the same path).  Each step predicts s from the avatar increment
     divided by zeta', corrected on a full grid step by extrapolating the
     first-order prediction's error over the last three consecutive full
-    grid steps, then Newton-corrects to |zeta(s) - w| < residual_tol.
+    grid steps, then Newton-corrects to |zeta(s) - w| < RESIDUAL_TOL.
     The prediction starts from the Newton-refined point
     s - (zeta(s) - w)/zeta'(s) of the last accepted step; the reported s
     and every check stay on the verified point.  The step is halved, off
@@ -148,12 +139,11 @@ def trace(m: int, path: TreePath | None = None, zeros: ZeroList | None = None,
     next step aims at the grid point again, and a halving empties the
     error history.  A step below _DT_MIN raises StepCollapse, any
     evaluation with |zeta'| < _DERIVATIVE_MIN DerivativeSmall
-    (_zeta_checked), and an avatar modulus above pole_cap Blocked; all
-    three are PathWalkErrors.
-    A pole_cap that is NaN or <= 0 and a residual_tol that is not finite
-    and > 0 raise ValueError before any zero is computed.  The endpoint
-    is matched against the zero list (_MATCH_TOL, _DOMINANCE), and the
-    record's landed property says whether it matched zero m + 1.  It
+    (_zeta_checked), and an avatar modulus above treepath.POLE_CAP
+    Blocked; all three are PathWalkErrors.  Both RESIDUAL_TOL and the cap
+    are read once, when the walk starts.  The endpoint is matched
+    against the zero list (_MATCH_TOL, _DOMINANCE), and the record's
+    landed property says whether it matched zero m + 1.  It
     counts the Newton updates of every step, halved ones included
     (newton_updates).  Every zeta_with_prime call, the start derivative
     included, goes through one ZetaDisc, and the record reads its counts
@@ -161,7 +151,7 @@ def trace(m: int, path: TreePath | None = None, zeros: ZeroList | None = None,
     equation) and zeta_centres (the expansions it built).
     """
     t_start = time.perf_counter()
-    _check_tolerances(residual_tol, pole_cap)
+    residual_tol, pole_cap = RESIDUAL_TOL, treepath.POLE_CAP
     path = path or build_path(SHIFT_WORD)
     zeros = _zeros_for(m, m, zeros)
     gamma = zeros.gamma(m)
@@ -175,7 +165,7 @@ def trace(m: int, path: TreePath | None = None, zeros: ZeroList | None = None,
     disc = ZetaDisc()
     val, der_s = _zeta_checked(s, disc, 0.0)
     # the predictor works from the Newton-refined point, which is free
-    # given val and der_s; the verified s keeps up to residual_tol of
+    # given val and der_s; the verified s keeps up to RESIDUAL_TOL of
     # noise, and the extrapolation below would amplify it
     s_ref = s - (val - w) / der_s
     # errors of the first-order prediction on the last consecutive full
@@ -271,18 +261,14 @@ class ExperimentSummary:
 
 
 def run_experiment(max_m: int, path: TreePath | None = None,
-                   zeros: ZeroList | None = None, *,
-                   residual_tol: float = RESIDUAL_TOL,
-                   pole_cap: float = POLE_CAP) -> ExperimentSummary:
+                   zeros: ZeroList | None = None) -> ExperimentSummary:
     """Trace m = 1..max_m on one EtaContext and tally endpoint matches.
 
     A trace counts as a success when it landed (TraceRecord.landed).  A
     PathWalkError aborts only its own m and is recorded as a TraceFailure
-    entry.  The tolerances are checked, as trace checks them, before any
-    zero is computed.
+    entry.
     """
     t0 = time.perf_counter()
-    _check_tolerances(residual_tol, pole_cap)
     path = path or build_path(SHIFT_WORD)
     ctx = EtaContext()
     zeros = _zeros_for(1, max(max_m, 0), zeros)
@@ -290,9 +276,7 @@ def run_experiment(max_m: int, path: TreePath | None = None,
     errors: list[TraceFailure] = []
     for m in range(1, max_m + 1):
         try:
-            records.append(trace(m, path=path, zeros=zeros, ctx=ctx,
-                                 residual_tol=residual_tol,
-                                 pole_cap=pole_cap))
+            records.append(trace(m, path=path, zeros=zeros, ctx=ctx))
         except PathWalkError as exc:
             errors.append(TraceFailure(m, type(exc).__name__, exc.t, exc.s))
     success = sum(1 for r in records if r.landed)

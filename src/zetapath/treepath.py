@@ -41,7 +41,7 @@ avatar_eval = etaengine.avatar_eval
 _BISECT_THETA_TOL = 1e-13
 _ARC_POINTS = 160          # samples per arc in verify_local_intersections
 _PANEL_SIZE = 50           # longer words it checks against the base arc
-POLE_CAP = 1e6             # default avatar modulus cap of a walk
+POLE_CAP = 1e6             # avatar modulus past which every walk is Blocked
 
 
 @dataclass(frozen=True)
@@ -176,12 +176,13 @@ class AvatarTrajectory:
     j's coset table at the edge's base-arc angle.  Edge j is g_j(arc),
     g_j the product of the word's first j letters, and cosets[j] is
     coset_index(P_n g_j): the table's permutations carry avatar n through
-    those letters, one letter per edge."""
+    those letters, one letter per edge.  n and cosets index the packaged
+    table, whose representatives the coset tables are built from."""
 
-    def __init__(self, path: TreePath, n: int, ctx: EtaContext,
-                 table) -> None:
+    def __init__(self, path: TreePath, n: int, ctx: EtaContext) -> None:
+        table = load_table()
         rep = table.rep(n)
-        self.key = (path, n, rep)
+        self.key = (path, n)
         self.count = path.samples
         self._path = path
         self.cosets = tuple(accumulate(path.word, table.avatar_apply,
@@ -207,33 +208,28 @@ def avatar_trajectory(path: TreePath, n: int, ctx: EtaContext | None = None,
                       table=None) -> AvatarTrajectory:
     """Avatar n along the path grid k/path.samples, k = 0..path.samples.
 
-    The values do not depend on who reads them, so the context keeps the
-    most recent trajectory and hands it to every later caller asking for
-    the same path (its grid included), index and coset representative."""
+    A table only names the coset: n becomes the packaged table's index
+    of table.rep(n), so a table that numbers the cosets differently walks
+    the same values.  The values do not depend on who reads them, so the
+    context keeps the most recent trajectory and hands it to every later
+    caller asking for the same path (its grid included) and coset."""
     ctx = ctx or EtaContext()
-    table = table or load_table()
+    if table is not None:
+        n = load_table().coset_index(table.rep(n))
     traj = ctx.trajectory
-    if traj is None or traj.key != (path, n, table.rep(n)):
-        traj = ctx.trajectory = AvatarTrajectory(path, n, ctx, table)
+    if traj is None or traj.key != (path, n):
+        traj = ctx.trajectory = AvatarTrajectory(path, n, ctx)
     return traj
 
 
-def check_pole_cap(pole_cap: float) -> None:
-    """ValueError unless pole_cap > 0; inf means no cap.  NaN is refused:
-    it fails every comparison, so it would switch the cap off."""
-    if not pole_cap > 0.0:
-        raise ValueError(f"pole_cap must be > 0 (got {pole_cap!r})")
-
-
-def pole_scan(path: TreePath, n: int, pole_cap: float = POLE_CAP,
-              ctx: EtaContext | None = None, table=None) -> float:
+def pole_scan(path: TreePath, n: int, ctx: EtaContext | None = None,
+              table=None) -> float:
     """Maximum |Z_n| along the path grid, walked with branch continuity.
 
     Reads avatar_trajectory(path, n); raises Blocked (with the offending
     parameter) at the first grid point after the start whose modulus
-    exceeds pole_cap, and ValueError (check_pole_cap) before walking for
-    a pole_cap that is NaN or <= 0."""
-    check_pole_cap(pole_cap)
+    exceeds POLE_CAP, read once when the scan starts."""
+    pole_cap = POLE_CAP
     traj = avatar_trajectory(path, n, ctx=ctx, table=table)
     peak = abs(traj[0])
     for k in range(1, traj.count + 1):

@@ -2,6 +2,9 @@
 
 import argparse
 import importlib.util
+import json
+import os
+import subprocess
 from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
@@ -43,3 +46,27 @@ def test_report_names_each_sides_revision_at_the_top_level():
     assert parent["git_sha"] == "b" * 40 and "uncommitted" not in parent
     # the runs' own records are left as they were
     assert side["sweep"][0]["env"]["git_sha"] == "0" * 40
+
+
+def test_every_run_starts_on_an_empty_bytecode_cache_of_its_own(
+        monkeypatch, tmp_path):
+    # a run must not import bytecode left in a __pycache__ by earlier runs
+    bench_pairs = _bench_pairs()
+    caches = []
+
+    def fake_run(cmd, **kwargs):
+        env = kwargs["env"]
+        cache = Path(env["PYTHONPYCACHEPREFIX"])
+        assert cache.is_dir() and not any(cache.iterdir())
+        assert env["PATH"] == os.environ["PATH"]
+        caches.append(cache)
+        run = _run(1, 38.0)
+        out = json.dumps({"env": run["env"]}) + "\n" + json.dumps(
+            run["result"]) + "\n"
+        return subprocess.CompletedProcess(cmd, 0, stdout=out, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for root in (tmp_path / "parent", tmp_path / "change"):
+        assert bench_pairs.run_once(root, "sweep", 1, 1.0, 0)["seed"] == 1
+    assert len(set(caches)) == 2
+    assert not any(cache.exists() for cache in caches)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from zetapath import cli, tracer
+from zetapath import cli, tracer, treepath
 from zetapath.cli import main
 from zetapath.tracer import (
     COUNTERS, ExperimentSummary, TraceFailure, TraceRecord,
@@ -244,11 +244,14 @@ def test_trace_exits_1_unless_it_lands_on_the_next_zero(capsys):
     ["trace", "--tol-residual", "inf"],
     ["experiment", "--max-m", "1", "--pole-cap", "nan"],
     ["experiment", "--max-m", "1", "--tol-residual", "-1"],
+    ["trace", "--m", "1", "--pole-cap", "2"],
+    ["experiment", "--max-m", "1", "--tol-residual", "1e-9"],
 ])
 def test_walk_tolerances_rejected(capsys, monkeypatch, argv):
-    monkeypatch.setattr(tracer, "find_zeros", None)  # refused first
-    assert main(argv) == 1
-    assert _json_out(capsys)["error"] == "ValueError"
+    # the tolerances are constants, so any value is a usage error
+    monkeypatch.setattr(tracer, "find_zeros", None)  # nothing is computed
+    assert main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_experiment(capsys):
@@ -266,9 +269,10 @@ def test_experiment(capsys):
     assert summary["newton_updates"] > 0
 
 
-def test_experiment_errors_are_json_records(capsys):
+def test_experiment_errors_are_json_records(capsys, monkeypatch):
     # a pole cap below the avatar's modulus on the path blocks the walk
-    assert main(["experiment", "--max-m", "2", "--pole-cap", "2"]) == 1
+    monkeypatch.setattr(treepath, "POLE_CAP", 2.0)
+    assert main(["experiment", "--max-m", "2"]) == 1
     lines = capsys.readouterr().out.strip().splitlines()
     summary = json.loads(lines[-1])["summary"]
     assert summary["success_count"] == 0

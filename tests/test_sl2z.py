@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from zetapath import sl2z
 from zetapath.errors import NonClosure
 from zetapath.sl2z import (
     IDENTITY, R, S, SHIFT_ELEMENT, SHIFT_WORD, T, CosetTable, GroupElem,
@@ -129,8 +130,9 @@ def test_coset_enumerate_closes_at_96(monkeypatch):
     # candidates are keyed from first rows in ints: a matrix is built only
     # for each new representative past the identity
     assert built == reps[1:]
+    monkeypatch.setattr(sl2z, "MAX_COSETS", 50)
     with pytest.raises(NonClosure):
-        coset_enumerate(max_cosets=50)
+        coset_enumerate()
 
 
 @pytest.fixture(scope="module")

@@ -227,30 +227,36 @@ def test_trace_rejects_start_off_the_marked_point(zeros, monkeypatch):
         trace(1, path=build_path("S"), zeros=zeros)
 
 
-def test_trace_blocked_propagates(zeros):
+def test_trace_blocked_propagates(zeros, monkeypatch):
     # a cap low enough to trip before the residual target becomes
     # unreachable surfaces the avatar pole as Blocked
+    monkeypatch.setattr(treepath, "POLE_CAP", 100.0)
     with pytest.raises(Blocked) as exc:
-        trace(1, path=build_path(BAD_WORD), zeros=zeros, pole_cap=100.0)
+        trace(1, path=build_path(BAD_WORD), zeros=zeros)
     assert exc.value.t is not None
 
 
-def test_trace_blocked_at_the_same_t_on_a_filled_trajectory(zeros):
+def test_trace_blocked_at_the_same_t_on_a_filled_trajectory(zeros,
+                                                            monkeypatch):
     path = build_path(BAD_WORD)
+    cap = treepath.POLE_CAP
+    monkeypatch.setattr(treepath, "POLE_CAP", 100.0)
     with pytest.raises(Blocked) as cold:
-        trace(1, path=path, zeros=zeros, ctx=EtaContext(), pole_cap=100.0)
+        trace(1, path=path, zeros=zeros, ctx=EtaContext())
     shared = EtaContext()
-    # the default cap walks the trajectory past the lower cap before the
+    # the usual cap walks the trajectory past the lower one before the
     # step collapses
+    monkeypatch.setattr(treepath, "POLE_CAP", cap)
     with pytest.raises(StepCollapse):
         trace(1, path=path, zeros=zeros, ctx=shared)
+    monkeypatch.setattr(treepath, "POLE_CAP", 100.0)
     with pytest.raises(Blocked) as warm:
-        trace(1, path=path, zeros=zeros, ctx=shared, pole_cap=100.0)
+        trace(1, path=path, zeros=zeros, ctx=shared)
     assert warm.value.t == cold.value.t
 
 
 def test_trace_pole_path_collapses_at_default_cap(zeros):
-    # with the default 1e6 cap the absolute residual target becomes
+    # with the 1e6 cap the absolute residual target becomes
     # unreachable in binary64 once the avatar modulus passes ~1e3, so the
     # walk stalls before the cap can trigger
     with pytest.raises(StepCollapse):
@@ -259,9 +265,11 @@ def test_trace_pole_path_collapses_at_default_cap(zeros):
 
 def test_trace_step_collapse(zeros, monkeypatch):
     # an unattainable residual target forces halving to the floor
+    monkeypatch.setattr(tracer, "RESIDUAL_TOL", 1e-18)
     with pytest.raises(StepCollapse) as tight:
-        trace(1, zeros=zeros, residual_tol=1e-18)
+        trace(1, zeros=zeros)
     # a step floor above half a grid step collapses at the first halving
+    monkeypatch.setattr(tracer, "RESIDUAL_TOL", RESIDUAL_TOL)
     monkeypatch.setattr(tracer, "_DS_MAX", 1e-6)
     monkeypatch.setattr(tracer, "_DT_MIN", 1e-3)
     with pytest.raises(StepCollapse) as floor:
@@ -324,20 +332,14 @@ def test_trace_on_a_coarse_grid_lands_or_raises_a_walk_error(samples):
     {"residual_tol": 0.0}, {"residual_tol": -1e-10},
 ])
 def test_walk_tolerances_are_refused_before_any_zero(kwargs, monkeypatch):
-    # NaN fails every comparison, so it would switch the test it sets off
+    # the tolerances are constants: no value of either is a keyword
     def unreached(*args, **kw):
         raise AssertionError("a zero or an avatar was computed")
     for name in ("find_zeros", "avatar_trajectory", "avatar_eval"):
         monkeypatch.setattr(tracer, name, unreached)
     for run in (trace, run_experiment):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             run(1, **kwargs)
-
-
-def test_infinite_pole_cap_means_no_cap(zeros):
-    rec = trace(1, zeros=zeros, pole_cap=math.inf)
-    assert rec.landed
-    assert rec.end_s == trace(1, zeros=zeros).end_s
 
 
 def test_match_rules():
@@ -374,9 +376,9 @@ def test_experiment_empty():
     assert summary.totals == dict.fromkeys(tracer.COUNTERS, 0)
 
 
-def test_experiment_records_failures(zeros):
-    summary = run_experiment(2, path=build_path(BAD_WORD), zeros=zeros,
-                             pole_cap=100.0)
+def test_experiment_records_failures(zeros, monkeypatch):
+    monkeypatch.setattr(treepath, "POLE_CAP", 100.0)
+    summary = run_experiment(2, path=build_path(BAD_WORD), zeros=zeros)
     assert summary.success_count == 0
     assert summary.records == ()
     assert [e.m for e in summary.errors] == [1, 2]

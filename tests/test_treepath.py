@@ -15,8 +15,8 @@ from zetapath.etaengine import (
 )
 from zetapath.exactquad import exact_j_target
 from zetapath.sl2z import (
-    IDENTITY, R, S, SHIFT_AVATAR, SHIFT_ELEMENT, SHIFT_WORD,
-    is_reduced_alternating, load_table, mobius, word_eval,
+    IDENTITY, R, S, SHIFT_AVATAR, SHIFT_ELEMENT, SHIFT_WORD, CosetRow,
+    CosetTable, is_reduced_alternating, load_table, mobius, word_eval,
 )
 from zetapath.treepath import (
     OMEGA, THETA_I, THETA_OMEGA, AvatarTrajectory, avatar_trajectory,
@@ -210,25 +210,20 @@ def test_pole_scan_blocked_word():
     assert 0.99 < exc.value.t <= 1.0
 
 
-def test_pole_scan_cap_adjustable():
+def test_pole_scan_cap_adjustable(monkeypatch):
     # a generous cap lets the same walk finish and report its peak
     path = build_path(BAD_WORD)
-    peak = pole_scan(path, 41, pole_cap=1e16)
+    monkeypatch.setattr(treepath, "POLE_CAP", 1e16)
+    peak = pole_scan(path, 41)
     assert peak > 1e6
 
 
 @pytest.mark.parametrize("cap", [math.nan, 0.0, -1.0])
 def test_pole_scan_refuses_a_cap_before_walking(cap, monkeypatch):
-    # a NaN cap fails every comparison and would switch the cap off
+    # the cap is a constant: no value of it is a keyword
     monkeypatch.setattr(treepath, "avatar_trajectory", None)
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         pole_scan(build_path(SHIFT_WORD), 41, pole_cap=cap)
-
-
-def test_pole_scan_infinite_cap_means_no_cap():
-    path = build_path(BAD_WORD)
-    assert pole_scan(path, 41, pole_cap=math.inf) == pole_scan(
-        path, 41, pole_cap=1e300)
 
 
 def test_pole_scan_same_peak_cold_and_warm():
@@ -241,14 +236,17 @@ def test_pole_scan_same_peak_cold_and_warm():
     assert warm == cold
 
 
-def test_pole_scan_blocked_at_the_same_t_on_a_filled_trajectory():
+def test_pole_scan_blocked_at_the_same_t_on_a_filled_trajectory(monkeypatch):
     path = build_path(BAD_WORD)
+    monkeypatch.setattr(treepath, "POLE_CAP", 100.0)
     with pytest.raises(Blocked) as cold:
-        pole_scan(path, 41, pole_cap=100.0)
+        pole_scan(path, 41)
     ctx = EtaContext()
-    pole_scan(path, 41, pole_cap=1e16, ctx=ctx)  # walks the whole grid
+    monkeypatch.setattr(treepath, "POLE_CAP", 1e16)
+    pole_scan(path, 41, ctx=ctx)  # walks the whole grid
+    monkeypatch.setattr(treepath, "POLE_CAP", 100.0)
     with pytest.raises(Blocked) as warm:
-        pole_scan(path, 41, pole_cap=100.0, ctx=ctx)
+        pole_scan(path, 41, ctx=ctx)
     assert warm.value.t == cold.value.t
 
 
@@ -371,9 +369,32 @@ def test_every_avatar_chases_its_cosets_through_the_word():
     for word in words:
         path = build_path(word, samples=1)
         for n in range(1, len(table) + 1):
-            traj = AvatarTrajectory(path, n, ctx, table)
+            traj = AvatarTrajectory(path, n, ctx)
             assert traj.cosets == tuple(table.coset_index(table.rep(n) * e.g)
                                         for e in path.edges), (word, n)
+
+
+def test_a_table_numbered_otherwise_walks_the_packaged_values():
+    # rows 2 and 14 swap their numbers; the table is still consistent
+    number = {2: 14, 14: 2}
+
+    def relabel(n):
+        return number.get(n, n)
+    swapped = CosetTable(sorted(
+        (CosetRow(relabel(row.n), row.rep, row.word, relabel(row.n_r),
+                  relabel(row.n_s)) for row in load_table().rows),
+        key=lambda row: row.n))
+    assert swapped.verify()["ok"]
+    path = build_path(SHIFT_WORD)
+    grid = range(path.samples + 1)
+    for n, packaged_n in ((SHIFT_AVATAR, SHIFT_AVATAR), (2, 14), (14, 2)):
+        mine = avatar_trajectory(path, n, ctx=EtaContext(), table=swapped)
+        ref = avatar_trajectory(path, packaged_n, ctx=EtaContext())
+        assert [mine[k] for k in grid] == [ref[k] for k in grid], n
+        # the walk names its cosets in the packaged numbering
+        assert mine.cosets == ref.cosets, n
+    assert pole_scan(path, SHIFT_AVATAR, table=swapped) == pole_scan(
+        path, SHIFT_AVATAR)
 
 
 def _shift_cosets():

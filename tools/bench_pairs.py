@@ -12,7 +12,9 @@ a fresh copy of committed files.  Then, for each workload and seed 1,
 2, ..., it runs perfbench/run.py once in that copy and once in the
 working tree, each to completion.  Which side runs first alternates
 from seed to seed, so the drift of a shared machine falls on both sides
-alike.
+alike.  Every run gets its own empty PYTHONPYCACHEPREFIX, so neither
+side imports bytecode that an earlier run or build left behind (in the
+working tree's __pycache__, say), and both compile alike.
 
 Writes BENCH_<label>.json (the working tree) and BENCH_<label>-parent.json
 (the parent) at the root of the repository, one run per (workload, seed)
@@ -32,6 +34,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import subprocess
 import sys
 import tarfile
@@ -69,12 +72,15 @@ def export(rev: str, dest: Path) -> None:
 
 def run_once(root: Path, workload: str, seed: int, seconds: float,
              trace: int) -> dict:
-    """run.py's result line and environment for one seed, run in root."""
+    """run.py's result line and environment for one seed, run in root
+    under a bytecode cache of its own, empty when the run starts."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds),
            "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
-                          check=False)
+    with tempfile.TemporaryDirectory(prefix="bench-pycache-") as cache:
+        proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True,
+                              check=False,
+                              env={**os.environ, "PYTHONPYCACHEPREFIX": cache})
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or len(lines) < 2:
         raise RuntimeError(f"{' '.join(cmd)} in {root} exited "
