@@ -18,6 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import accumulate
 
 from .errors import NonClosure
 
@@ -235,6 +236,35 @@ class CosetTable:
         for ch in word:
             n = self._perms[ch][n]
         return n
+
+    def mirror_diamond(self, n: int, word: str) -> int | None:
+        """The diamond d, 1 <= d <= 7, that carries avatar n's walk along
+        the word's path onto its own mirror, or None; exact, in integers.
+
+        With word a palindrome of K letters, edges j and K - j of the
+        path cover the same stretch of the base arc in opposite
+        directions, so the walk at t and at 1 - t reads cosets m_j and
+        m_(K-j) (the cosets avatar_apply chases, m_0 = n) at one point x
+        of the arc.  The reflection z -> -conj(z) takes P x to P* S x,
+        P* = [[a, -b], [-c, d]], since -conj(x) = S x on the unit
+        circle; so it takes the point read at 1 - t, P_(m_(K-j)) x, to
+        g_(K-j) P_(m_j) x, g_j = P*_(m_j) S P_(m_(K-j))^-1, and the
+        answer is d where every g_j is +-[[d, 0], [c, d]] mod LEVEL, c
+        free: the diamond <d> of Gamma^1(15), <1> = K itself.  None
+        unless the word is a palindrome and one d serves every edge.
+        Only g_j's first row is formed, in integers: P* S is
+        [[-b, -a], [d, c]], and no GroupElem is built."""
+        if word != word[::-1]:
+            return None
+        cosets = list(accumulate(word, self.avatar_apply, initial=n))
+        diamonds = set()
+        for m, mirror in zip(cosets, reversed(cosets)):
+            p, q = self.rep(m), self.rep(mirror)
+            if (p.b * q.b - p.a * q.a) % LEVEL:
+                return None
+            g_a = (p.a * q.c - p.b * q.d) % LEVEL
+            diamonds.add(min(g_a, -g_a % LEVEL))
+        return diamonds.pop() if len(diamonds) == 1 else None
 
     def verify_stabilizer(self, n: int, g: GroupElem) -> bool:
         """True iff P_n g P_n^{-1} lies in K, i.e. K P_n g = K P_n: the

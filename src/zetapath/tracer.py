@@ -55,6 +55,8 @@ class TraceRecord:
     zeta_evals: int
     zeta_reflected: int
     zeta_centres: int
+    avatar_evals: int
+    mirror_gap: float | None
 
     @property
     def landed(self) -> bool:
@@ -64,7 +66,8 @@ class TraceRecord:
 
 
 COUNTERS = ("steps", "halvings", "newton_updates", "zeta_evals",
-            "zeta_reflected", "zeta_centres")   # the counts a sweep sums
+            "zeta_reflected", "zeta_centres",
+            "avatar_evals")     # the counts a sweep sums
 MAX_M = MAX_ZEROS - 2           # the last start whose zero m + 2 exists
 
 
@@ -148,7 +151,12 @@ def trace(m: int, path: TreePath | None = None, zeros: ZeroList | None = None,
     (newton_updates).  Every zeta_with_prime call, the start derivative
     included, goes through one ZetaDisc, and the record reads its counts
     from it: zeta_evals, zeta_reflected (those through the functional
-    equation) and zeta_centres (the expansions it built).
+    equation) and zeta_centres (the expansions it built).  avatar_evals
+    counts the trajectory's at calls during this trace: the grid points
+    it walked (none on a trajectory an earlier trace walked, about half
+    the grid on a mirrored one; the seed is not counted) and the
+    halved steps' reads.  mirror_gap is the trajectory's (see
+    AvatarTrajectory), None where the path is walked in full.
     """
     t_start = time.perf_counter()
     residual_tol, pole_cap = RESIDUAL_TOL, treepath.POLE_CAP
@@ -157,6 +165,7 @@ def trace(m: int, path: TreePath | None = None, zeros: ZeroList | None = None,
     gamma = zeros.gamma(m)
     s = complex(0.5, gamma)
     traj = avatar_trajectory(path, SHIFT_AVATAR, ctx=ctx, table=table)
+    evals_before = traj.evals
     w = traj[0]
     if abs(w) > 1e-6:
         raise ValueError(f"avatar {SHIFT_AVATAR} is {abs(w):.2e} at the path "
@@ -234,7 +243,9 @@ def trace(m: int, path: TreePath | None = None, zeros: ZeroList | None = None,
                        halvings=halvings, newton_updates=newton,
                        zeta_evals=disc.evals,
                        zeta_reflected=disc.reflected,
-                       zeta_centres=disc.centres)
+                       zeta_centres=disc.centres,
+                       avatar_evals=traj.evals - evals_before,
+                       mirror_gap=traj.mirror_gap)
 
 
 class TraceFailure(NamedTuple):

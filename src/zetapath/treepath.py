@@ -42,6 +42,12 @@ _BISECT_THETA_TOL = 1e-13
 _ARC_POINTS = 160          # samples per arc in verify_local_intersections
 _PANEL_SIZE = 50           # longer words it checks against the base arc
 POLE_CAP = 1e6             # avatar modulus past which every walk is Blocked
+# Where CosetTable.mirror_diamond gives <4>, the walk at 1 - t is the
+# conjugate of the walk at t.  The coset test is exact; the rest rests on
+# Z and is checked numerically: conj Z(w) = 1 / Z(-conj(w)), and <4>
+# keeps the root pair {Z, 1/Z} and takes the walked root to the other.
+# <1> = K mirrors the walk to 1 / conj Z instead; it is walked in full.
+_CONJUGATE_DIAMOND = 4
 
 
 @dataclass(frozen=True)
@@ -177,7 +183,17 @@ class AvatarTrajectory:
     g_j the product of the word's first j letters, and cosets[j] is
     coset_index(P_n g_j): the table's permutations carry avatar n through
     those letters, one letter per edge.  n and cosets index the packaged
-    table, whose representatives the coset tables are built from."""
+    table, whose representatives the coset tables are built from.
+
+    A walk is mirrored when CosetTable.mirror_diamond(n, word) is
+    _CONJUGATE_DIAMOND: its value at 1 - t is then the conjugate of its
+    value at t, so it walks k <= count // 2 only and reads k past that as
+    trajectory[count - k].conjugate().  Reaching the middle, it fills in
+    the rest as those conjugates and walks one probe point past it:
+    mirror_gap is the probe's gap to the value read there, relative to
+    that value's modulus where it passes 1, and stays None on a walk
+    that is not mirrored.  evals counts at calls, the probe's and those
+    of callers off the grid included."""
 
     def __init__(self, path: TreePath, n: int, ctx: EtaContext) -> None:
         table = load_table()
@@ -187,11 +203,17 @@ class AvatarTrajectory:
         self._path = path
         self.cosets = tuple(accumulate(path.word, table.avatar_apply,
                                        initial=n))
+        self.mirrored = (table.mirror_diamond(n, path.word)
+                         == _CONJUGATE_DIAMOND)
+        self._middle = self.count // 2 if self.mirrored else self.count
+        self.mirror_gap: float | None = None
+        self.evals = 0
         self._values = [z_eval_from_seed(mobius(rep, path.point(0.0)),
                                          ctx=ctx)]
 
     def at(self, t: float, hint: complex) -> complex:
         """The avatar at path parameter t, the root nearest the hint."""
+        self.evals += 1
         j, theta = self._path.locate(t)
         return arc_eval(self.cosets[j], theta, hint)
 
@@ -199,8 +221,18 @@ class AvatarTrajectory:
         if not 0 <= k <= self.count:
             raise IndexError(f"grid index {k} outside 0..{self.count}")
         values = self._values
-        while len(values) <= k:
-            values.append(self.at(len(values) / self.count, values[-1]))
+        if k >= len(values):
+            middle = self._middle
+            if k > middle:
+                return self[self.count - k].conjugate()
+            while len(values) <= k:
+                values.append(self.at(len(values) / self.count, values[-1]))
+            if self.mirrored and k == middle:
+                values += [v.conjugate()
+                           for v in reversed(values[:self.count - middle])]
+                probe = self.at((middle + 1) / self.count, values[middle])
+                mirror = values[middle + 1]
+                self.mirror_gap = abs(probe - mirror) / max(abs(mirror), 1.0)
         return values[k]
 
 

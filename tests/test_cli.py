@@ -263,10 +263,14 @@ def test_experiment(capsys):
     summary = json.loads(lines[-1])["summary"]
     assert summary["success_count"] == 2
     assert summary["errors"] == []
-    assert "newton_updates" in COUNTERS
+    assert "newton_updates" in COUNTERS and "avatar_evals" in COUNTERS
     for name in COUNTERS:
         assert summary[name] == sum(r[name] for r in records)
     assert summary["newton_updates"] > 0
+    # the first trace walks the mirrored grid to its middle and a probe
+    # point past it, the second reads the same trajectory
+    assert [r["avatar_evals"] for r in records] == [1001, 0]
+    assert 0.0 < records[0]["mirror_gap"] == records[1]["mirror_gap"] < 1e-12
 
 
 def test_experiment_errors_are_json_records(capsys, monkeypatch):

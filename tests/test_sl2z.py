@@ -18,6 +18,8 @@ from zetapath.sl2z import (
     mobius, word_eval, word_inverse, word_normalize,
 )
 
+from oracles import BAD_WORD
+
 
 def test_group_elem_basics():
     with pytest.raises(ValueError):
@@ -317,3 +319,45 @@ def test_shift_word_lands_on_shift_coset(table):
     n = table.avatar_apply(41, SHIFT_WORD)
     assert n == 41  # the index-41 avatar is fixed by the shift element
     assert table.avatar_apply(1, SHIFT_WORD) != 1
+
+
+def _mirror_diamond_by_products(n, word):
+    # A_j = P_n g_j itself, no coset representative; the reflection takes
+    # A_(K-j) x to A*_(K-j) S x, and the test asks for one diamond holding
+    # A*_(K-j) S A_j^-1 for every j, listed matrix by matrix mod 15
+    p = load_table().rep(n)
+    prods = [p * word_eval(word[:j]) for j in range(len(word) + 1)]
+    found = set()
+    for a, b in zip(prods, reversed(prods)):
+        g = GroupElem(b.a, -b.b, -b.c, b.d) * S * a.inv()
+        entries = tuple(x % 15 for x in g.entries())
+        found.add(next((d for d in (1, 2, 4, 7) for sign in (1, -1)
+                        for c in range(15)
+                        if entries == tuple(sign * x % 15
+                                            for x in (d, 0, c, d))), None))
+    return found.pop() if len(found) == 1 else None
+
+
+def test_mirror_diamonds_on_the_shift_word(table):
+    # 8 avatars mirror through <4>, which carries the walk to its
+    # conjugate, and 8 through K, which carries it to its reciprocal
+    diamonds = {n: table.mirror_diamond(n, SHIFT_WORD) for n in range(1, 97)}
+    assert {n for n, d in diamonds.items() if d == 4} == {
+        12, 17, 36, 41, 60, 65, 84, 89}
+    assert {n for n, d in diamonds.items() if d == 1} == {
+        11, 18, 35, 42, 59, 66, 83, 90}
+    assert sum(d is None for d in diamonds.values()) == 80
+    for n in range(1, 97):
+        assert diamonds[n] == _mirror_diamond_by_products(n, SHIFT_WORD), n
+
+
+def test_mirror_diamond_needs_a_palindrome_and_one_diamond(table):
+    # BAD_WORD mirrors avatar 41 through K; the short palindromes fail
+    # at b = 0 mod 15
+    assert table.mirror_diamond(41, BAD_WORD) == 1
+    for word in ("RSR", "rSr", "RSRSR"):
+        assert table.mirror_diamond(41, word) is None
+        assert _mirror_diamond_by_products(41, word) is None
+    # a prefix of the shift word is no palindrome
+    assert table.mirror_diamond(41, SHIFT_WORD[:-2]) is None
+    assert table.mirror_diamond(41, "") == _mirror_diamond_by_products(41, "")

@@ -116,20 +116,24 @@ def test_deep_trace_makes_about_one_zeta_evaluation_per_step():
 # steps, halvings, zeta_evals, zeta_reflected and zeta_centres, per
 # (m, samples): a refactor that keeps every bit keeps these.  The counts
 # hinge on Newton residuals that land near RESIDUAL_TOL (in trace(250)
-# the predicted point of the step to t = 1729/3000 misses by 1.056e-10,
-# so it takes one Newton update, and that of the step to t = 1731/3000
-# by 1.003e-10), so a walk value moved by ~1e-13 can flip zeta_evals and
-# zeta_reflected.
+# the predicted points of the steps to t = 1729/3000 and 1730/3000 miss
+# by 9.956e-11 and 9.969e-11, the record's max_residual, so they take no
+# Newton update, and that of the step to t = 1270/3000 by 1.009e-10),
+# so a walk value moved by ~1e-13 can flip zeta_evals and
+# zeta_reflected.  The shift path's walk is mirrored: past t = 1/2 its
+# values are conjugates of the walked half, within 1.5e-13 relative of
+# a walk in full, which took two more Newton updates here (3505 zeta
+# evaluations) and moved the endpoints in their last hex digits.
 TRACE_HEX = {
-    (1, 2000): (("0x1.00000000001a6p-1", "0x1.505a463c7bd50p+4",
-                 "0x1.b7391e20ad2a5p-34", "0x1.98f97b7ea8f4ap+5"),
+    (1, 2000): (("0x1.0000000000190p-1", "0x1.505a463c7bd54p+4",
+                 "0x1.b73d3429ff855p-34", "0x1.98f97b7ea8f4ap+5"),
                 (2000, 0, 2576, 618, 61)),
-    (2, 2000): (("0x1.0000000000149p-1", "0x1.902c78ff7a3abp+4",
-                 "0x1.b479053abbb4ap-34", "0x1.98f97b7ea8f4ap+5"),
+    (2, 2000): (("0x1.0000000000137p-1", "0x1.902c78ff7a3afp+4",
+                 "0x1.b48232018789fp-34", "0x1.98f97b7ea8f4ap+5"),
                 (2000, 0, 2600, 570, 46)),
-    (250, 3000): (("0x1.000000000004ap-1", "0x1.d8cc96b5ecb0bp+8",
-                   "0x1.a925878271698p-34", "0x1.98f97b7ea8f4ap+5"),
-                  (3000, 0, 3505, 0, 18)),
+    (250, 3000): (("0x1.0000000000050p-1", "0x1.d8cc96b5ecb09p+8",
+                   "0x1.b6735bd67ad82p-34", "0x1.98f97b7ea8f4ap+5"),
+                  (3000, 0, 3503, 0, 18)),
 }
 
 
@@ -218,6 +222,43 @@ def test_trace_halves_off_the_grid_and_still_lands(zeros, monkeypatch):
     assert rec.steps > path.samples
     assert rec.zeta_evals > rec.steps
     assert rec.matched_index == 2
+
+
+def test_trace_counts_the_avatar_evaluations_it_makes():
+    # a cold trace on the mirrored shift path walks the grid to its
+    # middle and one probe point past it; a warm one walks nothing
+    path = build_path(SHIFT_WORD, samples=3000)
+    ctx = EtaContext()
+    cold = trace(250, path=path, zeros=reference_zeros(), ctx=ctx)
+    assert cold.halvings == 0
+    assert cold.avatar_evals == 1501
+    assert 0.0 < cold.mirror_gap < 1e-12
+    warm = trace(251, path=path, zeros=reference_zeros(), ctx=ctx)
+    assert warm.avatar_evals == 0
+    assert warm.mirror_gap == cold.mirror_gap
+
+
+def test_halved_steps_count_their_avatar_reads(zeros, monkeypatch):
+    monkeypatch.setattr(tracer, "_DS_MAX", 2e-3)
+    rec = trace(1, zeros=zeros)
+    assert rec.halvings > 0
+    assert rec.avatar_evals == 1001 + rec.halvings
+
+
+def test_a_trace_walked_in_full_repeats_the_unmirrored_walk(monkeypatch):
+    # with no diamond taking the walk to its conjugate (none is 0) the
+    # shift path is walked in full: every grid point, no gap, and the
+    # record the walk in full gave before mirroring, bit for bit
+    monkeypatch.setattr(treepath, "_CONJUGATE_DIAMOND", 0)
+    rec = trace(1, path=build_path(SHIFT_WORD), zeros=reference_zeros())
+    assert rec.avatar_evals == 2000 and rec.mirror_gap is None
+    floats = (rec.end_s.real, rec.end_s.imag, rec.max_residual,
+              rec.max_abs_avatar)
+    assert tuple(x.hex() for x in floats) == (
+        "0x1.00000000001a6p-1", "0x1.505a463c7bd50p+4",
+        "0x1.b7391e20ad2a5p-34", "0x1.98f97b7ea8f4ap+5")
+    assert (rec.steps, rec.halvings, rec.zeta_evals, rec.zeta_reflected,
+            rec.zeta_centres) == (2000, 0, 2576, 618, 61)
 
 
 def test_trace_rejects_start_off_the_marked_point(zeros, monkeypatch):
@@ -463,7 +504,7 @@ def test_experiment_beyond_200_zeros_runs(monkeypatch):
                            matched_index=m + 1, steps=0, max_residual=0.0,
                            max_abs_avatar=0.0, wall_time=0.0, halvings=0,
                            newton_updates=0, zeta_evals=0, zeta_reflected=0,
-                           zeta_centres=0)
+                           zeta_centres=0, avatar_evals=0, mirror_gap=None)
     monkeypatch.setattr(tracer, "trace", landed)
     summary = run_experiment(250)
     assert summary.success_count == 250

@@ -16,7 +16,8 @@ from zetapath.etaengine import (
 from zetapath.exactquad import exact_j_target
 from zetapath.sl2z import (
     IDENTITY, R, S, SHIFT_AVATAR, SHIFT_ELEMENT, SHIFT_WORD, CosetRow,
-    CosetTable, is_reduced_alternating, load_table, mobius, word_eval,
+    CosetTable, GroupElem, is_reduced_alternating, load_table, mobius,
+    word_eval,
 )
 from zetapath.treepath import (
     OMEGA, THETA_I, THETA_OMEGA, AvatarTrajectory, avatar_trajectory,
@@ -304,6 +305,118 @@ def test_trajectory_refuses_indices_off_the_grid():
     traj[20]                  # count itself is on the grid
 
 
+def _walk_in_full(path, n):
+    # every grid point hinted by the one before, from the seed: the walk
+    # of a path that is not mirrored
+    traj = AvatarTrajectory(path, n, EtaContext())
+    values = [traj[0]]
+    for k in range(1, path.samples + 1):
+        values.append(traj.at(k / path.samples, values[-1]))
+    return values
+
+
+def _mirror_gaps(values):
+    # chordal gaps of Z(1 - t) to conj Z(t) and to 1 / conj Z(t)
+    last = len(values) - 1
+    conj = [chordal(values[last - k], v.conjugate())
+            for k, v in enumerate(values)]
+    recip = [chordal(values[last - k],
+                     1.0 / v.conjugate() if v else complex(math.inf, 0.0))
+             for k, v in enumerate(values)]
+    return conj, recip
+
+
+def test_the_exact_mirror_test_predicts_the_walks():
+    # on the shift word at 600 samples, walked in full: the avatars
+    # mirror_diamond puts in <4> conj-mirror, those in K mirror
+    # reciprocally, and the other 80 do neither
+    table = load_table()
+    path = build_path(SHIFT_WORD, samples=600)
+    split = {1: [], 4: [], None: []}
+    for n in range(1, 97):
+        diamond = table.mirror_diamond(n, SHIFT_WORD)
+        split[diamond].append(n)
+        assert AvatarTrajectory(path, n, EtaContext()).mirrored == (
+            diamond == 4)
+        values = _walk_in_full(path, n)
+        conj, recip = _mirror_gaps(values)
+        if diamond == 4:
+            assert max(recip) > 0.6, n
+            if n in (65, 89):
+                # Z = 1 is a double root at c, where a root moves by the
+                # square root of a rounding error: both ends are ~2e-8
+                # from it, and every other point mirrors to rounding
+                assert max(abs(values[k] - 1.0) for k in (0, 600)) < 1e-7
+                assert 1e-9 < min(conj[0], conj[600]), n
+                assert max(conj[0], conj[600]) < 5e-8, n
+                assert max(conj[1:600]) < 5e-13, n
+            else:
+                assert max(conj) < 5e-13, n
+        elif diamond == 1:
+            assert max(recip) < 2e-13 and max(conj) > 0.6, n
+        else:
+            assert max(conj) > 0.3 and max(recip) > 0.3, n
+    assert [len(split[d]) for d in (4, 1, None)] == [8, 8, 80]
+    # BAD_WORD mirrors avatar 41 reciprocally, its zero at c becoming
+    # the pole at the end; it stays walked in full
+    values = _walk_in_full(build_path(BAD_WORD, samples=600), SHIFT_AVATAR)
+    assert max(_mirror_gaps(values)[1]) < 3e-13
+    assert not AvatarTrajectory(build_path(BAD_WORD), SHIFT_AVATAR,
+                                EtaContext()).mirrored
+
+
+def test_the_mirror_rests_on_two_facts_about_z():
+    # conj Z(w) = 1 / Z(-conj w) on the branch continued from i, and the
+    # diamond <4> keeps the root pair; which root <4> takes the walk to
+    # is what the walks above show
+    rng = random.Random(33)
+    four = GroupElem(4, 15, 1, 4)
+    for _ in range(20):
+        w = complex(rng.uniform(-0.5, 0.5), rng.uniform(0.6, 1.5))
+        z = z_eval_from_seed(w)
+        assert chordal(z.conjugate(), 1.0 / z_eval_from_seed(-w.conjugate())
+                       ) < 1e-13
+        here, there = z_root_pair(w), z_root_pair(mobius(four, w))
+        assert _setwise_chordal(here, (there.first, there.second)) < 1e-12
+
+
+@pytest.mark.parametrize("word", ["RSR", "rSr", "RSRSR", BAD_WORD])
+def test_palindromes_that_do_not_mirror_walk_in_full(word):
+    path = build_path(word, samples=500)
+    traj = avatar_trajectory(path, SHIFT_AVATAR, ctx=EtaContext())
+    assert [traj[k] for k in range(501)] == _walk_in_full(path, SHIFT_AVATAR)
+    assert not traj.mirrored and traj.mirror_gap is None
+    assert traj.evals == 500
+    if word != BAD_WORD:
+        conj, recip = _mirror_gaps(_walk_in_full(path, SHIFT_AVATAR))
+        assert max(conj) > 0.3 and max(recip) > 0.3
+
+
+@pytest.mark.parametrize("samples", [2000, 3001, 3999])
+def test_a_mirrored_walk_walks_its_first_half(samples):
+    path = build_path(SHIFT_WORD, samples=samples)
+    traj = avatar_trajectory(path, SHIFT_AVATAR, ctx=EtaContext())
+    assert traj.mirrored
+    middle = samples // 2
+    # the end reads the seed's conjugate and walks nothing
+    assert traj[samples] == traj[0].conjugate() and traj.evals == 0
+    assert traj[samples - 3] == traj[3].conjugate() and traj.evals == 3
+    assert traj.mirror_gap is None
+    values = [traj[k] for k in range(samples + 1)]
+    # the middle point itself (k = 1000 of 2000) is walked, and one probe
+    # point past it
+    assert traj.evals == middle + 1
+    assert 0.0 < traj.mirror_gap < 1e-12
+    full = _walk_in_full(path, SHIFT_AVATAR)
+    assert values[:middle + 1] == full[:middle + 1]
+    assert all(values[k] == values[samples - k].conjugate()
+               for k in range(middle + 1, samples + 1))
+    assert max(abs(v - w) / max(abs(w), 1.0)
+               for v, w in zip(values, full)) < 1.5e-13
+    traj[samples]
+    assert traj.evals == middle + 1
+
+
 def _panel(theta):
     return min(int((theta - THETA_I) / etaengine._PANEL_WIDTH),
                etaengine._ARC_PANELS - 1)
@@ -312,9 +425,12 @@ def _panel(theta):
 def test_off_grid_reads_repeat_the_grid_bitwise():
     # a halved trace step reads at(t, hint); at a grid point, hinted by
     # the point before, it gives the grid's own value on both sides of
-    # every panel and edge boundary
+    # every panel and edge boundary of the walked half; past the middle
+    # the grid is the mirror of that half, which at meets within the
+    # mirror gap
     path = build_path(SHIFT_WORD, samples=3000)
     traj = avatar_trajectory(path, SHIFT_AVATAR, ctx=EtaContext())
+    assert traj.mirrored
     cells = []
     for k in range(traj.count + 1):
         j, theta = path.locate(k / traj.count)
@@ -323,7 +439,13 @@ def test_off_grid_reads_repeat_the_grid_bitwise():
     assert sum(cells[k][0] != cells[k - 1][0] for k in crossings) == 17
     assert len(crossings) > 17
     for k in sorted({k + d for k in crossings for d in (-1, 0)} - {0}):
-        assert traj.at(k / traj.count, traj[k - 1]) == traj[k], k
+        off_grid = traj.at(k / traj.count, traj[k - 1])
+        if k <= traj.count // 2:
+            assert off_grid == traj[k], k
+        else:
+            assert traj[k] == traj[traj.count - k].conjugate(), k
+            scale = max(abs(traj[k]), 1.0)
+            assert abs(off_grid - traj[k]) <= 1.5e-13 * scale, k
 
 
 def _setwise_chordal(pair, ref):
