@@ -72,7 +72,12 @@ _POLE_TOL = 1e-12
 # bound stays well past the |Im s| <= 1500 that traces to zero 1000 need.
 _MAX_HEIGHT = 1e5
 _BISECT_TOL = 1e-10
-_NEWTON_CAP = 16    # evaluations a zero may take; those through 350 take 3-8
+# Halley's method for a zero stops at a step this small inside its bracket.
+_HALLEY_STEP = 1e-5
+_NEWTON_CAP = 16    # evaluations a zero may take; those through 350 take 1-3
+# Newton steps at most on a bracket's cubic, for a zero's first point;
+# those through 350 take 3-7.
+_CUBIC_STEPS = 50
 # Rounds of added points before a Rosser block that falls short of sign
 # changes raises MissedZero.
 _ROSSER_ROUNDS = 4
@@ -191,41 +196,67 @@ def _logs(n_cut: int) -> tuple[float, ...]:
     return ln
 
 
-def _zeta_em(s: complex, want_prime: bool) -> tuple[complex, complex]:
-    """Euler-Maclaurin value and (optionally) derivative: the main sum
-    below the truncation point N = _term_count(s), term by term, then the
-    tail, N^(-s)/2 and the correction series."""
+def _zeta_em(s: complex, order: int) -> tuple[complex, complex, complex]:
+    """Euler-Maclaurin value and its derivatives up to `order` (0, 1 or
+    2), 0 for those not asked: the main sum below the truncation point
+    N = _term_count(s), term by term, then the tail, N^(-s)/2 and the
+    correction series.  Each derivative is one more accumulator in the
+    main sum and in the Horner pass; the value, and zeta' where asked,
+    are the same bit for bit whatever the order."""
     if abs(s - 1.0) < _POLE_TOL:
         raise PoleAtOne(f"zeta pole at s = 1 (given {s})")
     n_cut = _term_count(s)
     exp = cmath.exp
     neg_s = -s
-    total = 0j
-    total_p = 0j
-    if want_prime:
-        for ln_n in _logs(n_cut)[1:n_cut]:
+    lns = _logs(n_cut)[1:n_cut]
+    total = total_p = total_pp = 0j
+    if order == 2:
+        for ln_n in lns:
+            pw = exp(neg_s * ln_n)
+            total += pw
+            lpw = ln_n * pw
+            total_p -= lpw
+            total_pp += ln_n * lpw
+    elif order:
+        for ln_n in lns:
             pw = exp(neg_s * ln_n)
             total += pw
             total_p -= ln_n * pw
     else:
-        for ln_n in _logs(n_cut)[1:n_cut]:
+        for ln_n in lns:
             total += exp(neg_s * ln_n)
     ln_nc = math.log(n_cut)
     nc_pow = exp(neg_s * ln_nc)             # n_cut^(-s)
     nc_pow1 = nc_pow * n_cut                # n_cut^(1-s)
     tail = nc_pow1 / (s - 1.0)
     total += tail + nc_pow / 2.0
-    if want_prime:
+    if order:
         total_p += tail * (-ln_nc - 1.0 / (s - 1.0)) - ln_nc * nc_pow / 2.0
+    if order == 2:
+        # (log tail)' = -ln N - r, r = 1/(s - 1), and r' = -r^2
+        r = 1.0 / (s - 1.0)
+        total_pp += (tail * ((ln_nc + r) ** 2 + r * r)
+                     + ln_nc * ln_nc * nc_pow / 2.0)
     # The correction series is n_cut^(1-s) P(s); Horner's rule gives P
-    # and, alongside, P'.  Where n_cut^(1-s) underflows to 0 (Re s past
-    # about 250) the series adds nothing, and from Re s ~ 2e6 on the pass
-    # itself would overflow at s^49 and return NaN, so it is skipped.
+    # and, alongside, P' and P''/2.  Where n_cut^(1-s) underflows to 0
+    # (Re s past about 250) the series adds nothing, and from Re s ~ 2e6
+    # on the pass itself would overflow at s^49 and return NaN, so it is
+    # skipped.
     if not nc_pow1:
-        return total, total_p
+        return total, total_p, total_pp
     poly = _em_poly(n_cut)
     p = 0j
-    if want_prime:
+    if order == 2:
+        dp = half_d2p = 0j
+        for a in poly:
+            half_d2p = half_d2p * s + dp
+            dp = dp * s + p
+            p = p * s + a
+        total_p += nc_pow1 * (dp - ln_nc * p)
+        # (N^(1-s) P)'' = N^(1-s) (P'' - 2 ln N P' + ln^2 N P)
+        total_pp += nc_pow1 * (2.0 * (half_d2p - ln_nc * dp)
+                               + ln_nc * ln_nc * p)
+    elif order:
         dp = 0j
         for a in poly:
             dp = dp * s + p
@@ -235,7 +266,7 @@ def _zeta_em(s: complex, want_prime: bool) -> tuple[complex, complex]:
         for a in poly:
             p = p * s + a
     total += nc_pow1 * p
-    return total, total_p
+    return total, total_p, total_pp
 
 
 def _chi(s: complex, order: int = 0) -> tuple[complex, complex, list]:
@@ -290,8 +321,8 @@ def _zeta_eval(s: complex, want_prime: bool) -> tuple[complex, complex]:
     1 - s times chi(s), with (log chi)'(s) on the derivative path."""
     _check_height(s)
     if not reflects(s):
-        return _zeta_em(s, want_prime)
-    val, der = _zeta_em(1.0 - s, want_prime)
+        return _zeta_em(s, want_prime)[:2]
+    val, der, _ = _zeta_em(1.0 - s, want_prime)
     if not want_prime:
         return _in_range(s, _chi(s)[0] * val, 0j)
     chi, cot, (q1,) = _chi(s, 1)
@@ -582,10 +613,27 @@ class ZeroList:
         return self.ordinates[m - 1]
 
 
+def _hardy_pair(t: float) -> tuple[float, float]:
+    """(Z(t), Z'(t)) from one pass for zeta and zeta' at 1/2 + it: Z is
+    hardy_z(t).real bit for bit, and Z' = -Im e^(i theta)(theta' zeta +
+    zeta'), with theta'(t) = Re psi(1/4 + it/2) / 2 - ln(pi) / 2.  The
+    theta' term, -theta' Im Z, is 0 for exact values, but it cancels
+    much of the rounding: at t = 612 Z' is 8.6e-14 off mpmath with it and
+    4.5e-13 without.  The critical line never reflects."""
+    s = complex(0.5, t)
+    _check_height(s)
+    val, der, _ = _zeta_em(s, 1)
+    log_gamma, psi = _log_gamma(0.25 + 0.5j * t, 1)
+    rot = cmath.exp(1j * (log_gamma.imag - 0.5 * t * _LNPI))
+    theta_p = 0.5 * (psi.real - _LNPI)
+    return (rot * val).real, -(rot * (theta_p * val + der)).imag
+
+
 def _gram_points():
     """(n, g_n) for n = -1, 0, 1, ...: theta(g_n) = n pi by Newton on
     rs_theta with theta'(t) ~ ln(t / 2 pi) / 2, each started one spacing
-    pi / theta' past the last."""
+    pi / theta' past the last.  MissedZero, naming n and the last step,
+    where 10 steps do not bring the step below 1e-11."""
     n, g = -1, 9.667
     while True:
         for _ in range(10):
@@ -593,81 +641,122 @@ def _gram_points():
             g -= step
             if abs(step) < 1e-11:
                 break
+        else:
+            raise MissedZero(f"Gram point g_{n} did not converge: last "
+                             f"Newton step {step:.3g} at t = {g:.9f}")
         yield n, g
         n += 1
         g += 2.0 * math.pi / (math.log(g) - _LN2PI)
 
 
 def _rosser_blocks():
-    """(ts, vs) per Rosser block [g_a, g_b]: g_a and g_b consecutive good
-    Gram points ((-1)^n Z(g_n) > 0), ts the Gram points from g_a to g_b
-    and vs the Hardy Z values there.  Starts at g_-1, which is good."""
+    """(ts, vs, ds) per Rosser block [g_a, g_b]: g_a and g_b consecutive
+    good Gram points ((-1)^n Z(g_n) > 0), ts the Gram points from g_a to
+    g_b, vs the Hardy Z values there and ds Z'.  Starts at g_-1, which is
+    good."""
     ts: list[float] = []
     vs: list[float] = []
+    ds: list[float] = []
     for n, g in _gram_points():
-        v = hardy_z(g).real
+        v, d = _hardy_pair(g)
         ts.append(g)
         vs.append(v)
+        ds.append(d)
         if len(ts) > 1 and (v if n % 2 == 0 else -v) > 0.0:
-            yield ts, vs
-            ts, vs = [g], [v]
+            yield ts, vs, ds
+            ts, vs, ds = [g], [v], [d]
 
 
-def _separate(ts: list[float], vs: list[float]) -> tuple[list, list]:
+def _separate(ts: list[float], vs: list[float],
+              ds: list[float]) -> tuple[list, list, list]:
     """Points of one Rosser block showing as many sign changes of Z as the
-    block has Gram intervals (Rosser's rule).  Where changes are missing,
-    each round adds a point to every interval, weighted by sqrt(u/v)
-    towards the smaller end when both ends share a sign; MissedZero after
-    _ROSSER_ROUNDS rounds."""
+    block has Gram intervals (Rosser's rule), with Z and Z' there.  Where
+    changes are missing, each round adds a point to every interval,
+    weighted by sqrt(u/v) towards the smaller end when both ends share a
+    sign; MissedZero after _ROSSER_ROUNDS rounds."""
     want = len(ts) - 1
     for rounds in range(_ROSSER_ROUNDS + 1):
         found = sum(u * v < 0.0 for u, v in zip(vs, vs[1:]))
         if found == want:
-            return ts, vs
+            return ts, vs, ds
         if rounds == _ROSSER_ROUNDS:
             raise MissedZero(f"Rosser block [{ts[0]:.6f}, {ts[-1]:.6f}] "
                              f"shows {found} sign changes of Z for {want} "
                              f"Gram intervals")
-        nts, nvs = ts[:1], vs[:1]
-        for a, b, u, v in zip(ts, ts[1:], vs, vs[1:]):
+        nts, nvs, nds = ts[:1], vs[:1], ds[:1]
+        for a, b, u, v, d in zip(ts, ts[1:], vs, vs[1:], ds[1:]):
             if u * v > 0.0:
                 w = math.sqrt(v / u)
                 c = (w * a + b) / (w + 1.0)
             else:
                 c = 0.5 * (a + b)
+            u_c, d_c = _hardy_pair(c)
             nts += (c, b)
-            nvs += (hardy_z(c).real, v)
-        ts, vs = nts, nvs
+            nvs += (u_c, v)
+            nds += (d_c, d)
+        ts, vs, ds = nts, nvs, nds
 
 
-def _newton_zero(a: float, b: float, fa: float, fb: float) -> float:
-    """The zero of Hardy Z in [a, b] (fa, fb of opposite sign), by Newton
-    along the critical line: each iterate t, the last Newton point if it
-    lies in the bracket and else the bracket's secant point, makes one
-    evaluation of zeta and zeta' at 1/2 + it.  The sign of Z at t shrinks
-    the bracket, and the Newton point is t - Im(zeta/zeta'), as
-    zeta(1/2 + it) ~ i zeta'(rho) (t - gamma) near the zero: Newton for Z
-    up to a cubic term, with no theta'.  Done once that step is at most
-    _BISECT_TOL/4 inside the bracket, or the bracket is below _BISECT_TOL:
-    returns the Newton point if it lies in the bracket, else t.
+def _hermite_root(a: float, b: float, fa: float, fb: float,
+                  da: float, db: float) -> float:
+    """A root in [a, b] of the cubic Hermite interpolant of Z on the
+    bracket (values fa, fb of opposite sign, slopes da, db): Newton on the
+    cubic with its own derivative, from the secant point, inside a bracket
+    that the sign of each value shrinks, bisecting where a step would leave
+    it, until a step is at most 1e-12 of the bracket."""
+    h = b - a
+    # p(x) = fa + x (c1 + x (c2 + x c3)) at t = a + h x, x in [0, 1]
+    c1 = h * da
+    c2 = 3.0 * (fb - fa) - h * (2.0 * da + db)
+    c3 = 2.0 * (fa - fb) + h * (da + db)
+    lo, hi = 0.0, 1.0
+    x = fa / (fa - fb)
+    for _ in range(_CUBIC_STEPS):
+        p = fa + x * (c1 + x * (c2 + x * c3))
+        if (p > 0.0) == (fb > 0.0):
+            hi = x
+        else:
+            lo = x
+        dp = c1 + x * (2.0 * c2 + 3.0 * x * c3)
+        step = p / dp if dp else math.inf
+        if not lo <= x - step <= hi:
+            step = x - 0.5 * (lo + hi)
+        x -= step
+        if abs(step) <= 1e-12:
+            break
+    return a + h * x
+
+
+def _halley_zero(a: float, b: float, fa: float, fb: float,
+                 da: float, db: float) -> float:
+    """The zero of Hardy Z in [a, b] (fa, fb of opposite sign, da, db the
+    slopes Z' there), by Halley's method along the critical line from the
+    root of the bracket's cubic Hermite interpolant: each iterate t, the
+    last Halley point if it lies in the bracket and else the bracket's
+    secant point, makes one evaluation of zeta, zeta' and zeta'' at
+    1/2 + it.  The sign of Z at t shrinks the bracket, and the Halley
+    point is t - Im(2 zeta zeta' / (2 zeta'^2 - zeta zeta'')), Halley's
+    step for the analytic zeta(1/2 + it) in t, whose zero is real.  Done
+    once that step is at most _HALLEY_STEP inside the bracket, where
+    cubic convergence leaves ~1e-15, or the bracket is below _BISECT_TOL:
+    returns the Halley point if it lies in the bracket, else t.
     MissedZero after _NEWTON_CAP evaluations, or where |zeta'| <= 1e-3 at
-    the last t, which lies within _BISECT_TOL of the zero: the
+    the last t, which lies within _HALLEY_STEP of the zero: the
     continuation divides by zeta' there."""
-    c = math.nan                    # no Newton point yet: the secant first
+    c = _hermite_root(a, b, fa, fb, da, db)
     for _ in range(_NEWTON_CAP):
         t = c if a <= c <= b else (a * fb - b * fa) / (fb - fa)
-        val, der = _zeta_eval(complex(0.5, t), True)
+        val, der, der2 = _zeta_em(complex(0.5, t), 2)
         z = _rotated(t, val).real
         if (z > 0.0) == (fb > 0.0):
             b, fb = t, z
         else:
             a, fa = t, z
-        c = t - (val / der).imag
-        if (b - a < _BISECT_TOL
-                or a <= c <= b and abs(c - t) <= 0.25 * _BISECT_TOL):
+        c = t - (2.0 * val * der / (2.0 * der * der - val * der2)).imag
+        if b - a < _BISECT_TOL or a <= c <= b and abs(c - t) <= _HALLEY_STEP:
             break
     else:
-        raise MissedZero(f"Newton did not converge in [{a:.9f}, {b:.9f}]")
+        raise MissedZero(f"Halley did not converge in [{a:.9f}, {b:.9f}]")
     if abs(der) <= 1e-3:
         raise MissedZero(f"derivative too small at ordinate {t:.9f}; "
                          f"zero may be multiple or misplaced")
@@ -677,32 +766,35 @@ def _newton_zero(a: float, b: float, fa: float, fb: float) -> float:
 def find_zeros(count: int) -> ZeroList:
     """First `count` critical-line zeros, count <= 350 (t up to ~612).
 
-    Hardy Z is evaluated once per Gram point; each Rosser block must show
-    as many sign changes as it has Gram intervals, with points added
-    where it does not (MissedZero if that fails).  The count is certified
-    by Turing's method in Brent's form: once the block holding zero
-    `count` ends at g_n, K more blocks, K >= 0.0061 ln^2 g + 0.08 ln g
-    (and at least 2), must satisfy Rosser's rule; then N(g_n) = n + 1
-    exactly and every zero below g_n is one of the sign changes found.
-    Each wanted sign change is refined by Newton's method along the
-    critical line, and each zero must be simple (|zeta'| > 1e-3).
-    TypeError for a count that is not an integer, before any search."""
+    Hardy Z and Z' are evaluated once per Gram point; each Rosser block
+    must show as many sign changes as it has Gram intervals, with points
+    added where it does not (MissedZero if that fails).  The count is
+    certified by Turing's method in Brent's form: once the block holding
+    zero `count` ends at g_n, K more blocks, K >= 0.0061 ln^2 g +
+    0.08 ln g (and at least 2), must satisfy Rosser's rule; then
+    N(g_n) = n + 1 exactly and every zero below g_n is one of the sign
+    changes found.  Each wanted sign change is refined by Halley's method
+    along the critical line from the root of the cubic that matches Z
+    and Z' at the ends of its bracket, and each zero must be simple
+    (|zeta'| > 1e-3).  TypeError for a count that is not an integer,
+    before any search."""
     count = operator.index(count)
     if not 1 <= count <= MAX_ZEROS:
         raise ValueError(f"count must be in 1..{MAX_ZEROS}, got {count}")
-    brackets: list[tuple[float, float, float, float]] = []
+    brackets: list[tuple[float, ...]] = []
     turing = 0
-    for ts, vs in _rosser_blocks():
-        ts, vs = _separate(ts, vs)
+    for ts, vs, ds in _rosser_blocks():
+        ts, vs, ds = _separate(ts, vs, ds)
         if len(brackets) >= count:
             turing += 1
             lg = math.log(ts[-1])
             if turing >= max(2, math.ceil(0.0061 * lg * lg + 0.08 * lg)):
                 break
         else:
-            brackets += [(a, b, u, v) for a, b, u, v
-                         in zip(ts, ts[1:], vs, vs[1:]) if u * v < 0.0]
-    return ZeroList(tuple(_newton_zero(*bracket)
+            brackets += [(a, b, u, v, du, dv) for a, b, u, v, du, dv
+                         in zip(ts, ts[1:], vs, vs[1:], ds, ds[1:])
+                         if u * v < 0.0]
+    return ZeroList(tuple(_halley_zero(*bracket)
                           for bracket in brackets[:count]), source="computed")
 
 

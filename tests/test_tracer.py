@@ -487,8 +487,8 @@ def test_computed_zeros_stop_at_the_last_start(monkeypatch):
 def test_trace_refuses_a_start_that_is_not_an_integer(monkeypatch):
     # find_zeros refuses the count m + 2 before any Hardy Z evaluation
     def unreached(t):
-        raise AssertionError("hardy_z was called")
-    monkeypatch.setattr(zetafn, "hardy_z", unreached)
+        raise AssertionError("Hardy Z was evaluated")
+    monkeypatch.setattr(zetafn, "_hardy_pair", unreached)
     with pytest.raises(TypeError):
         trace(1.5)
 

@@ -2,6 +2,7 @@
 checks, zero finding against the packaged reference table, file parsing."""
 
 import cmath
+import itertools
 import math
 import os
 import random
@@ -17,8 +18,8 @@ from zetapath.errors import (
     MissedZero, MonotonicityError, NearPole, ParseError, PoleAtOne,
 )
 from zetapath.zetafn import (
-    ZeroList, ZetaDisc, find_zeros, hardy_z, load_zeros, reference_zeros,
-    reflects, rs_theta, zeta, zeta_with_prime,
+    MAX_ZEROS, ZeroList, ZetaDisc, find_zeros, hardy_z, load_zeros,
+    reference_zeros, reflects, rs_theta, zeta, zeta_with_prime,
 )
 
 # Spot values frozen from an independent arbitrary-precision run.
@@ -668,7 +669,7 @@ def test_reflects_is_the_branch_rule():
     assert not reflects(-0.9 + 0.0j)
     for s in (-1.3 + 41.7j, 0.3 + 41.7j, 0.7 + 41.7j):
         u = 1.0 - s if reflects(s) else s
-        val, der = zetafn._zeta_em(u, True)
+        val, der, _ = zetafn._zeta_em(u, 1)
         if reflects(s):
             # zeta(s) = chi(s) zeta(1-s), zeta'(s) by (log chi)'
             chi, cot, (q1,) = zetafn._chi(s, 1)
@@ -835,8 +836,8 @@ def test_find_zeros_bounds(monkeypatch):
     # each refused at entry, before any Hardy Z evaluation; 1.5 is in
     # range, and was only refused at the end of the search
     def unreached(t):
-        raise AssertionError("hardy_z was called")
-    monkeypatch.setattr(zetafn, "hardy_z", unreached)
+        raise AssertionError("Hardy Z was evaluated")
+    monkeypatch.setattr(zetafn, "_hardy_pair", unreached)
     with pytest.raises(ValueError):
         find_zeros(0)
     with pytest.raises(ValueError):
@@ -903,19 +904,78 @@ def test_bad_gram_points_below_320_are_separated(zeros_311):
             assert sum(o < g for o in ords) == n + 1
 
 
-def test_find_zeros_200_makes_few_zeta_evaluations(monkeypatch):
-    calls = []
-    plain = zetafn._zeta_eval
+def test_find_zeros_reads_hardy_z_bitwise(monkeypatch):
+    # Z at every Gram and Rosser point comes from the pass that also
+    # gives Z', and is hardy_z's value bit for bit, so the Rosser blocks,
+    # Turing's count and BAD_GRAM read the same signs as through hardy_z
+    seen = {}
+    plain = zetafn._hardy_pair
 
-    def counted(s, want_prime):
-        calls.append(want_prime)
-        return plain(s, want_prime)
-    monkeypatch.setattr(zetafn, "_zeta_eval", counted)
+    def recorded(t):
+        seen[t] = pair = plain(t)
+        return pair
+    monkeypatch.setattr(zetafn, "_hardy_pair", recorded)
+    find_zeros(MAX_ZEROS)
+    assert set(_gram_table(320)) <= set(seen)
+    for t, (z, _) in seen.items():
+        assert z == hardy_z(t).real, t
+
+
+def test_find_zeros_200_makes_few_zeta_evaluations(monkeypatch):
+    orders = []
+    plain = zetafn._zeta_em
+
+    def counted(s, order):
+        orders.append(order)
+        return plain(s, order)
+    monkeypatch.setattr(zetafn, "_zeta_em", counted)
+    per_zero = []
+    halley = zetafn._halley_zero
+
+    def refined(*bracket):
+        start = len(orders)
+        g = halley(*bracket)
+        per_zero.append(len(orders) - start)
+        return g
+    monkeypatch.setattr(zetafn, "_halley_zero", refined)
     find_zeros(200)
-    # Hardy Z at 209 Gram and Rosser points, then 879 Newton evaluations
-    # with the derivative, 4.4 per zero
-    assert calls.count(False) == 209
-    assert len(calls) <= 1150
+    # Z and Z' at 209 Gram and Rosser points, then 405 Halley evaluations
+    # with zeta'', 2.0 per zero (1 for 4 zeros, 2 for 187, 3 for 9)
+    assert orders.count(1) == 209 and orders.count(2) == 405
+    assert len(orders) <= 620
+    assert len(per_zero) == 200 and set(per_zero) <= {1, 2, 3}
+
+
+def test_hardy_z_prime_and_zeta_second_derivative_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        for t in (14.13, 100.0, 396.0, 612.0):
+            ref = float(mpmath.siegelz(t, derivative=1))
+            # 8.9e-14 at worst, at t = 396; without the theta' term of
+            # Z', 4.5e-13 at t = 612
+            assert abs(zetafn._hardy_pair(t)[1] - ref) < 2e-13, t
+            ref = complex(mpmath.zeta(mpmath.mpc(0.5, t), derivative=2))
+            # 3.0e-13 at worst, at t = 612
+            assert abs(zetafn._zeta_em(complex(0.5, t), 2)[2] - ref) < (
+                1e-12 * max(1.0, abs(ref))), t
+
+
+def test_hardy_z_prime_and_zeta_second_derivative_by_differences():
+    # central differences of step h = 1e-5, good to ~1e-8 here; asking
+    # for zeta'' leaves the value and zeta' as they are, bit for bit
+    h = 1e-5
+    for t in (14.13, 100.0, 396.0, 612.0):
+        z, z_p = zetafn._hardy_pair(t)
+        assert z == hardy_z(t).real
+        diff = (hardy_z(t + h).real - hardy_z(t - h).real) / (2.0 * h)
+        assert abs(z_p - diff) < 1e-6 * max(1.0, abs(z_p)), t
+    for s in (0.5 + 14.13j, 0.5 + 100.0j, 0.5 + 396.0j, 0.5 + 612.0j,
+              2.0 + 3.0j, -0.7 + 41.7j):
+        val, der, der2 = zetafn._zeta_em(s, 2)
+        assert (val, der) == zeta_with_prime(s)
+        diff = (zeta_with_prime(s + h)[1] - zeta_with_prime(s - h)[1]) / (
+            2.0 * h)
+        assert abs(der2 - diff) < 1e-6 * max(1.0, abs(der2)), s
 
 
 def test_find_zeros_matches_mpmath_zetazero():
@@ -927,31 +987,49 @@ def test_find_zeros_matches_mpmath_zetazero():
             assert abs(mpmath.zetazero(k).imag - zl.gamma(k)) < 1e-12
 
 
-def _fake_zeta(monkeypatch, z_of, slope_of):
-    """Route _zeta_eval through a made-up function: on the critical line
-    Hardy Z at t is z_of(t) and |zeta'| is slope_of(t), so the Newton
-    step Im(zeta/zeta') is z_of(t) / slope_of(t).  Returns the list of
-    ordinates evaluated, filled as _newton_zero runs."""
+def _fake_zeta(monkeypatch, z_of, slope_of, curve_of=lambda t: 0.0):
+    """Route _zeta_em through a made-up function: on the critical line
+    Hardy Z at t is z_of(t), zeta' is -i e^(-i theta) slope_of(t) and
+    zeta'' is -e^(-i theta) curve_of(t), so the Halley step
+    Im(2 zeta zeta' / (2 zeta'^2 - zeta zeta'')) is Halley's step
+    2 f f' / (2 f'^2 - f f'') for f = z_of, f' = slope_of, f'' = curve_of,
+    and Newton's where curve_of is 0.  Returns the list of ordinates
+    evaluated, filled as _halley_zero runs."""
     seen = []
 
-    def fake(s, want_prime):
+    def fake(s, order):
         t = s.imag
         seen.append(t)
         unrotate = cmath.exp(-1j * rs_theta(t))
-        return unrotate * z_of(t), -1j * unrotate * slope_of(t)
-    monkeypatch.setattr(zetafn, "_zeta_eval", fake)
+        return (unrotate * z_of(t), -1j * unrotate * slope_of(t),
+                -unrotate * curve_of(t))
+    monkeypatch.setattr(zetafn, "_zeta_em", fake)
     return seen
 
 
-def test_newton_exit_returns_the_stepped_point(monkeypatch):
-    # Z = e + e^3, e = t - 20: from the secant point 20.25 Newton's error
-    # goes e -> 2 e^3 / (1 + 3 e^2), staying above the zero, so only a
-    # step below _BISECT_TOL/4 ends the refinement
+def test_a_cubic_z_starts_at_its_zero(monkeypatch):
+    # Z = e + e^3, e = t - 20, is its own cubic Hermite interpolant on
+    # [19.5, 21], so the first point is the zero, and its Halley step ends
+    # the refinement there
     seen = _fake_zeta(monkeypatch, lambda t: (t - 20.0) + (t - 20.0) ** 3,
-                      lambda t: 1.0 + 3.0 * (t - 20.0) ** 2)
-    g = zetafn._newton_zero(19.5, 21.0, -1.0, 1.0)
-    assert seen[0] == 20.25 and len(seen) == 4
-    assert all(t > 20.0 for t in seen)
+                      lambda t: 1.0 + 3.0 * (t - 20.0) ** 2,
+                      lambda t: 6.0 * (t - 20.0))
+    g = zetafn._halley_zero(19.5, 21.0, -0.625, 2.0, 1.75, 4.0)
+    assert len(seen) == 1 and abs(seen[0] - 20.0) < 1e-14
+    assert abs(g - 20.0) < 1e-14
+
+
+def test_halley_exit_returns_the_stepped_point(monkeypatch):
+    # the same Z from a start at the secant point 20.25, which slopes
+    # equal to the secant's give: Halley's error goes e -> ~ -e^3, 0.25,
+    # -0.0105, 1.2e-6, and only a step below _HALLEY_STEP ends the
+    # refinement, at the stepped point
+    seen = _fake_zeta(monkeypatch, lambda t: (t - 20.0) + (t - 20.0) ** 3,
+                      lambda t: 1.0 + 3.0 * (t - 20.0) ** 2,
+                      lambda t: 6.0 * (t - 20.0))
+    g = zetafn._halley_zero(19.5, 21.0, -1.0, 1.0, 4.0 / 3.0, 4.0 / 3.0)
+    assert seen[0] == 20.25 and len(seen) == 3
+    assert seen[1] < 20.0 < seen[2] < 20.0 + zetafn._HALLEY_STEP
     assert g != seen[-1] and abs(g - 20.0) < 1e-14
 
 
@@ -959,7 +1037,9 @@ def test_bracket_exit_returns_the_last_point(monkeypatch):
     # each step overshoots threefold, 6e-11 here, past the other end of a
     # bracket the first evaluation narrowed to 4.5e-11
     seen = _fake_zeta(monkeypatch, lambda t: t - 20.0, lambda t: 0.25)
-    g = zetafn._newton_zero(20.0 - 6e-11, 20.0 + 3e-11, -1.0, 1.0)
+    slope = 2.0 / 9e-11
+    g = zetafn._halley_zero(20.0 - 6e-11, 20.0 + 3e-11, -1.0, 1.0,
+                            slope, slope)
     assert seen == [g]
     assert abs(g - 20.0) < zetafn._BISECT_TOL
 
@@ -970,42 +1050,61 @@ def test_a_step_out_of_the_bracket_falls_back_to_the_secant(monkeypatch):
     slopes = iter([0.01])
     seen = _fake_zeta(monkeypatch, lambda t: t - 20.0,
                       lambda t: next(slopes, 1.0))
-    assert zetafn._newton_zero(19.0, 22.0, -1.0, 1.0) == 20.0
+    assert zetafn._halley_zero(19.0, 22.0, -1.0, 1.0,
+                               2.0 / 3.0, 2.0 / 3.0) == 20.0
     assert seen == [20.5, 20.0]
 
 
-def test_newton_gives_up_at_its_evaluation_cap(monkeypatch):
+def test_halley_gives_up_at_its_evaluation_cap(monkeypatch):
     # a doubled step reflects t about the zero: 20.5, 19.5, 20.5, ...
     seen = _fake_zeta(monkeypatch, lambda t: t - 20.0, lambda t: 0.5)
-    with pytest.raises(MissedZero, match="Newton did not converge"):
-        zetafn._newton_zero(19.0, 22.0, -1.0, 1.0)
+    with pytest.raises(MissedZero, match="Halley did not converge"):
+        zetafn._halley_zero(19.0, 22.0, -1.0, 1.0, 2.0 / 3.0, 2.0 / 3.0)
     assert seen == [20.5, 19.5] * (zetafn._NEWTON_CAP // 2)
 
 
 def test_a_zero_with_a_small_derivative_raises_missed_zero(monkeypatch):
-    # zeta scaled by 1e-6: every sign and Newton step as before, but
-    # |zeta'| at the first zero is 7.9e-7
-    plain = zetafn._zeta_eval
-    monkeypatch.setattr(zetafn, "_zeta_eval", lambda s, want_prime: tuple(
-        1e-6 * v for v in plain(s, want_prime)))
+    # zeta scaled by 1e-6: every sign, cubic start and Halley step as
+    # before, but |zeta'| at the first zero is 7.9e-7
+    plain = zetafn._zeta_em
+    monkeypatch.setattr(zetafn, "_zeta_em", lambda s, order: tuple(
+        1e-6 * v for v in plain(s, order)))
     with pytest.raises(MissedZero, match="derivative too small"):
+        find_zeros(1)
+
+
+def test_a_gram_point_that_does_not_converge_raises_missed_zero(monkeypatch):
+    # theta off by +1e-6 and -1e-6 in turn: each Newton step for g_-1
+    # moves it by ~1e-5, never below 1e-11, and no Z is evaluated
+    offsets = itertools.cycle((1e-6, -1e-6))
+    plain = zetafn.rs_theta
+    monkeypatch.setattr(zetafn, "rs_theta",
+                        lambda t: plain(t) + next(offsets))
+
+    def unreached(t):
+        raise AssertionError("Hardy Z was evaluated")
+    monkeypatch.setattr(zetafn, "_hardy_pair", unreached)
+    with pytest.raises(MissedZero, match=r"Gram point g_-1 did not converge: "
+                                         r"last Newton step -?\d"):
         find_zeros(1)
 
 
 @pytest.mark.parametrize("count, hidden",
                          [(150, 100), (100, 101), (100, 102)])
 def test_hidden_zero_pair_raises_missed_zero(monkeypatch, count, hidden):
-    # -Z between zeros `hidden` and `hidden + 1` touches zero at both
-    # without changing sign: the pair is invisible to sign changes, and
-    # the Rosser block holding it cannot be separated: a wanted block, or
-    # the first or the second Turing block past zero `count`
+    # -Z (and -Z') between zeros `hidden` and `hidden + 1` touches zero
+    # at both without changing sign: the pair is invisible to sign
+    # changes, and the Rosser block holding it cannot be separated: a
+    # wanted block, or the first or the second Turing block past zero
+    # `count`
     ref = reference_zeros()
     lo, hi = ref.gamma(hidden), ref.gamma(hidden + 1)
-    plain = zetafn.hardy_z
+    plain = zetafn._hardy_pair
 
     def hiding(t):
-        return -plain(t) if lo <= t <= hi else plain(t)
-    monkeypatch.setattr(zetafn, "hardy_z", hiding)
+        z, z_p = plain(t)
+        return (-z, -z_p) if lo <= t <= hi else (z, z_p)
+    monkeypatch.setattr(zetafn, "_hardy_pair", hiding)
     with pytest.raises(MissedZero, match="Rosser block"):
         find_zeros(count)
 
